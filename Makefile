@@ -9,7 +9,7 @@ all: build vet test
 help:
 	@echo "MineSweeper reproduction targets:"
 	@echo "  all        build + vet + test"
-	@echo "  check      go vet + race-detector pass over the concurrent hot paths"
+	@echo "  check      go vet (root and bench/) + go test ./... + race-hot + events-overhead + fleet-gate"
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on sweep/shadow/core/mem/jemalloc only"
@@ -44,17 +44,19 @@ race:
 # shadow markers, page scanning, the core sweep loop) — much faster than a
 # full `make race` and the first thing to run after touching the sweep path.
 race-hot:
-	$(GO) test -race ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/workload ./internal/fleet
+	$(GO) test -race ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/ring ./internal/workload ./internal/fleet
 
-# The pre-merge gate: static checks, a fast config-validation pass (fails
-# immediately on inconsistent knob combinations like ZeroDeferred with
-# zeroing disabled), the hot-path race pass, the events-overhead gate
-# (the flight recorder is always-attachable, so its hot-path cost is a
-# merge-blocking property like the race freedom of the paths it instruments),
-# then the fleet gate (the federated governor's budget bound is likewise a
-# merge-blocking property of the two-level control plane).
+# The pre-merge gate: static checks, a vet pass over the benchmark (bench/ is
+# its own module, so `./...` never compiles it, yet it builds against the
+# core, telemetry and control APIs), the full test suite, the hot-path race
+# pass, the events-overhead gate (the flight recorder is always-attachable,
+# so its hot-path cost is a merge-blocking property like the race freedom of
+# the paths it instruments), then the fleet gate (the federated governor's
+# budget bound is likewise a merge-blocking property of the two-level
+# control plane).
 check: vet
-	$(GO) test -run '^TestValidate' -count=1 .
+	$(GO) -C bench vet ./...
+	$(GO) test ./...
 	$(MAKE) race-hot
 	$(MAKE) events-overhead
 	$(MAKE) fleet-gate
@@ -102,29 +104,29 @@ bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleet64Tenants' -benchtime=50x -count=5 ./internal/fleet \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_fleet.json -match Fleet64Tenants -max-ratio $(BENCH_GATE_RATIO)
 
-# Telemetry-overhead gate: interleaved fixed-iteration rounds of the 64-byte
-# malloc/free pair with and without the telemetry registry attached; fails if
-# attaching costs more than 3% on the minimum round. The two configurations
-# differ only by Config.Telemetry, so the ratio isolates the per-op sampling
-# decision. See telemetry_overhead_test.go for why the rounds interleave
-# rather than comparing two separate -bench entries.
+# The overhead gates: rows of TestOverheadGates (overhead_gate_test.go), one
+# interleaved-chunk A/B floor estimator shared by all of them. Each row keeps
+# one long-lived process per configuration, alternates fixed-iteration
+# chunks of the 64-byte malloc/free pair between them, and compares the
+# per-side minimum chunks; see the test for why separate -bench entries are
+# unreliable here. MS_OVERHEAD_GATE=1 un-skips the test.
+#
+# telemetry-overhead: telemetry-on within 3% of telemetry-off.
 telemetry-overhead:
-	MS_TELEMETRY_GATE=1 $(GO) test -run '^TestTelemetryOverheadGate$$' -count=1 -v .
+	MS_OVERHEAD_GATE=1 $(GO) test -run '^TestOverheadGates$$/^telemetry$$' -count=1 -v .
 
-# Events-overhead gate: same interleaved protocol, asking what the flight
-# recorder adds on top of an already-telemetered process (its sampled
-# alloc/free events ride telemetry's 1-in-N countdown; the unsampled fast
-# path only gains an atomic pointer load and branch on amortised checks).
+# events-overhead: what the flight recorder adds on top of an already
+# telemetered process (its sampled alloc/free events ride telemetry's 1-in-N
+# countdown; the unsampled fast path only gains an atomic pointer load and
+# branch on amortised checks), within 3%.
 events-overhead:
-	MS_EVENTS_GATE=1 $(GO) test -run '^TestEventsOverheadGate$$' -count=1 -v .
+	MS_OVERHEAD_GATE=1 $(GO) test -run '^TestOverheadGates$$/^events$$' -count=1 -v .
 
-# Governor-overhead gate: the governed malloc/free pair (budget far above any
-# pressure, so the plane is attached but idle) must stay within 3% of the
-# ungoverned run. Same interleaved-chunk protocol as telemetry-overhead —
-# knobs are read at sweep boundaries and the amortised trigger check only,
-# so this measures that the hot path stayed untouched.
+# governor-overhead: the governed pair (budget far above any pressure, so the
+# plane is attached but idle) within 3% of the ungoverned run — knobs are read
+# at sweep boundaries and the amortised trigger check only.
 governor-overhead:
-	MS_GOVERNOR_OVERHEAD_GATE=1 $(GO) test -run '^TestGovernorOverheadGate$$' -count=1 -v .
+	MS_OVERHEAD_GATE=1 $(GO) test -run '^TestOverheadGates$$/^governor$$' -count=1 -v .
 
 # Governor budget gate: measure the pressure ramp's unbounded peak RSS, hand
 # the AIMD governor 75% of it, and require the governed peak to stay within
@@ -181,7 +183,6 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/uafexploit
 	$(GO) run ./examples/webcache
-	$(GO) run ./examples/tracereplay
 	$(GO) run ./examples/fdpoison
 	$(GO) run ./examples/telemetry
 	$(GO) run ./examples/governor

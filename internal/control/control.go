@@ -25,7 +25,7 @@
 //     congestion-control shape that reacts fast and recovers smoothly;
 //   - Plane: one heap's control plane, observed by the core layer at every
 //     sweep boundary, recording each adjustment with its triggering inputs
-//     in a lock-free decision ring (mirroring telemetry.SweepRing).
+//     in a lock-free decision ring (internal/ring, shared with telemetry).
 //
 // Cost discipline matches the telemetry layer's: decisions happen only at
 // sweep boundaries (already rare and expensive), and the mutator-visible
@@ -37,6 +37,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync/atomic"
+
+	"minesweeper/internal/ring"
 )
 
 // Knobs is the set of policy parameters the control plane steers between
@@ -332,7 +334,7 @@ type Config struct {
 	// Bands parameterise the pressure evaluator; the zero value means
 	// DefaultBands.
 	Bands Bands
-	// RingCap is the decision ring capacity (DefaultRingCap if <= 0).
+	// RingCap is the decision ring capacity (ring.DefaultCap if <= 0).
 	RingCap int
 }
 
@@ -354,7 +356,7 @@ type Plane struct {
 	cur          atomic.Pointer[Knobs]
 	level        atomic.Int32
 	observations atomic.Uint64
-	ring         *DecisionRing
+	ring         *ring.Ring[Decision]
 }
 
 // NewPlane builds a control plane publishing cfg.Base as the initial knobs.
@@ -372,7 +374,7 @@ func NewPlane(cfg Config) *Plane {
 		base:   cfg.Base,
 		policy: cfg.Policy,
 		bands:  cfg.Bands,
-		ring:   NewDecisionRing(cfg.RingCap),
+		ring:   ring.New(cfg.RingCap, func(d *Decision) *uint64 { return &d.Seq }),
 	}
 	rails := cfg.Rails
 	p.rails.Store(&rails)
@@ -426,7 +428,7 @@ func (p *Plane) PolicyName() string { return p.policy.Name() }
 func (p *Plane) Observations() uint64 { return p.observations.Load() }
 
 // Ring exposes the decision ring (tests, custom renderers).
-func (p *Plane) Ring() *DecisionRing { return p.ring }
+func (p *Plane) Ring() *ring.Ring[Decision] { return p.ring }
 
 // Observe folds one sweep-boundary observation into the plane: evaluate
 // pressure with hysteresis, let the policy steer the knobs, clamp to the

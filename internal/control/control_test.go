@@ -3,7 +3,6 @@ package control
 import (
 	"bytes"
 	"encoding/json"
-	"sync"
 	"testing"
 )
 
@@ -202,64 +201,6 @@ func TestPlaneConvergesUnderSustainedPressure(t *testing.T) {
 	}
 	if got := p.Knobs(); got != base {
 		t.Fatalf("calm recovery ended at %+v, want %+v", got, base)
-	}
-}
-
-func TestDecisionRingWrapAndOrder(t *testing.T) {
-	r := NewDecisionRing(8)
-	for i := 0; i < 20; i++ {
-		r.Push(Decision{Level: Level(i % 3)})
-	}
-	if r.Total() != 20 || r.Len() != 8 {
-		t.Fatalf("total %d len %d, want 20/8", r.Total(), r.Len())
-	}
-	snap := r.Snapshot()
-	if len(snap) != 8 {
-		t.Fatalf("snapshot length %d, want 8", len(snap))
-	}
-	for i, d := range snap {
-		if d.Seq != uint64(13+i) {
-			t.Fatalf("snapshot[%d].Seq = %d, want %d (oldest first)", i, d.Seq, 13+i)
-		}
-	}
-}
-
-func TestDecisionRingConcurrent(t *testing.T) {
-	r := NewDecisionRing(64)
-	var writers, reader sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			for i := 0; i < 2000; i++ {
-				r.Push(Decision{Level: Level(w % 3), In: Inputs{RSS: uint64(i)}})
-			}
-		}(w)
-	}
-	reader.Add(1)
-	go func() {
-		defer reader.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := r.Snapshot()
-			for i := 1; i < len(snap); i++ {
-				if snap[i].Seq <= snap[i-1].Seq {
-					t.Errorf("snapshot out of order: %d after %d", snap[i].Seq, snap[i-1].Seq)
-					return
-				}
-			}
-		}
-	}()
-	writers.Wait()
-	close(stop)
-	reader.Wait()
-	if r.Total() != 8000 {
-		t.Fatalf("total %d, want 8000", r.Total())
 	}
 }
 

@@ -936,13 +936,12 @@ func (h *Heap) maybePause(tid alloc.ThreadID) {
 		if ts != nil {
 			ts.lockedDrain()
 		}
-		var rg *events.Ring
+		r := recorder{tel: h.tel.Load()}
 		if ts != nil {
-			if rg = ts.evRing.Load(); rg != nil {
-				rg.Emit(events.KindPauseBegin, uint64(reason), 0)
-			}
+			r.er = ts.evRing.Load()
 		}
 		start := time.Now()
+		r.emit(start, events.KindPauseBegin, uint64(reason), 0)
 		qz, _ := h.cfg.World.(quiescer)
 		if qz != nil {
 			qz.BeginQuiescent()
@@ -958,13 +957,12 @@ func (h *Heap) maybePause(tid alloc.ThreadID) {
 		if qz != nil {
 			qz.EndQuiescent()
 		}
-		stall := time.Since(start)
+		end := time.Now()
+		stall := end.Sub(start)
 		h.pauseNanos.Add(int64(stall))
-		if tel := h.tel.Load(); tel != nil {
-			tel.Pause.Record(uint64(stall))
-		}
-		if rg != nil {
-			rg.Emit(events.KindPauseEnd, uint64(stall), 0)
+		r.emit(end, events.KindPauseEnd, uint64(stall), 0)
+		if r.tel != nil {
+			r.tel.Pause.Record(uint64(stall))
 		}
 	}
 }
@@ -1331,21 +1329,92 @@ func (h *Heap) startWorld() {
 	}
 }
 
-// recordStw accounts one stop-the-world window: the running total behind
-// Stats.STWCycles, the sweep record's window duration (summed — a pause-abort
-// retry gives a sweep several windows), and — the gate metric for the
-// sub-millisecond pause bound — the exact (unsampled) stw histogram, which
-// gets one entry per window.
-func (h *Heap) recordStw(rec *telemetry.SweepRecord, tel *telemetry.Registry, d time.Duration) {
-	h.stwNanos.Add(int64(d))
-	rec.DirtyNanos += int64(d)
-	if tel != nil {
-		tel.Stw.Record(uint64(d))
+// recorder is the one recording point of the sweep path and the §5.7
+// pause: the only code there that knows about both sinks, the telemetry
+// registry (per-sweep records, histograms) and a flight-recorder ring (MSEV
+// spans). Each phase boundary reads the clock once; that one reading stamps
+// the event and yields the SweepRecord duration, so a span's End-Begin and
+// the record's phase time are the same number. With both sinks detached it
+// reads no clock. MarkNanos is the exception: it is the sweeper's own pass
+// time, because the pipelined mark span also covers pre-clean and the
+// re-scan.
+type recorder struct {
+	tel *telemetry.Registry
+	er  *events.Ring
+	rec telemetry.SweepRecord
+}
+
+// begin opens a phase span and returns the clock reading end measures from
+// (the zero Time when no sink is attached).
+func (r *recorder) begin(k events.Kind, arg0, arg1 uint64) time.Time {
+	if r.tel == nil && r.er == nil {
+		return time.Time{}
+	}
+	t := time.Now()
+	r.emit(t, k, arg0, arg1)
+	return t
+}
+
+// end closes the span opened at start and returns its duration in ns; zero,
+// without reading the clock, when start is the zero Time.
+func (r *recorder) end(start time.Time, k events.Kind, arg0, arg1 uint64) int64 {
+	if start.IsZero() {
+		return 0
+	}
+	t := time.Now()
+	r.emit(t, k, arg0, arg1)
+	return t.Sub(start).Nanoseconds()
+}
+
+// emit puts one event stamped with the clock reading t on the ring.
+func (r *recorder) emit(t time.Time, k events.Kind, arg0, arg1 uint64) {
+	if r.er != nil {
+		r.er.EmitAt(r.er.Nanos(t), k, arg0, arg1)
 	}
 }
 
+// recordStw closes the stop-the-world window opened at start, after the
+// world restarted, and accounts it: the running total behind
+// Stats.STWCycles, the sweep record's window duration (summed — a
+// pause-abort retry gives a sweep several windows), and — the gate metric
+// for the sub-millisecond pause bound — the exact (unsampled) stw
+// histogram, which gets one entry per window. Always timed: STWCycles
+// counts every window, sinks attached or not.
+func (h *Heap) recordStw(r *recorder, start time.Time, scanned uint64) {
+	t := time.Now()
+	r.emit(t, events.KindStwEnd, scanned, 0)
+	d := t.Sub(start).Nanoseconds()
+	h.stwNanos.Add(d)
+	r.rec.DirtyNanos += d
+	if r.tel != nil {
+		r.tel.Stw.Record(uint64(d))
+	}
+}
+
+// markAll runs the full-heap mark pass and records its work figures.
+func (h *Heap) markAll(r *recorder) {
+	ps := h.sw.MarkAllStats()
+	r.rec.MarkNanos = ps.ElapsedNanos
+	r.rec.PagesScanned = ps.PagesScanned
+	r.rec.BytesScanned = ps.BytesScanned
+	r.rec.BytesZeroSkipped = ps.ZeroSkippedBytes
+	r.rec.PagesKnownZero = ps.KnownZeroPages
+}
+
+// preclean runs one concurrent pre-clean round — a test-and-clear scan of
+// the pages dirty right now — as the span labelled round.
+func (h *Heap) preclean(r *recorder, round int) {
+	t := r.begin(events.KindPrecleanBegin, uint64(round), 0)
+	cp := h.sw.MarkDirtyClearStats()
+	r.rec.PrecleanPages += cp.PagesScanned
+	r.rec.PagesScanned += cp.PagesScanned
+	r.rec.BytesScanned += cp.BytesScanned
+	r.rec.BytesZeroSkipped += cp.ZeroSkippedBytes
+	r.rec.PrecleanNanos += r.end(t, events.KindPrecleanEnd, cp.PagesScanned, uint64(round))
+}
+
 // markPhase runs the configured marking pipeline for one sweep, filling the
-// mark-related fields of rec. Caller holds sweepMu.
+// mark-related fields of the record. Caller holds sweepMu.
 //
 // The MostlyConcurrent + ConcurrentMark pipeline (§4.3):
 //
@@ -1360,62 +1429,33 @@ func (h *Heap) recordStw(rec *telemetry.SweepRecord, tel *telemetry.Registry, d 
 //  4. Stop-the-world re-scan: quiesce thread rings and visit only the pages
 //     still dirty. The pause scales with the mutators' residual write rate,
 //     not heap size.
-func (h *Heap) markPhase(rec *telemetry.SweepRecord, tel *telemetry.Registry, er *events.Ring) {
-	if h.cfg.Mode != MostlyConcurrent {
-		if er != nil {
-			er.Emit(events.KindMarkBegin, 0, 0)
-		}
-		ps := h.sw.MarkAllStats()
-		rec.MarkNanos = ps.ElapsedNanos
-		rec.PagesScanned = ps.PagesScanned
-		rec.BytesScanned = ps.BytesScanned
-		rec.BytesZeroSkipped = ps.ZeroSkippedBytes
-		rec.PagesKnownZero = ps.KnownZeroPages
-		if er != nil {
-			er.Emit(events.KindMarkEnd, ps.PagesScanned, ps.BytesScanned)
-		}
-		return
-	}
-	if !h.cfg.ConcurrentMark {
+func (h *Heap) markPhase(r *recorder) {
+	if h.cfg.Mode == MostlyConcurrent && !h.cfg.ConcurrentMark {
 		// Ablation: the entire mark inside the stop-the-world window — the
 		// configuration whose pause grows with heap size, kept for the
 		// same-window A/B against the pipelined path.
 		start := time.Now()
 		h.stopWorld()
-		if er != nil {
-			er.Emit(events.KindStwBegin, 0, 0)
-			er.Emit(events.KindMarkBegin, 0, 0)
-		}
-		ps := h.sw.MarkAllStats()
-		rec.MarkNanos = ps.ElapsedNanos
-		rec.PagesScanned = ps.PagesScanned
-		rec.BytesScanned = ps.BytesScanned
-		rec.BytesZeroSkipped = ps.ZeroSkippedBytes
-		rec.PagesKnownZero = ps.KnownZeroPages
-		if er != nil {
-			er.Emit(events.KindMarkEnd, ps.PagesScanned, ps.BytesScanned)
-			er.Emit(events.KindStwEnd, 0, 0)
-		}
+		r.emit(start, events.KindStwBegin, 0, 0)
+		t := r.begin(events.KindMarkBegin, 0, 0)
+		h.markAll(r)
+		r.end(t, events.KindMarkEnd, r.rec.PagesScanned, r.rec.BytesScanned)
 		h.startWorld()
-		h.recordStw(rec, tel, time.Since(start))
+		h.recordStw(r, start, 0)
 		return
 	}
-	// The mark span covers the whole pipeline — concurrent full-heap pass,
-	// pre-clean rounds, and the STW re-scan nest inside it.
-	if er != nil {
-		er.Emit(events.KindMarkBegin, 0, 0)
+	// In MostlyConcurrent mode the mark span covers the whole pipeline: the
+	// concurrent full-heap pass, and the pre-clean rounds and the STW
+	// re-scan nested inside it.
+	t := r.begin(events.KindMarkBegin, 0, 0)
+	if h.cfg.Mode == MostlyConcurrent {
+		h.space.ClearSoftDirty()
+		h.markAll(r)
+		h.finishPipelinedMark(r)
+	} else {
+		h.markAll(r)
 	}
-	h.space.ClearSoftDirty()
-	ps := h.sw.MarkAllStats()
-	rec.MarkNanos = ps.ElapsedNanos
-	rec.PagesScanned = ps.PagesScanned
-	rec.BytesScanned = ps.BytesScanned
-	rec.BytesZeroSkipped = ps.ZeroSkippedBytes
-	rec.PagesKnownZero = ps.KnownZeroPages
-	h.finishPipelinedMark(rec, tel, er)
-	if er != nil {
-		er.Emit(events.KindMarkEnd, rec.PagesScanned, rec.BytesScanned)
-	}
+	r.end(t, events.KindMarkEnd, r.rec.PagesScanned, r.rec.BytesScanned)
 }
 
 // finishPipelinedMark runs stages 3 and 4 of the pipeline — the concurrent
@@ -1436,71 +1476,46 @@ func (h *Heap) markPhase(rec *telemetry.SweepRecord, tel *telemetry.Registry, er
 // aborted window was still a real pause for the mutators, so it is recorded
 // in the stw histogram like any other. The final attempt scans
 // unconditionally, keeping termination guaranteed.
-func (h *Heap) finishPipelinedMark(rec *telemetry.SweepRecord, tel *telemetry.Registry, er *events.Ring) {
+func (h *Heap) finishPipelinedMark(r *recorder) {
 	budget := h.knobs().RescanBudgetPages
 	if budget > 0 {
-		t0 := time.Now()
 		for round := 0; round < maxPreCleanRounds; round++ {
 			if h.sw.CountDirtyPages() <= uint64(budget) {
 				break
 			}
-			if er != nil {
-				er.Emit(events.KindPrecleanBegin, uint64(round), 0)
-			}
-			cp := h.sw.MarkDirtyClearStats()
-			rec.PrecleanPages += cp.PagesScanned
-			rec.PagesScanned += cp.PagesScanned
-			rec.BytesScanned += cp.BytesScanned
-			rec.BytesZeroSkipped += cp.ZeroSkippedBytes
-			if er != nil {
-				er.Emit(events.KindPrecleanEnd, cp.PagesScanned, uint64(round))
-			}
+			h.preclean(r, round)
 		}
-		rec.PrecleanNanos = time.Since(t0).Nanoseconds()
 	}
 	for attempt := 0; ; attempt++ {
+		// The window opens at the stop request: the clock reading before
+		// stopWorld times the pause and stamps the stw span, whose Begin
+		// event is emitted once the frozen dirty count it carries is known.
 		start := time.Now()
 		h.stopWorld()
 		// The frozen dirty count: needed by the abort check, and the
 		// events layer stamps it on the stw span (the popcount is
 		// O(pages/64), nothing next to the stop itself).
 		var dirty uint64
-		if er != nil || (budget > 0 && attempt < maxStopRetries) {
+		if r.er != nil || (budget > 0 && attempt < maxStopRetries) {
 			dirty = h.sw.CountDirtyPages()
 		}
-		if er != nil {
-			er.Emit(events.KindStwBegin, dirty, 0)
-		}
+		r.emit(start, events.KindStwBegin, dirty, 0)
 		if budget > 0 && attempt < maxStopRetries && dirty > uint64(budget) {
-			if er != nil {
-				er.Emit(events.KindStwAbort, dirty, uint64(budget))
-				er.Emit(events.KindStwEnd, dirty, 0)
+			if r.er != nil {
+				r.er.Emit(events.KindStwAbort, dirty, uint64(budget))
 			}
 			h.startWorld()
-			h.recordStw(rec, tel, time.Since(start))
-			if er != nil {
-				er.Emit(events.KindPrecleanBegin, uint64(maxPreCleanRounds+attempt), 0)
-			}
-			cp := h.sw.MarkDirtyClearStats()
-			rec.PrecleanPages += cp.PagesScanned
-			rec.PagesScanned += cp.PagesScanned
-			rec.BytesScanned += cp.BytesScanned
-			rec.BytesZeroSkipped += cp.ZeroSkippedBytes
-			if er != nil {
-				er.Emit(events.KindPrecleanEnd, cp.PagesScanned, uint64(maxPreCleanRounds+attempt))
-			}
+			h.recordStw(r, start, dirty)
+			h.preclean(r, maxPreCleanRounds+attempt)
 			continue
 		}
 		dp := h.sw.MarkDirtyStats()
-		rec.DirtyPages = dp.PagesScanned
-		rec.PagesScanned += dp.PagesScanned
-		rec.BytesScanned += dp.BytesScanned
-		rec.BytesZeroSkipped += dp.ZeroSkippedBytes
-		if er != nil {
-			er.Emit(events.KindStwEnd, dp.PagesScanned, 0)
-		}
+		r.rec.DirtyPages = dp.PagesScanned
+		r.rec.PagesScanned += dp.PagesScanned
+		r.rec.BytesScanned += dp.BytesScanned
+		r.rec.BytesZeroSkipped += dp.ZeroSkippedBytes
 		h.startWorld()
-		h.recordStw(rec, tel, time.Since(start))
+		h.recordStw(r, start, dp.PagesScanned)
 		// The anomaly the pipeline exists to prevent: the final attempt had
 		// to scan an over-budget dirty set inside the pause. Trip the
 		// flight recorder (after the world restarts — never extend the
@@ -1521,76 +1536,43 @@ func (h *Heap) runSweep() {
 	h.sweepMu.Lock()
 	defer h.sweepMu.Unlock()
 
-	tel := h.tel.Load()
-	er := h.evtSweep.Load()
+	r := recorder{tel: h.tel.Load(), er: h.evtSweep.Load()}
 	reason := h.takeTrigger()
 	sel := h.selectShards(reason)
 	locked := h.q.LockInSelected(sel)
-	var obsNanos int64
-	var obsReleased, obsRetained uint64
 	if len(locked) > 0 {
-		rec := telemetry.SweepRecord{
+		r.rec = telemetry.SweepRecord{
 			Trigger:       reason,
 			EntriesLocked: uint64(len(locked)),
 			Workers:       h.sw.Workers(),
 			ShardsSwept:   countShards(sel, h.q.NumShards()),
 		}
-		if er != nil {
-			er.Emit(events.KindSweepBegin, uint64(reason), uint64(len(locked)))
-		}
-		var sweepStart, t0 time.Time
-		if tel != nil || h.ctl != nil {
-			sweepStart = time.Now()
+		start := r.begin(events.KindSweepBegin, uint64(reason), uint64(len(locked)))
+		if start.IsZero() && h.ctl != nil {
+			start = time.Now() // the governor observes TotalNanos
 		}
 		if h.cfg.Sweeping {
-			h.markPhase(&rec, tel, er)
+			h.markPhase(&r)
 		}
-		if tel != nil {
-			t0 = time.Now()
-		}
-		if er != nil {
-			er.Emit(events.KindRecycleBegin, 0, 0)
-		}
-		rec.Released, rec.Retained = h.filterAndRecycle(locked)
-		if er != nil {
-			er.Emit(events.KindRecycleEnd, rec.Released, rec.Retained)
-		}
-		if tel != nil {
-			rec.RecycleNanos = time.Since(t0).Nanoseconds()
-		}
+		t := r.begin(events.KindRecycleBegin, 0, 0)
+		r.rec.Released, r.rec.Retained = h.filterAndRecycle(locked)
+		r.rec.RecycleNanos = r.end(t, events.KindRecycleEnd, r.rec.Released, r.rec.Retained)
 		if h.cfg.Sweeping {
 			h.marks.ClearAll()
 		}
 		if h.cfg.Purging {
-			if tel != nil {
-				t0 = time.Now()
-			}
-			if er != nil {
-				er.Emit(events.KindPurgeBegin, 0, 0)
-			}
+			t = r.begin(events.KindPurgeBegin, 0, 0)
 			h.sub.PurgeAll()
-			if er != nil {
-				er.Emit(events.KindPurgeEnd, 0, 0)
-			}
-			if tel != nil {
-				rec.PurgeNanos = time.Since(t0).Nanoseconds()
-			}
+			r.rec.PurgeNanos = r.end(t, events.KindPurgeEnd, 0, 0)
 		}
 		h.sweeps.Add(1)
-		if tel != nil || h.ctl != nil {
-			rec.TotalNanos = time.Since(sweepStart).Nanoseconds()
+		r.rec.TotalNanos = r.end(start, events.KindSweepEnd, r.rec.Released, r.rec.Retained)
+		if r.tel != nil {
+			r.tel.ObserveSweep(r.rec)
 		}
-		if tel != nil {
-			tel.ObserveSweep(rec)
-		}
-		if er != nil {
-			er.Emit(events.KindSweepEnd, rec.Released, rec.Retained)
-		}
-		obsNanos = rec.TotalNanos
-		obsReleased, obsRetained = rec.Released, rec.Retained
 	}
 	if h.ctl != nil {
-		h.observeAndSteer(obsNanos, obsReleased, obsRetained)
+		h.observeAndSteer(&r)
 	}
 
 	h.genMu.Lock()
@@ -1600,11 +1582,12 @@ func (h *Heap) runSweep() {
 }
 
 // observeAndSteer closes the control loop at the sweep boundary: it gathers
-// the post-sweep heap state into a control.Inputs, lets the plane evaluate
-// pressure and decide the next inter-sweep knob values, and applies the side
-// of the decision the plane cannot apply itself — the sweep worker count.
+// the post-sweep heap state and the sweep's record (zero when the sweep had
+// nothing to do) into a control.Inputs, lets the plane evaluate pressure and
+// decide the next inter-sweep knob values, and applies the side of the
+// decision the plane cannot apply itself — the sweep worker count.
 // Caller holds sweepMu, which makes this the plane's single writer.
-func (h *Heap) observeAndSteer(sweepNanos int64, released, retained uint64) {
+func (h *Heap) observeAndSteer(r *recorder) {
 	heapB := h.sub.AllocatedBytes()
 	q := h.q.Bytes() + h.q.UnmappedBytes()
 	in := control.Inputs{
@@ -1614,9 +1597,9 @@ func (h *Heap) observeAndSteer(sweepNanos int64, released, retained uint64) {
 		FailedBytes:      h.q.FailedBytes(),
 		RSS:              h.space.RSS(),
 		AgeEpochs:        h.q.Epoch() - h.q.OldestPendingEpoch(),
-		SweepNanos:       sweepNanos,
-		Released:         released,
-		Retained:         retained,
+		SweepNanos:       r.rec.TotalNanos,
+		Released:         r.rec.Released,
+		Retained:         r.rec.Retained,
 	}
 	d, changed := h.ctl.Observe(in)
 	// Events + flight triggers before the early-outs: level transitions are
@@ -1624,8 +1607,8 @@ func (h *Heap) observeAndSteer(sweepNanos int64, released, retained uint64) {
 	// flight dump, and so does resident memory over the governed budget
 	// (both evaluated here, the sweep boundary — the single writer).
 	if lvl := h.ctl.Level(); lvl != h.evLevel {
-		if er := h.evtSweep.Load(); er != nil {
-			er.Emit(events.KindGovDecision, uint64(lvl), uint64(h.evLevel))
+		if r.er != nil {
+			r.er.Emit(events.KindGovDecision, uint64(lvl), uint64(h.evLevel))
 		}
 		if lvl == control.Critical {
 			h.tripFlight(events.TripGovernorCritical)
@@ -1681,6 +1664,12 @@ func (h *Heap) filterAndRecycle(locked []*quarantine.Entry) (released, retained 
 	}
 	if workers > len(locked) {
 		workers = len(locked)
+	}
+	// Parallel recycle workers race on shared substrate bins, so which
+	// chunks and pages get reused depends on the schedule. Synchronous mode
+	// promises bit-reproducible runs (DESIGN §3): it recycles on one worker.
+	if h.cfg.Mode == Synchronous {
+		workers = 1
 	}
 	failed := make([][]*quarantine.Entry, workers)
 	var wg sync.WaitGroup

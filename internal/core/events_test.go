@@ -168,3 +168,104 @@ func TestEventsStwSpansAndOverBudgetTrip(t *testing.T) {
 		t.Errorf("trip events = %d, want 1", counts[events.KindTrip])
 	}
 }
+
+// TestRecordMatchesSpans checks that telemetry and the flight recorder
+// share the sweep path's clock readings: for every sweep, each phase
+// duration in the SweepRecord equals the End-Begin of its MSEV span(s) —
+// recycle, purge, pre-clean summed over its rounds, and the stop-the-world
+// windows summed into DirtyNanos. The mostly-concurrent heap re-dirties pages
+// inside every stop under a one-page budget, so its sweeps run pre-clean
+// rounds and aborted windows too.
+func TestRecordMatchesSpans(t *testing.T) {
+	for _, mode := range []Mode{FullyConcurrent, MostlyConcurrent} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Mode = mode
+			cfg.ConcurrentMark = true
+			cfg.RescanBudgetPages = 1
+			w := &dirtyOnStopWorld{pages: 4}
+			cfg.World = w
+			reg := telemetry.NewRegistry(16)
+			cfg.Telemetry = reg
+			h, tid := newTestHeap(t, cfg)
+			w.space = h.space
+			rec := events.NewRecorder(1024, time.Minute)
+			h.SetEvents(rec)
+
+			region, err := h.Malloc(tid, 4*mem.PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.addr = region
+			const sweeps = 3
+			for i := 0; i < sweeps; i++ {
+				a, err := h.Malloc(tid, 48)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := h.Free(tid, a); err != nil {
+					t.Fatal(err)
+				}
+				h.Sweep()
+			}
+
+			recs := reg.Ring().Snapshot()
+			if len(recs) != sweeps {
+				t.Fatalf("sweep records = %d, want %d", len(recs), sweeps)
+			}
+			var ev []events.Event
+			for _, tr := range rec.Capture(events.TripManual).Threads {
+				if tr.Name == "sweeper" {
+					ev = tr.Events
+				}
+			}
+			// got[i] sums End-Begin per span (keyed by its Begin kind) over
+			// sweep i. Spans of one kind never nest, so the latest Begin of
+			// that kind opened the span an End closes.
+			ends := map[events.Kind]events.Kind{
+				events.KindSweepEnd:    events.KindSweepBegin,
+				events.KindMarkEnd:     events.KindMarkBegin,
+				events.KindPrecleanEnd: events.KindPrecleanBegin,
+				events.KindStwEnd:      events.KindStwBegin,
+				events.KindRecycleEnd:  events.KindRecycleBegin,
+				events.KindPurgeEnd:    events.KindPurgeBegin,
+			}
+			var got []map[events.Kind]int64
+			begun := map[events.Kind]uint64{}
+			for _, e := range ev {
+				if e.Kind == events.KindSweepBegin {
+					got = append(got, map[events.Kind]int64{})
+				}
+				if b, ok := ends[e.Kind]; ok {
+					got[len(got)-1][b] += int64(e.Nanos - begun[b])
+				} else {
+					begun[e.Kind] = e.Nanos
+				}
+			}
+			if len(got) != sweeps {
+				t.Fatalf("sweep spans = %d, want %d", len(got), sweeps)
+			}
+			for i, r := range recs {
+				s := got[i]
+				for _, c := range []struct {
+					name   string
+					record int64
+					span   events.Kind
+				}{
+					{"TotalNanos", r.TotalNanos, events.KindSweepBegin},
+					{"RecycleNanos", r.RecycleNanos, events.KindRecycleBegin},
+					{"PurgeNanos", r.PurgeNanos, events.KindPurgeBegin},
+					{"PrecleanNanos", r.PrecleanNanos, events.KindPrecleanBegin},
+					{"DirtyNanos", r.DirtyNanos, events.KindStwBegin},
+				} {
+					if c.record != s[c.span] {
+						t.Errorf("sweep %d: %s = %d, spans sum to %d", i, c.name, c.record, s[c.span])
+					}
+				}
+				if mode == MostlyConcurrent && (r.PrecleanNanos == 0 || r.DirtyNanos == 0) {
+					t.Errorf("sweep %d: pre-clean %d ns, stw %d ns; the budget should force both", i, r.PrecleanNanos, r.DirtyNanos)
+				}
+			}
+		})
+	}
+}

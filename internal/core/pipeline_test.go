@@ -284,10 +284,11 @@ func TestPrecleanRoundsConsumeDirtyPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var rec telemetry.SweepRecord
+	r := recorder{tel: telemetry.NewRegistry(0)}
 	h.sweepMu.Lock()
-	h.finishPipelinedMark(&rec, nil, nil)
+	h.finishPipelinedMark(&r)
 	h.sweepMu.Unlock()
+	rec := r.rec
 	if rec.PrecleanPages != 3 {
 		t.Errorf("PrecleanPages = %d, want 3 (one round over the budget consumes the set)", rec.PrecleanPages)
 	}

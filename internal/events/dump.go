@@ -24,9 +24,7 @@ import (
 // Per-ring seqs and timestamps are monotonically non-decreasing, so deltas
 // are small and the stream compresses an event to a handful of bytes. The
 // kind table makes dumps self-describing: a reader built against an older
-// kind set still decodes and labels everything it finds. This is the same
-// varint discipline as the MSTR allocation-trace format (internal/trace),
-// and the event encoding ROADMAP item 5's replay pipeline consumes.
+// kind set still decodes and labels everything it finds.
 
 const dumpMagic = "MSEV"
 
@@ -163,7 +161,7 @@ func ReadDump(r io.Reader) (*Dump, []KindName, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 		}
-		t := ThreadEvents{Name: name, Events: make([]Event, 0, min(int(nev), 1<<20))}
+		t := ThreadEvents{Name: name, Events: make([]Event, 0, min(nev, 1<<20))}
 		prevSeq, prevNanos := uint64(0), d.SinceNanos
 		for j := uint64(0); j < nev; j++ {
 			var e Event
@@ -187,6 +185,9 @@ func ReadDump(r io.Reader) (*Dump, []KindName, error) {
 			}
 			e.Seq = prevSeq + ds
 			e.Nanos = prevNanos + dn
+			if e.Seq < prevSeq || e.Nanos < prevNanos {
+				return nil, nil, fmt.Errorf("%w: ring %q seq or time overflows", ErrCorruptDump, name)
+			}
 			e.Kind = Kind(kb)
 			prevSeq, prevNanos = e.Seq, e.Nanos
 			t.Events = append(t.Events, e)
@@ -217,11 +218,4 @@ func readString(br *bufio.Reader) (string, error) {
 		return "", fmt.Errorf("%w: %v", ErrCorruptDump, err)
 	}
 	return string(b), nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -27,8 +27,7 @@
 //     and incremental event batches for msstat -watch.
 //
 // Event timestamps are nanoseconds since the recorder's epoch (monotonic).
-// The on-disk encoding is documented in DESIGN.md §16; it is the format the
-// record/replay trace pipeline (ROADMAP item 5) will consume.
+// The on-disk encoding is documented in DESIGN.md §16.
 package events
 
 import (
@@ -98,26 +97,26 @@ func (k Kind) String() string {
 }
 
 var kindNames = [...]string{
-	KindInvalid:       "invalid",
-	KindSweepBegin:    "sweep",
-	KindSweepEnd:      "sweep.end",
-	KindMarkBegin:     "mark",
-	KindMarkEnd:       "mark.end",
-	KindPrecleanBegin: "preclean",
-	KindPrecleanEnd:   "preclean.end",
-	KindStwBegin:      "stw",
-	KindStwAbort:      "stw.abort",
-	KindStwEnd:        "stw.end",
-	KindRecycleBegin:  "recycle",
-	KindRecycleEnd:    "recycle.end",
-	KindPurgeBegin:    "purge",
-	KindPurgeEnd:      "purge.end",
-	KindPauseBegin:    "pause",
-	KindPauseEnd:      "pause.end",
-	KindDrain:         "drain",
-	KindZeroScrub:     "zero-scrub",
-	KindAlloc:         "alloc",
-	KindFree:          "free",
+	KindInvalid:         "invalid",
+	KindSweepBegin:      "sweep",
+	KindSweepEnd:        "sweep.end",
+	KindMarkBegin:       "mark",
+	KindMarkEnd:         "mark.end",
+	KindPrecleanBegin:   "preclean",
+	KindPrecleanEnd:     "preclean.end",
+	KindStwBegin:        "stw",
+	KindStwAbort:        "stw.abort",
+	KindStwEnd:          "stw.end",
+	KindRecycleBegin:    "recycle",
+	KindRecycleEnd:      "recycle.end",
+	KindPurgeBegin:      "purge",
+	KindPurgeEnd:        "purge.end",
+	KindPauseBegin:      "pause",
+	KindPauseEnd:        "pause.end",
+	KindDrain:           "drain",
+	KindZeroScrub:       "zero-scrub",
+	KindAlloc:           "alloc",
+	KindFree:            "free",
 	KindGovDecision:     "governor",
 	KindTrip:            "trip",
 	KindTenantThrottle:  "tenant-throttle",
@@ -207,6 +206,11 @@ func (r *Ring) Name() string { return r.name }
 func (r *Ring) Emit(k Kind, arg0, arg1 uint64) {
 	r.EmitAt(r.rec.Now(), k, arg0, arg1)
 }
+
+// Nanos converts a clock reading to this ring's event timestamp, so a caller
+// that already read the clock for its own accounting stamps the event with
+// that same reading through EmitAt.
+func (r *Ring) Nanos(t time.Time) uint64 { return uint64(t.Sub(r.rec.epoch)) }
 
 // EmitAt appends one event with an explicit timestamp (tests; callers that
 // already read the clock).

@@ -41,56 +41,6 @@ func TestConcurrentHistogram(t *testing.T) {
 	}
 }
 
-// ringStamp marks complete records in TestConcurrentSweepRing.
-const ringStamp = 0xC0FFEE
-
-func TestConcurrentSweepRing(t *testing.T) {
-	r := NewSweepRing(16)
-	const writers, per = 4, 2000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var rdWg sync.WaitGroup
-	rdWg.Add(1)
-	go func() {
-		defer rdWg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := r.Snapshot()
-			for i := 1; i < len(snap); i++ {
-				if snap[i].Seq <= snap[i-1].Seq {
-					t.Errorf("snapshot out of order: %d then %d", snap[i-1].Seq, snap[i].Seq)
-					return
-				}
-				// Publication integrity: every writer stamps the same
-				// marker, so a record missing it was read half-built.
-				if snap[i].PagesScanned != ringStamp {
-					t.Errorf("torn record at seq %d: stamp %d", snap[i].Seq, snap[i].PagesScanned)
-					return
-				}
-			}
-		}
-	}()
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				_ = r.Push(SweepRecord{PagesScanned: ringStamp})
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	rdWg.Wait()
-	if r.Total() != writers*per {
-		t.Fatalf("Total = %d, want %d", r.Total(), writers*per)
-	}
-}
-
 func TestConcurrentRegistrySnapshot(t *testing.T) {
 	reg := NewRegistry(32)
 	reg.RegisterGauge("g", func() uint64 { return 1 })

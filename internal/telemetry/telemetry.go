@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"minesweeper/internal/control"
+	"minesweeper/internal/ring"
 )
 
 // Standard histogram names used by the core layer; msstat and the renderers
@@ -83,7 +84,7 @@ type SweepObserver interface {
 // disabled state; all methods on a non-nil Registry are safe for concurrent
 // use.
 type Registry struct {
-	ring *SweepRing
+	ring *ring.Ring[SweepRecord]
 	// epoch anchors Snapshot.CapturedAtNanos: a monotonic per-registry
 	// clock, so two snapshots of the same registry order and diff reliably
 	// even if the wall clock steps.
@@ -114,7 +115,7 @@ var _ SweepObserver = (*Registry)(nil)
 // (DefaultRingCap if <= 0).
 func NewRegistry(ringCap int) *Registry {
 	r := &Registry{
-		ring:   NewSweepRing(ringCap),
+		ring:   ring.New(ringCap, func(r *SweepRecord) *uint64 { return &r.Seq }),
 		epoch:  time.Now(),
 		Malloc: NewHistogram(HistMalloc, "ns", DefaultHistShards),
 		Free:   NewHistogram(HistFree, "ns", DefaultHistShards),
@@ -149,7 +150,7 @@ func (r *Registry) ObserveSweep(rec SweepRecord) {
 }
 
 // Ring exposes the sweep ring (tests, custom renderers).
-func (r *Registry) Ring() *SweepRing { return r.ring }
+func (r *Registry) Ring() *ring.Ring[SweepRecord] { return r.ring }
 
 // AttachGovernor associates a control plane with the registry so snapshots
 // include governor state (nil detaches).

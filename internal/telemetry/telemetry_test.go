@@ -106,41 +106,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestSweepRingWraparound(t *testing.T) {
-	r := NewSweepRing(4)
-	for i := 0; i < 10; i++ {
-		r.Push(SweepRecord{TotalNanos: int64(i)})
-	}
-	if r.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", r.Total())
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	snap := r.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("Snapshot len = %d, want 4", len(snap))
-	}
-	for i, rec := range snap {
-		wantSeq := uint64(7 + i)
-		if rec.Seq != wantSeq {
-			t.Errorf("snap[%d].Seq = %d, want %d", i, rec.Seq, wantSeq)
-		}
-		if rec.TotalNanos != int64(wantSeq-1) {
-			t.Errorf("snap[%d].TotalNanos = %d, want %d", i, rec.TotalNanos, wantSeq-1)
-		}
-	}
-}
-
-func TestSweepRingCapRounding(t *testing.T) {
-	if n := len(NewSweepRing(5).slots); n != 8 {
-		t.Errorf("cap 5 rounds to %d slots, want 8", n)
-	}
-	if n := len(NewSweepRing(0).slots); n != DefaultRingCap {
-		t.Errorf("cap 0 gives %d slots, want %d", n, DefaultRingCap)
-	}
-}
-
 func TestTriggerReasonJSON(t *testing.T) {
 	for _, r := range []TriggerReason{TriggerForced, TriggerThreshold, TriggerUnmapped, TriggerPause} {
 		b, err := json.Marshal(r)

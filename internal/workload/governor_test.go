@@ -96,6 +96,32 @@ func TestGovernorStaticEquivalence(t *testing.T) {
 	}
 }
 
+// TestSynchronousDeterministic runs the same Synchronous pressure workload
+// twice on identically configured ungoverned heaps and requires identical
+// statistics (wall-clock fields zeroed): DESIGN §3 promises synchronous
+// runs are bit-reproducible, and TestGovernorStaticEquivalence's do-no-harm
+// comparison is meaningless unless the ungoverned heap agrees with itself.
+func TestSynchronousDeterministic(t *testing.T) {
+	prof, ok := FindProfile("pressure")
+	if !ok {
+		t.Fatal("pressure profile missing")
+	}
+	cfg := core.DefaultConfig()
+	cfg.Mode = core.Synchronous
+	var runs [2]alloc.Stats
+	for i := range runs {
+		res, err := Run(prof, schemes.Custom("minesweeper", cfg), Options{ScaleDiv: 8, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = res.Stats
+		runs[i].SweeperCycles, runs[i].STWCycles, runs[i].PauseNanos = 0, 0, 0
+	}
+	if runs[0] != runs[1] {
+		t.Fatalf("same-seed synchronous runs diverge:\n  first:  %+v\n  second: %+v", runs[0], runs[1])
+	}
+}
+
 // TestGovernorBudgetBound is the headline acceptance experiment: measure the
 // unbounded peak RSS of the pressure ramp, hand the governor 75%% of it, and
 // require the governed peak to stay within 10%% of the budget while the static
