@@ -13,7 +13,7 @@ help:
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on sweep/shadow/core/mem/jemalloc only"
-	@echo "  bench      sweep hot-path benchmarks (bulk scan, markers, page scan)"
+	@echo "  bench      sweep hot-path benchmarks (bulk scan, steady-state skip, markers, page scan)"
 	@echo "  bench-free malloc/free hot-path benchmarks (fixed-iteration protocol)"
 	@echo "  bench-json bench-free + sweep-release + fleet runs -> BENCH_free.json, BENCH_sweep.json, BENCH_fleet.json"
 	@echo "  bench-gate gate: fresh MallocFree64 + SweepRelease medians within BENCH_GATE_RATIO of their BENCH_*.json"
@@ -62,9 +62,10 @@ check: vet
 	$(MAKE) fleet-gate
 
 # One-command perf baseline for the sweep hot path: the bulk-scan vs per-word
-# sweep comparison plus the shadow-marker and page-scan micro-benchmarks.
+# sweep comparison, the steady-state pass with and without the page skips,
+# plus the shadow-marker and page-scan micro-benchmarks.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSweepMarkAll|BenchmarkShadowMarker|BenchmarkScanPage' -benchmem -count=1 ./internal/sweep ./internal/shadow ./internal/mem
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepMarkAll|BenchmarkMarkAllSteady|BenchmarkShadowMarker|BenchmarkScanPage' -benchmem -count=1 ./internal/sweep ./internal/shadow ./internal/mem
 
 # Malloc/free hot-path benchmarks: the end-to-end MallocFree comparison
 # (single-threaded and 4-way parallel, baseline vs MineSweeper) plus the

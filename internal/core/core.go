@@ -548,6 +548,9 @@ func (h *Heap) SetTelemetry(reg *telemetry.Registry) {
 	})
 	reg.RegisterGauge("sweep_pages_scanned_total", h.sw.PagesSwept)
 	reg.RegisterGauge("sweep_zero_skipped_bytes_total", h.sw.ZeroSkippedBytes)
+	// Pages the sweep dismissed because its previous read found no pointer
+	// in them and nothing has been stored there since.
+	reg.RegisterGauge("sweep_ptr_free_pages_total", h.sw.PtrFreePages)
 	// Known-zero map economics: pages the sweep dismissed without touching
 	// their memory, bytes the zeroing paths elided because the map already
 	// knew them zero, and bytes the deferred mode scrubbed at drains
@@ -1399,6 +1402,7 @@ func (h *Heap) markAll(r *recorder) {
 	r.rec.BytesScanned = ps.BytesScanned
 	r.rec.BytesZeroSkipped = ps.ZeroSkippedBytes
 	r.rec.PagesKnownZero = ps.KnownZeroPages
+	r.rec.PagesPtrFree = ps.PtrFreePages
 }
 
 // preclean runs one concurrent pre-clean round — a test-and-clear scan of

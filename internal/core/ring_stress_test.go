@@ -45,11 +45,22 @@ func TestRingDrainOnUnregister(t *testing.T) {
 	}
 }
 
+// ringHoldsNextFree reports whether tid's next free of a small chunk stays
+// in its ring: the push does not fill the ring, and the free does not reach
+// the sweepCheckInterval tick that may drain it. Owner-thread only. Nothing
+// else drains the ring in TestRingConcurrentStress's configuration: no
+// World, no pause, and sweep triggers that never fire.
+func ringHoldsNextFree(h *Heap, tid alloc.ThreadID) bool {
+	ts := h.threadState(tid)
+	return ts.tbuf.Len()+1 < h.cfg.BufferCap && ts.freesSinceCheck+1 < sweepCheckInterval
+}
+
 // TestRingConcurrentStress is the private-ring race stress: 8 threads with
 // real (non-eager) rings malloc and free concurrently — including cross-thread
-// frees and in-window double frees — while a sweeper goroutine forces full
-// sweep/LockIn cycles against the drains. Every thread retires through
-// UnregisterThread with a part-full ring. Run under -race via make race-hot.
+// frees and double frees held in one ring window — while a sweeper goroutine
+// forces full sweep/LockIn cycles against the drains. Every thread retires
+// through UnregisterThread with a part-full ring. Run under -race via make
+// race-hot.
 func TestRingConcurrentStress(t *testing.T) {
 	cfg := testConfig()
 	cfg.BufferCap = 32
@@ -97,10 +108,13 @@ func TestRingConcurrentStress(t *testing.T) {
 					default:
 						live = append(live, a)
 					}
-				case rng%7 == 0:
-					// In-window double free: both entries may sit in the
-					// same ring (or two rings) before either drains; the
-					// drain dedups, a sweep in between may release first.
+				case rng%7 == 0 && ringHoldsNextFree(h, tid):
+					// In-window double free: both entries sit in this
+					// ring until one drain publishes them together, and
+					// the drain dedups. Were the first free to drain on
+					// its own, a sweep could release the chunk and another
+					// thread reallocate it before the second free, which
+					// would then free that thread's live allocation.
 					if err := h.Free(tid, a); err != nil {
 						t.Errorf("Free: %v", err)
 						return

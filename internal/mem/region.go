@@ -20,6 +20,15 @@ const (
 	// together. The sweeper skips known-zero pages without reading a word,
 	// and zeroRange skips re-zeroing them.
 	pageKnownZero uint32 = 1 << 5
+	// pagePtrFree records that the sweep's last full-pass read of the page
+	// found no word in [HeapBase, HeapLimit) and no store has completed
+	// since: the page holds no pointer. Set by ScanPageWordsPtrFree under
+	// the page lock before it reads the words and withdrawn after if the
+	// read found a heap-range word; cleared together with known-zero by the
+	// post-store CAS, and dropped by commit and decommit. The full pass
+	// skips flagged pages as it skips known-zero ones. Alias pages never
+	// carry it: a store through the parent would not retire the alias's bit.
+	pagePtrFree uint32 = 1 << 6
 )
 
 func protBits(p Prot) uint32 {
@@ -71,17 +80,18 @@ type Region struct {
 	dirtySum []atomic.Uint64
 
 	// zeroSum is a one-bit-per-page hint mirroring dirtySum's geometry for
-	// the known-zero state (bit i%64 of word i/64 covers page i). Unlike
-	// dirtySum it is a pure hint in BOTH directions: a set bit means the
-	// page MAY be known-zero (re-check PageKnownZero, the truth), a clear
-	// bit means a skip is probably not available — scanning a page whose
-	// stale-clear hint hid its known-zero bit is merely slower, never
-	// wrong. Zeroers set the page bit before the summary bit; the store()
-	// CAS winner that clears a page's known-zero bit clears its summary
-	// bit after, so hints track the truth closely without any ordering
-	// obligation on readers. The summary is what lets the sweeper probe 64
-	// pages' zero-skip eligibility with one load before touching any page
-	// state word.
+	// the sweep's skip state, known-zero or pointer-free (bit i%64 of word
+	// i/64 covers page i). Unlike dirtySum it is a pure hint in BOTH
+	// directions: a set bit means the page MAY be skippable (re-check
+	// PageKnownZero and PagePtrFree, the truth), a clear bit means a skip
+	// is probably not
+	// available — scanning a page whose stale-clear hint hid its skip bit
+	// is merely slower, never wrong. Zeroers and the flagging scan set the
+	// page bit before the summary bit; the store() CAS winner that clears a
+	// page's known-zero or pointer-free bit clears its summary bit after, so
+	// hints track the truth closely without any ordering obligation on
+	// readers. The summary is what lets the sweeper probe 64 pages' skip
+	// eligibility with one load before touching any page state word.
 	zeroSum []atomic.Uint64
 
 	// dirtyListed records that the region is on the space's dirtied-region
@@ -281,14 +291,14 @@ func (r *Region) store(addr, v uint64) error {
 	atomic.StoreUint64(&w[(addr-r.base)>>3], v)
 	for {
 		old := r.pages[pi].Load()
-		if old&(pageDirty|pageKnownZero) == pageDirty {
-			// Already flagged and not known-zero: whoever clears the dirty
-			// bit scans the page after the clear, and the clear comes after
-			// this load, which comes after our word store — so the scan
-			// observes it.
+		if old&(pageDirty|pageKnownZero|pagePtrFree) == pageDirty {
+			// Already flagged, neither known-zero nor pointer-free: whoever
+			// clears the dirty bit scans the page after the clear, and the
+			// clear comes after this load, which comes after our word
+			// store — so the scan observes it.
 			break
 		}
-		if r.pages[pi].CompareAndSwap(old, (old|pageDirty)&^pageKnownZero) {
+		if r.pages[pi].CompareAndSwap(old, (old|pageDirty)&^(pageKnownZero|pagePtrFree)) {
 			// Exactly one writer wins the clean→dirty transition (CAS, not
 			// Or), keeping the space's dirty-page count exact. The summary
 			// bit and the region listing follow the page bit, so a consumer
@@ -300,7 +310,9 @@ func (r *Region) store(addr, v uint64) error {
 			// and skipped the page behaved exactly as if it had scanned the
 			// page just before this store landed — and the dirty bit set
 			// here hands the page to the stop-the-world re-scan, which
-			// never consults the known-zero map.
+			// never consults the known-zero map. The pointer-free bit
+			// retires on the same terms; ScanPageWordsPtrFree shows why a
+			// scan's bit cannot outlive a store the scan did not see.
 			if old&pageDirty == 0 {
 				r.space.dirtyPages.Add(1)
 				r.dirtySum[pi>>6].Or(1 << uint(pi&63))
@@ -308,7 +320,7 @@ func (r *Region) store(addr, v uint64) error {
 					r.space.addDirtyRegion(r)
 				}
 			}
-			if old&pageKnownZero != 0 {
+			if old&(pageKnownZero|pagePtrFree) != 0 {
 				r.zeroSum[pi>>6].And(^(uint64(1) << uint(pi&63)))
 			}
 			break
@@ -316,23 +328,24 @@ func (r *Region) store(addr, v uint64) error {
 	}
 	if r.parent != nil {
 		// An alias store lands in the parent's physical frames: the
-		// parent's known-zero claim for that page no longer holds. The
-		// alias's own page bits never carry known-zero, so only the parent
-		// needs invalidating.
-		r.parent.clearKnownZeroPage(int((r.parentOff + (addr - r.base)) >> PageShift))
+		// parent's known-zero and pointer-free claims for that page no
+		// longer hold. The alias's own page bits never carry either, so
+		// only the parent needs invalidating.
+		r.parent.clearSkipPage(int((r.parentOff + (addr - r.base)) >> PageShift))
 	}
 	return nil
 }
 
-// clearKnownZeroPage retires page i's known-zero bit (and its summary hint)
-// if set. The CAS keeps the dirty-transition accounting untouched.
-func (r *Region) clearKnownZeroPage(i int) {
+// clearSkipPage retires page i's known-zero and pointer-free bits (and their
+// shared summary hint) if set. The CAS keeps the dirty-transition accounting
+// untouched.
+func (r *Region) clearSkipPage(i int) {
 	for {
 		old := r.pages[i].Load()
-		if old&pageKnownZero == 0 {
+		if old&(pageKnownZero|pagePtrFree) == 0 {
 			return
 		}
-		if r.pages[i].CompareAndSwap(old, old&^pageKnownZero) {
+		if r.pages[i].CompareAndSwap(old, old&^(pageKnownZero|pagePtrFree)) {
 			r.zeroSum[i>>6].And(^(uint64(1) << uint(i&63)))
 			return
 		}
@@ -366,11 +379,18 @@ func (r *Region) markKnownZero(i int) {
 // Mutator word accesses stay lock-free: they are per-word atomic, which is
 // race-free against the scanners' atomic reads, and a correct program never
 // touches memory that is being zeroed (it was freed).
-func (r *Region) LockPage(i int) {
+func (r *Region) LockPage(i int) { r.lockPage(i, 0) }
+
+// UnlockPage releases page i's busy bit.
+func (r *Region) UnlockPage(i int) { r.unlockPage(i, 0) }
+
+// lockPage acquires page i's busy bit, setting the bits in set with the
+// same CAS.
+func (r *Region) lockPage(i int, set uint32) {
 	spins := 0
 	for {
 		old := r.pages[i].Load()
-		if old&pageBusy == 0 && r.pages[i].CompareAndSwap(old, old|pageBusy) {
+		if old&pageBusy == 0 && r.pages[i].CompareAndSwap(old, old|pageBusy|set) {
 			return
 		}
 		spins++
@@ -380,12 +400,13 @@ func (r *Region) LockPage(i int) {
 	}
 }
 
-// UnlockPage releases page i's busy bit.
-func (r *Region) UnlockPage(i int) {
+// unlockPage releases page i's busy bit, clearing the bits in clr with the
+// same CAS, and returns the state it replaced.
+func (r *Region) unlockPage(i int, clr uint32) uint32 {
 	for {
 		old := r.pages[i].Load()
-		if r.pages[i].CompareAndSwap(old, old&^pageBusy) {
-			return
+		if r.pages[i].CompareAndSwap(old, old&^(pageBusy|clr)) {
+			return old
 		}
 	}
 }
@@ -476,6 +497,40 @@ func (r *Region) ScanPageWords(p int, fn func(words []uint64)) bool {
 	return true
 }
 
+// ScanPageWordsPtrFree is ScanPageWords for the sweep's full pass: fn
+// returns how many heap-range words it saw, and the page's pointer-free bit
+// records a zero count until the next store. The order is the safety
+// argument. The scan sets the bit with the page-lock CAS (T1), reads the
+// words (T2), then withdraws the bit with the unlock CAS if fn saw a
+// heap-range word (T3). A writer stores its word (S1), then runs the
+// post-store CAS that clears the bit (S2). If S1 precedes T2's read of that
+// word, the read sees it and T3 withdraws the bit; otherwise S2 follows T1
+// and clears it. A bit that survives therefore certifies that every store to
+// the page was seen by a read that found no pointer. Alias pages are read
+// but never flagged. The summary hint is set after the page bit.
+func (r *Region) ScanPageWordsPtrFree(p int, fn func(words []uint64) (hits int)) bool {
+	if !r.PageReadable(p) {
+		return false
+	}
+	flag := pagePtrFree
+	if r.parent != nil {
+		flag = 0
+	}
+	r.lockPage(p, flag)
+	var ws []uint64
+	if w := r.wordSlice(); w != nil {
+		ws = w[p*WordsPerPage : (p+1)*WordsPerPage]
+	}
+	clr := uint32(0)
+	if fn(ws) != 0 {
+		clr = pagePtrFree
+	}
+	if old := r.unlockPage(p, clr); clr == 0 && old&pagePtrFree != 0 {
+		r.zeroSum[p>>6].Or(1 << uint(p&63))
+	}
+	return true
+}
+
 // ScanRange calls fn for every word of [addr, addr+n) that lies on a
 // readable resident page, taking the page lock per page segment. It is the
 // safe bulk-read primitive for markers that walk object contents (MarkUs).
@@ -511,7 +566,8 @@ func (r *Region) ScanRange(addr, n uint64, fn func(v uint64)) {
 // pages, or its backing dropped and replaced by a zeroed one) is still zero
 // after commit, so the zero-fill for newly resident known-zero pages is
 // elided — this is where the purge path stops paying to re-zero memory the
-// decommit already discarded.
+// decommit already discarded. The pointer-free bit does not survive (nor does
+// it survive decommit): a recommitted page waits for its next full-pass read.
 func (r *Region) commit(addr, n uint64, prot Prot) int {
 	r.ensureBacking()
 	first := r.pageIndexOf(addr)
@@ -723,13 +779,21 @@ func (r *Region) PageKnownZero(i int) bool {
 	return r.pages[i].Load()&pageKnownZero != 0
 }
 
-// KnownZeroSummaryWords returns the length of the known-zero summary
-// bitmap: one uint64 per 64 pages, rounded up (same geometry as the dirty
-// summary).
+// PagePtrFree reports whether page i is pointer-free: the sweep's last
+// full-pass read of it found no heap-range word and no store has completed
+// since. A true return licenses a scanner to skip the page on the same terms
+// as PageKnownZero.
+func (r *Region) PagePtrFree(i int) bool {
+	return r.pages[i].Load()&pagePtrFree != 0
+}
+
+// KnownZeroSummaryWords returns the length of the skip summary bitmap: one
+// uint64 per 64 pages, rounded up (same geometry as the dirty summary).
 func (r *Region) KnownZeroSummaryWords() int { return len(r.zeroSum) }
 
-// KnownZeroSummaryWord loads known-zero summary word w. Both polarities are
-// hints — a set bit means the page is probably known-zero (confirm with
-// PageKnownZero before skipping), a clear bit means probably not (scanning
+// KnownZeroSummaryWord loads skip summary word w, which covers the
+// known-zero and pointer-free bits. Both polarities are hints — a set bit
+// means the page is probably skippable (confirm with PageKnownZero or
+// PagePtrFree before skipping), a clear bit means probably not (scanning
 // anyway is always correct) — so readers carry no ordering obligations.
 func (r *Region) KnownZeroSummaryWord(w int) uint64 { return r.zeroSum[w].Load() }

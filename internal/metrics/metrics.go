@@ -225,12 +225,13 @@ func FmtMiB(b uint64) string { return fmt.Sprintf("%.1f MiB", float64(b)/(1<<20)
 
 // ParseSize parses a byte count with an optional K/M/G/T binary suffix
 // ("64M" = 64 MiB). The inverse, roughly, of FmtMiB — the form -budget
-// flags take.
+// flags take. A count whose product with its suffix does not fit in 64 bits
+// is an error, not a wrapped (and possibly zero, meaning unlimited) size.
 func ParseSize(s string) (uint64, error) {
 	if s == "" {
 		return 0, nil
 	}
-	mult := uint64(1)
+	in, mult := s, uint64(1)
 	switch s[len(s)-1] {
 	case 'k', 'K':
 		mult, s = 1<<10, s[:len(s)-1]
@@ -244,6 +245,9 @@ func ParseSize(s string) (uint64, error) {
 	n, err := strconv.ParseUint(s, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q (want e.g. 64M, 1G or a byte count)", s)
+	}
+	if n > math.MaxUint64/mult {
+		return 0, fmt.Errorf("size %q overflows 64 bits", in)
 	}
 	return n * mult, nil
 }

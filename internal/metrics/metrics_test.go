@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/big"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -150,4 +152,61 @@ func TestPaperDataSanity(t *testing.T) {
 	if len(PaperCVETrends) != 8 {
 		t.Error("CVE trend years wrong")
 	}
+}
+
+func TestParseSize(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want uint64
+		err  bool
+	}{
+		{"", 0, false},
+		{"4096", 4096, false},
+		{"64M", 64 << 20, false},
+		{"1g", 1 << 30, false},
+		{"16777215T", 16777215 << 40, false},
+		{"16777216T", 0, true}, // 2^64: wrapped to 0 ("no budget") before
+		{"18446744073709551615", math.MaxUint64, false},
+		{"18446744073709551615K", 0, true},
+		{"-1M", 0, true},
+		{"M", 0, true},
+	} {
+		got, err := ParseSize(c.in)
+		if (err != nil) != c.err || got != c.want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d, error %v", c.in, got, err, c.want, c.err)
+		}
+	}
+}
+
+// FuzzParseSize: ParseSize never panics, and every size it accepts is the
+// digits times the suffix's multiplier, exactly, without wrapping.
+func FuzzParseSize(f *testing.F) {
+	for _, s := range []string{"", "0", "64M", "1G", "3t", "16777216T", "18446744073709551615", "9k", "x"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseSize(s)
+		if err != nil || s == "" {
+			return
+		}
+		digits, mult := s, new(big.Int).SetUint64(1)
+		switch s[len(s)-1] {
+		case 'k', 'K':
+			digits, mult = s[:len(s)-1], big.NewInt(1<<10)
+		case 'm', 'M':
+			digits, mult = s[:len(s)-1], big.NewInt(1<<20)
+		case 'g', 'G':
+			digits, mult = s[:len(s)-1], big.NewInt(1<<30)
+		case 't', 'T':
+			digits, mult = s[:len(s)-1], big.NewInt(1<<40)
+		}
+		n, err := strconv.ParseUint(digits, 10, 64)
+		if err != nil {
+			t.Fatalf("ParseSize(%q) = %d accepted digits %q that do not parse: %v", s, got, digits, err)
+		}
+		want := new(big.Int).Mul(new(big.Int).SetUint64(n), mult)
+		if !want.IsUint64() || want.Uint64() != got {
+			t.Fatalf("ParseSize(%q) = %d, want %s", s, got, want)
+		}
+	})
 }

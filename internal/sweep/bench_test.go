@@ -195,3 +195,73 @@ func TestStripedStealing(t *testing.T) {
 		}
 	}
 }
+
+// fillSteadyHeap writes a heap that mostly holds data, not pointers: one
+// page in four carries pointer objects (fillBenchHeap's layout), two carry
+// payload words outside the heap range every 64 bytes, and one holds a
+// single stored zero — scrubbed memory that is zero but not known-zero.
+// That is the shape of a zero-on-free heap whose program stores payloads
+// (the pressure ramp's), and the three pointer-free pages in four are what
+// the pointer-free skip lets a steady-state pass leave unread.
+func fillSteadyHeap(tb testing.TB, as *mem.AddressSpace, heap *mem.Region) {
+	tb.Helper()
+	rng := uint64(7)
+	for page := uint64(0); page < heap.Size()/mem.PageSize; page++ {
+		base := heap.Base() + page*mem.PageSize
+		for off := uint64(0); off < mem.PageSize; off += 64 {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			var v uint64
+			switch page % 4 {
+			case 0:
+				v = heap.Base() + (rng>>8)%heap.Size()&^7
+			case 1, 2:
+				v = rng >> 32 // below HeapBase: payload, not a pointer
+			default:
+				if off != 0 {
+					continue
+				}
+			}
+			if err := as.Store64(base+off, v); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkMarkAllSteady times a full pass over a heap the previous pass
+// already read and nothing has written since — the steady state between
+// sweeps of a program that stores few pointers. "skip" leaves the
+// pointer-free pages unread; "noskip" (SetKnownZeroSkip(false)) reads every
+// page as the pass did before the skip existed. Single worker, like
+// BenchmarkSweepMarkAll.
+func BenchmarkMarkAllSteady(b *testing.B) {
+	const heapBytes = 64 << 20
+	for _, skip := range []bool{true, false} {
+		name := "skip"
+		if !skip {
+			name = "noskip"
+		}
+		b.Run(name, func(b *testing.B) {
+			as := mem.NewAddressSpace()
+			heap, err := as.Map(mem.KindHeap, heapBytes, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fillSteadyHeap(b, as, heap)
+			marks, err := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := New(as, marks, 0)
+			s.SetKnownZeroSkip(skip)
+			s.MarkAll() // the previous sweep's pass
+			marks.ClearAll()
+			b.SetBytes(heapBytes)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.MarkAll()
+				marks.ClearAll()
+			}
+		})
+	}
+}

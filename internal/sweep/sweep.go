@@ -20,7 +20,10 @@
 // shadow.Marker that batches clustered marks into one atomic OR.
 //
 // Only resident, readable pages are scanned, so pages that were purged or
-// unmapped in quarantine are skipped (§4.2, §4.5).
+// unmapped in quarantine are skipped (§4.2, §4.5). The full pass also skips,
+// without a single load, pages that are zero by construction (known-zero)
+// and pages its previous read found free of heap-range words and that no
+// store has touched since (pointer-free).
 //
 // Two scan entry points support the two operation modes: MarkAll for the
 // concurrent full pass, and MarkDirty for the mostly-concurrent mode's brief
@@ -73,15 +76,16 @@ type Sweeper struct {
 	stripes   []stripe      // reusable per-worker ticket ranges
 	dirtyRegs []*mem.Region // reusable dirtied-region snapshot (dirty passes)
 
-	// kzSkipOff disables the known-zero page skip (ablation and A/B
-	// benchmarks); the zero value — skip enabled — is the production
-	// configuration.
+	// kzSkipOff disables the known-zero and pointer-free page skips
+	// (ablation and A/B benchmarks); the zero value — skips enabled — is
+	// the production configuration.
 	kzSkipOff atomic.Bool
 
 	bytesSwept  atomic.Uint64
 	pagesSwept  atomic.Uint64
 	zeroSkipped atomic.Uint64 // bytes skipped by the zero-group compare
 	kzSkipped   atomic.Uint64 // pages skipped via the known-zero map
+	pfSkipped   atomic.Uint64 // pages skipped as pointer-free
 	busyNanos   atomic.Int64  // summed worker busy time (CPU usage meter)
 }
 
@@ -102,6 +106,11 @@ type PassStats struct {
 	// free. Not included in PagesScanned/BytesScanned, which measure real
 	// memory traffic.
 	KnownZeroPages uint64
+	// PtrFreePages is pages dismissed, also without a word load, because
+	// the previous full pass found no heap-range word in them and no store
+	// has landed since. Disjoint from KnownZeroPages (a page that is both
+	// counts as known-zero) and, like it, not in PagesScanned/BytesScanned.
+	PtrFreePages uint64
 	// Workers is the number of workers that ran the pass.
 	Workers int
 	// ElapsedNanos is the pass's wall time.
@@ -235,8 +244,9 @@ func (s *Sweeper) CountDirtyPages() uint64 { return s.space.DirtyPageCount() }
 // a time so a single OR-combined compare skips zero groups — on a
 // zero-on-free heap most of the heap is zeros, and purged or freshly
 // committed pages are entirely so. The heap filter is one subtract and one
-// unsigned compare per surviving word.
-func scanPageWords(words []uint64, mk *shadow.Marker) (zeroWords int) {
+// unsigned compare per surviving word; hits counts the words that passed it
+// (and were marked), which is what the pointer-free bit records.
+func scanPageWords(words []uint64, mk *shadow.Marker) (zeroWords, hits int) {
 	const span = mem.HeapLimit - mem.HeapBase
 	i := 0
 	for ; i+8 <= len(words); i += 8 {
@@ -254,27 +264,35 @@ func scanPageWords(words []uint64, mk *shadow.Marker) (zeroWords int) {
 		}
 		if v0-mem.HeapBase < span {
 			mk.Mark(v0)
+			hits++
 		}
 		if v1-mem.HeapBase < span {
 			mk.Mark(v1)
+			hits++
 		}
 		if v2-mem.HeapBase < span {
 			mk.Mark(v2)
+			hits++
 		}
 		if v3-mem.HeapBase < span {
 			mk.Mark(v3)
+			hits++
 		}
 		if v4-mem.HeapBase < span {
 			mk.Mark(v4)
+			hits++
 		}
 		if v5-mem.HeapBase < span {
 			mk.Mark(v5)
+			hits++
 		}
 		if v6-mem.HeapBase < span {
 			mk.Mark(v6)
+			hits++
 		}
 		if v7-mem.HeapBase < span {
 			mk.Mark(v7)
+			hits++
 		}
 	}
 	for ; i < len(words); i++ {
@@ -285,36 +303,51 @@ func scanPageWords(words []uint64, mk *shadow.Marker) (zeroWords int) {
 		}
 		if v-mem.HeapBase < span {
 			mk.Mark(v)
+			hits++
 		}
 	}
-	return zeroWords
+	return zeroWords, hits
+}
+
+// tally accumulates one worker's pass figures across the chunks it scans.
+type tally struct {
+	scanned, zeroBytes      uint64
+	pages, kzPages, pfPages int
 }
 
 // scanChunk marks pointer targets in one chunk through the worker's marker,
-// returning bytes scanned, pages scanned, pages skipped via the known-zero
-// map, and bytes skipped as zero groups.
+// adding bytes and pages scanned, pages skipped via the known-zero and
+// pointer-free bits, and bytes skipped as zero groups to t.
 //
 // Before the 8-wide word loop ever runs, whole pages are dismissed through
-// the known-zero map: one summary-word load probes 64 pages, and each
-// candidate is confirmed against the per-page bit (the truth — the summary
-// is a hint in both directions). A skipped page generates zero memory
-// traffic. Safety: a page's known-zero bit is retired by the same
-// post-store CAS that sets its dirty bit, so skipping on a bit the scan
-// observed set is indistinguishable from having scanned the page just
+// the skip bits: one summary-word load probes 64 pages, and each candidate
+// is confirmed against the per-page bits (the truth — the summary is a hint
+// in both directions). A skipped page generates zero memory traffic. A page
+// is skipped if it is known-zero, or pointer-free: the last full pass read
+// it and found no heap-range word. Safety: both bits are retired by the same
+// post-store CAS that sets the page's dirty bit, so skipping on a bit the
+// scan observed set is indistinguishable from having read the page just
 // before any concurrent store — which the concurrent-mark mode already
 // permits — while in mostly-concurrent mode the store's dirty bit routes
-// the page to the stop-the-world re-scan, which never consults the map.
-func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker) (scanned uint64, pages, kzPages int, zeroBytes uint64) {
+// the page to the stop-the-world re-scan, which never consults either bit.
+// Every page this pass does read is flagged pointer-free for the next pass
+// if the read finds no heap-range word (mem.Region.ScanPageWordsPtrFree).
+func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker, t *tally) {
 	if c.dirtyOnly {
-		return s.scanDirtyChunk(c, mk)
+		s.scanDirtyChunk(c, mk, t)
+		return
 	}
 	r := c.r
 	var zeroWords int
-	scan := func(words []uint64) { zeroWords += scanPageWords(words, mk) }
-	useKZ := !s.kzSkipOff.Load()
+	scan := func(words []uint64) int {
+		z, hits := scanPageWords(words, mk)
+		zeroWords += z
+		return hits
+	}
+	skip := !s.kzSkipOff.Load()
 	for w, wEnd := c.pageFirst>>6, (c.pageAfter+63)>>6; w < wEnd; w++ {
 		var sum uint64
-		if useKZ {
+		if skip {
 			sum = r.KnownZeroSummaryWord(w)
 		}
 		p, pEnd := w<<6, (w+1)<<6
@@ -325,20 +358,32 @@ func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker) (scanned uint64, pages, 
 			pEnd = c.pageAfter
 		}
 		for ; p < pEnd; p++ {
-			if sum&(1<<uint(p&63)) != 0 && r.PageKnownZero(p) {
-				kzPages++
-				continue
+			if sum&(1<<uint(p&63)) != 0 {
+				if r.PageKnownZero(p) {
+					t.kzPages++
+					continue
+				}
+				if r.PagePtrFree(p) {
+					t.pfPages++
+					continue
+				}
 			}
-			// The page lock (taken inside ScanPageWords) orders this scan
-			// against bulk zeroing (free, decommit) so the sweeper never
-			// reads half-zeroed memory.
-			if r.ScanPageWords(p, scan) {
-				scanned += mem.PageSize
-				pages++
+			// The page lock (taken inside the scan primitives) orders this
+			// scan against bulk zeroing (free, decommit) so the sweeper
+			// never reads half-zeroed memory.
+			var ok bool
+			if skip {
+				ok = r.ScanPageWordsPtrFree(p, scan)
+			} else {
+				ok = r.ScanPageWords(p, func(words []uint64) { scan(words) })
+			}
+			if ok {
+				t.scanned += mem.PageSize
+				t.pages++
 			}
 		}
 	}
-	return scanned, pages, kzPages, uint64(zeroWords) * 8
+	t.zeroBytes += uint64(zeroWords) * 8
 }
 
 // scanDirtyChunk is scanChunk for dirty-only passes: it walks the chunk's
@@ -351,14 +396,17 @@ func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker) (scanned uint64, pages, 
 // mem.Region.TakeDirtySummaryWord for why that order loses no writes — so
 // each round also re-tightens the summary for the rounds and the final
 // stop-the-world pass behind it.
-// Dirty pages are re-scanned unconditionally — a dirty page cannot be
-// known-zero (the store CAS clears one bit as it sets the other), and the
-// stop-the-world correctness argument depends on the re-scan never
-// trusting the map.
-func (s *Sweeper) scanDirtyChunk(c chunk, mk *shadow.Marker) (scanned uint64, pages, kzPages int, zeroBytes uint64) {
+// Dirty pages are re-scanned unconditionally and never flagged — a dirty
+// page cannot be known-zero (the store CAS clears one bit as it sets the
+// other), and the stop-the-world correctness argument depends on the
+// re-scan never trusting either skip bit.
+func (s *Sweeper) scanDirtyChunk(c chunk, mk *shadow.Marker, t *tally) {
 	r := c.r
 	var zeroWords int
-	scan := func(words []uint64) { zeroWords += scanPageWords(words, mk) }
+	scan := func(words []uint64) {
+		z, _ := scanPageWords(words, mk)
+		zeroWords += z
+	}
 	for w, wEnd := c.pageFirst>>6, (c.pageAfter+63)>>6; w < wEnd; w++ {
 		var sum uint64
 		if c.clearDirty {
@@ -381,12 +429,12 @@ func (s *Sweeper) scanDirtyChunk(c chunk, mk *shadow.Marker) (scanned uint64, pa
 				continue
 			}
 			if r.ScanPageWords(p, scan) {
-				scanned += mem.PageSize
-				pages++
+				t.scanned += mem.PageSize
+				t.pages++
 			}
 		}
 	}
-	return scanned, pages, 0, uint64(zeroWords) * 8
+	t.zeroBytes += uint64(zeroWords) * 8
 }
 
 // run executes all chunks across the main goroutine plus helpers, returning
@@ -418,11 +466,10 @@ func (s *Sweeper) run(chunks []chunk) PassStats {
 		stripes[i].end = int64(lo + n)
 		lo += n
 	}
-	var total, totalPages, totalZero, totalKZ atomic.Uint64
+	var total, totalPages, totalZero, totalKZ, totalPF atomic.Uint64
 	worker := func(id int) {
 		mk := s.marks.NewMarker()
-		var scanned, zero uint64
-		var pages, kz int
+		var t tally
 		for off := 0; off < len(stripes); off++ {
 			st := &stripes[(id+off)%len(stripes)]
 			for {
@@ -430,18 +477,15 @@ func (s *Sweeper) run(chunks []chunk) PassStats {
 				if i >= st.end {
 					break
 				}
-				sc, pg, kp, zb := s.scanChunk(chunks[i], mk)
-				scanned += sc
-				pages += pg
-				kz += kp
-				zero += zb
+				s.scanChunk(chunks[i], mk, &t)
 			}
 		}
 		mk.Flush()
-		total.Add(scanned)
-		totalPages.Add(uint64(pages))
-		totalZero.Add(zero)
-		totalKZ.Add(uint64(kz))
+		total.Add(t.scanned)
+		totalPages.Add(uint64(t.pages))
+		totalZero.Add(t.zeroBytes)
+		totalKZ.Add(uint64(t.kzPages))
+		totalPF.Add(uint64(t.pfPages))
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -461,6 +505,7 @@ func (s *Sweeper) run(chunks []chunk) PassStats {
 		PagesScanned:     totalPages.Load(),
 		ZeroSkippedBytes: totalZero.Load(),
 		KnownZeroPages:   totalKZ.Load(),
+		PtrFreePages:     totalPF.Load(),
 		Workers:          workers,
 		ElapsedNanos:     elapsed.Nanoseconds(),
 	}
@@ -468,6 +513,7 @@ func (s *Sweeper) run(chunks []chunk) PassStats {
 	s.pagesSwept.Add(ps.PagesScanned)
 	s.zeroSkipped.Add(ps.ZeroSkippedBytes)
 	s.kzSkipped.Add(ps.KnownZeroPages)
+	s.pfSkipped.Add(ps.PtrFreePages)
 	return ps
 }
 
@@ -545,11 +591,15 @@ func (s *Sweeper) ZeroSkippedBytes() uint64 { return s.zeroSkipped.Load() }
 // map, with no memory traffic at all.
 func (s *Sweeper) KnownZeroPages() uint64 { return s.kzSkipped.Load() }
 
-// SetKnownZeroSkip enables or disables the known-zero page skip for
-// subsequent passes. On by default; disabling it is the ablation arm of the
-// A/B benchmarks (every page is then scanned word by word, with only the
-// 8-wide zero-group compare to help). Safe to call concurrently with a
-// running pass.
+// PtrFreePages returns the cumulative pages dismissed as pointer-free, with
+// no memory traffic at all.
+func (s *Sweeper) PtrFreePages() uint64 { return s.pfSkipped.Load() }
+
+// SetKnownZeroSkip enables or disables the known-zero and pointer-free page
+// skips for subsequent passes. On by default; disabling it is the ablation
+// arm of the A/B benchmarks (every page is then scanned word by word, with
+// only the 8-wide zero-group compare to help, and no page is flagged
+// pointer-free). Safe to call concurrently with a running pass.
 func (s *Sweeper) SetKnownZeroSkip(on bool) { s.kzSkipOff.Store(!on) }
 
 // BusyTime returns cumulative worker busy time — the additional CPU usage

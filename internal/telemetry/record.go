@@ -106,6 +106,11 @@ type SweepRecord struct {
 	// BytesZeroSkipped, which still had to read the words to see zeros.
 	// Not counted in PagesScanned/BytesScanned.
 	PagesKnownZero uint64 `json:"pages_known_zero,omitempty"`
+	// PagesPtrFree is pages the mark dismissed, also without touching their
+	// memory, because its previous read of them found no heap-range word
+	// and no store has landed since. Disjoint from PagesKnownZero and not
+	// counted in PagesScanned/BytesScanned.
+	PagesPtrFree uint64 `json:"pages_ptr_free,omitempty"`
 	// DirtyPages is the number of soft-dirty pages the STW re-scan visited —
 	// the figure that makes the pause window scale with mutator write rate
 	// rather than heap size. Zero outside mostly-concurrent mode.
