@@ -9,7 +9,7 @@ all: build vet test
 help:
 	@echo "MineSweeper reproduction targets:"
 	@echo "  all        build + vet + test"
-	@echo "  check      go vet (root and bench/) + go test ./... + race-hot + events-overhead + fleet-gate"
+	@echo "  check      go vet + go test (root and bench/) + race-hot + events-overhead + fleet-gate"
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on sweep/shadow/core/mem/jemalloc only"
@@ -46,9 +46,10 @@ race:
 race-hot:
 	$(GO) test -race ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/ring ./internal/workload ./internal/fleet
 
-# The pre-merge gate: static checks, a vet pass over the benchmark (bench/ is
-# its own module, so `./...` never compiles it, yet it builds against the
-# core, telemetry and control APIs), the full test suite, the hot-path race
+# The pre-merge gate: static checks, a vet and test pass over the benchmark
+# (bench/ is its own module, so `./...` never compiles it, yet it builds
+# against the core, telemetry and control APIs), the full test suite, the
+# hot-path race
 # pass, the events-overhead gate (the flight recorder is always-attachable,
 # so its hot-path cost is a merge-blocking property like the race freedom of
 # the paths it instruments), then the fleet gate (the federated governor's
@@ -56,6 +57,7 @@ race-hot:
 # control plane).
 check: vet
 	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 	$(GO) test ./...
 	$(MAKE) race-hot
 	$(MAKE) events-overhead

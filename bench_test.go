@@ -125,28 +125,10 @@ func BenchmarkMallocFree64_MineSweeper(b *testing.B) {
 	benchMallocFree(b, minesweeper.SchemeMineSweeper, 64)
 }
 
-// BenchmarkMallocFree64_MineSweeperDeferredZero is the same fast path with
-// zero-on-free moved off free() and into the thread ring's drain (one
-// range-merged batch zero per drain). Same-window A/B against the plain
-// MineSweeper run isolates what immediate zeroing costs the free() path.
-// Note that in THIS loop the chunks are never written, so their pages stay
-// known-zero and both modes elide nearly all clearing — the pair measures
-// the bookkeeping difference, not the memory traffic. The Touch pair below
-// measures the traffic.
-func BenchmarkMallocFree64_MineSweeperDeferredZero(b *testing.B) {
-	benchMallocFreeCfg(b, minesweeper.Config{
-		Scheme:   minesweeper.SchemeMineSweeper,
-		ZeroMode: minesweeper.ZeroDeferred,
-	}, 64)
-}
-
 // benchMallocFreeTouch is benchMallocFreeCfg with one store into the chunk
 // between malloc and free — the minimal realistic mutator, and the workload
 // where zero-on-free has actual work to do: the store drops the page's
-// known-zero bit, so every free really must scrub. This is the pair where
-// deferral's range-merged batch clears (one region lookup and a handful of
-// contiguous runs per drain, instead of one lookup + one sub-page clear per
-// free) show up as ns/op.
+// known-zero bit, so every free really must scrub.
 func benchMallocFreeTouch(b *testing.B, cfg minesweeper.Config, size uint64) {
 	p, err := minesweeper.NewProcess(cfg)
 	if err != nil {
@@ -175,13 +157,6 @@ func benchMallocFreeTouch(b *testing.B, cfg minesweeper.Config, size uint64) {
 
 func BenchmarkMallocFree64Touch_MineSweeper(b *testing.B) {
 	benchMallocFreeTouch(b, minesweeper.Config{Scheme: minesweeper.SchemeMineSweeper}, 64)
-}
-
-func BenchmarkMallocFree64Touch_MineSweeperDeferredZero(b *testing.B) {
-	benchMallocFreeTouch(b, minesweeper.Config{
-		Scheme:   minesweeper.SchemeMineSweeper,
-		ZeroMode: minesweeper.ZeroDeferred,
-	}, 64)
 }
 
 // BenchmarkMallocFree64_MineSweeperTelemetry is the same fast path with the

@@ -64,10 +64,8 @@ type Knobs struct {
 	// Zero or negative disables pre-clean (the STW re-scan takes the
 	// dirty set as-is).
 	RescanBudgetPages int `json:"rescan_budget_pages"`
-	// ZeroDeferred moves §4.1 zero-on-free for ring-buffered small frees
-	// from free() to the batched ring drain. True is the relaxed
-	// (throughput) state; under pressure the governor turns it off so
-	// freed memory is scrubbed immediately and drains stay short.
+	// ZeroDeferred is unread and always false: zero-on-free (§4.1) runs
+	// only inside free(). Kept so existing Knobs literals compile.
 	ZeroDeferred bool `json:"zero_deferred"`
 }
 
@@ -85,12 +83,6 @@ type Rails struct {
 	HelpersMax        int     `json:"helpers_max"`
 	RescanBudgetMin   int     `json:"rescan_budget_min"`
 	RescanBudgetMax   int     `json:"rescan_budget_max"`
-	// ZeroDeferredAllowed caps the ZeroDeferred knob: when false the knob
-	// is forced off. The governor may always fall back to immediate
-	// zeroing, but must never defer zeroing the configuration did not
-	// opt into — deferral is a semantic change (a wider benign-read
-	// window), not just a speed knob.
-	ZeroDeferredAllowed bool `json:"zero_deferred_allowed"`
 }
 
 // DefaultRails derives the standard envelope around a base configuration:
@@ -111,9 +103,6 @@ func DefaultRails(base Knobs) Rails {
 		HelpersMax:        2*base.Helpers + 2,
 		RescanBudgetMin:   base.RescanBudgetPages / 8,
 		RescanBudgetMax:   base.RescanBudgetPages,
-		// Deferral the user did not configure stays off, like the
-		// disabled pause brake below.
-		ZeroDeferredAllowed: base.ZeroDeferred,
 	}
 	if base.UnmappedFactor < 1 {
 		// Unmapped trigger disabled (or nonsensical) in the base config:
@@ -147,7 +136,6 @@ func (r Rails) Clamp(k Knobs) Knobs {
 	if k.RescanBudgetPages > r.RescanBudgetMax {
 		k.RescanBudgetPages = r.RescanBudgetMax
 	}
-	k.ZeroDeferred = k.ZeroDeferred && r.ZeroDeferredAllowed
 	return k
 }
 

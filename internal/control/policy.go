@@ -70,10 +70,6 @@ func (a *AIMD) Decide(level Level, _ Inputs, cur, base Knobs, rails Rails) Knobs
 	case Critical:
 		next = tighten(cur, a.TightenCritical)
 		next.Helpers = cur.Helpers + a.HelpersStepCritical
-		// Hard pressure: stop batching zeroing behind the ring — scrub
-		// freed memory immediately so every drain (including the ones
-		// inside sweep quiesces) stays short.
-		next.ZeroDeferred = false
 	case Elevated:
 		next = tighten(cur, a.TightenElevated)
 		next.Helpers = cur.Helpers + a.HelpersStepElevated
@@ -82,7 +78,6 @@ func (a *AIMD) Decide(level Level, _ Inputs, cur, base Knobs, rails Rails) Knobs
 		next.UnmappedFactor = relax(cur.UnmappedFactor, base.UnmappedFactor, a.RelaxFrac)
 		next.PauseThreshold = relax(cur.PauseThreshold, base.PauseThreshold, a.RelaxFrac)
 		next.RescanBudgetPages = relaxInt(cur.RescanBudgetPages, base.RescanBudgetPages, a.RelaxFrac)
-		next.ZeroDeferred = base.ZeroDeferred
 		if cur.Helpers > base.Helpers {
 			next.Helpers = cur.Helpers - 1
 		}

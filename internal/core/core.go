@@ -76,28 +76,17 @@ func (m Mode) String() string {
 	}
 }
 
-// ZeroMode selects when zero-on-free (§4.1) runs for ring-buffered small
-// frees; see Config.ZeroMode.
+// ZeroMode is a compatibility stub: zero-on-free (§4.1) always runs inside
+// free(), and New rejects every value but ZeroImmediate.
 type ZeroMode int
 
 const (
-	// ZeroImmediate zeroes inside free() (the paper's semantics; default).
+	// ZeroImmediate zeroes inside free() (the paper's semantics; the only
+	// accepted value).
 	ZeroImmediate ZeroMode = iota
-	// ZeroDeferred batches zeroing into the thread ring's drain.
+	// ZeroDeferred is retired: New returns an error for it.
 	ZeroDeferred
 )
-
-// String returns the mode's name.
-func (z ZeroMode) String() string {
-	switch z {
-	case ZeroImmediate:
-		return "immediate"
-	case ZeroDeferred:
-		return "deferred"
-	default:
-		return fmt.Sprintf("ZeroMode(%d)", int(z))
-	}
-}
 
 // Config controls MineSweeper. The zero value is NOT usable; start from
 // DefaultConfig.
@@ -164,20 +153,8 @@ type Config struct {
 	Quarantine bool
 	// Zeroing zero-fills memory in free() (§4.1).
 	Zeroing bool
-	// ZeroMode selects when the §4.1 zero-fill of ring-buffered small
-	// frees happens. ZeroImmediate (the default, and the paper's
-	// semantics) zeroes inside free(), so a benign dangling read observes
-	// zeros from the moment free returns. ZeroDeferred batches the
-	// zeroing into the thread ring's drain: one grouped, range-merged
-	// ZeroBatch per drain instead of one Zero per free, trading a wider
-	// benign-read window (stale bytes remain readable for at most one
-	// ring, BufferCap frees) for a cheaper free() hot path. Deferred
-	// zeroing always completes before the drained entries become visible
-	// to sweeps via Append, so sweeps still never release memory holding
-	// its old contents, and an exploit spraying after the drain still
-	// finds zeroed memory. Large unmapped frees and the eager
-	// (unregistered/debug) path are unaffected. Meaningless unless
-	// Zeroing is true.
+	// ZeroMode must be ZeroImmediate (the zero value); New rejects any
+	// other value. Kept so existing configs compile.
 	ZeroMode ZeroMode
 	// Unmapping releases physical pages of large quarantined allocations
 	// (§4.2).
@@ -299,9 +276,6 @@ type threadState struct {
 	// buffer concurrently. Uncontended in every fast path (the owner takes
 	// it only at its amortised drain tick, the sweeper once per sweep).
 	drainMu sync.Mutex
-	// zeroRuns is the deferred-zero scratch for this thread's ring drains
-	// (see Heap.ringZeroHook). Guarded by drainMu like the drain itself.
-	zeroRuns []mem.ZeroRun
 	// freesSinceCheck counts quarantining frees since the last
 	// sweep-trigger evaluation. Owner-thread only, like tbuf.
 	freesSinceCheck int
@@ -381,15 +355,6 @@ type Heap struct {
 	shardStats []quarantine.ShardPending
 	shardSel   []bool
 
-	// deferZero caches the effective zeroing deferral switch for the free()
-	// hot path: Config.ZeroMode at construction, re-steered by the governor
-	// (within its rails) at sweep boundaries. One atomic load per free
-	// instead of a whole Knobs copy.
-	deferZero atomic.Bool
-	// deferredZeroBytes counts bytes zeroed by the batched drain pass
-	// (the work ZeroDeferred moved off the free() hot path).
-	deferredZeroBytes atomic.Uint64
-
 	// Statistics.
 	sweeps          atomic.Uint64
 	failedFrees     atomic.Uint64
@@ -445,6 +410,9 @@ func NewWithSubstrate(space *mem.AddressSpace, cfg Config, sub alloc.Substrate) 
 }
 
 func newHeap(space *mem.AddressSpace, cfg Config) (*Heap, error) {
+	if cfg.ZeroMode != ZeroImmediate {
+		return nil, fmt.Errorf("core: ZeroMode %d unsupported: zero-on-free runs only inside free() (ZeroImmediate)", int(cfg.ZeroMode))
+	}
 	marks, err := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
 	if err != nil {
 		return nil, err
@@ -463,7 +431,6 @@ func newHeap(space *mem.AddressSpace, cfg Config) (*Heap, error) {
 		stop:          make(chan struct{}),
 	}
 	h.genCond = sync.NewCond(&h.genMu)
-	h.deferZero.Store(cfg.Zeroing && cfg.ZeroMode == ZeroDeferred)
 	return h, nil
 }
 
@@ -552,12 +519,10 @@ func (h *Heap) SetTelemetry(reg *telemetry.Registry) {
 	// in them and nothing has been stored there since.
 	reg.RegisterGauge("sweep_ptr_free_pages_total", h.sw.PtrFreePages)
 	// Known-zero map economics: pages the sweep dismissed without touching
-	// their memory, bytes the zeroing paths elided because the map already
-	// knew them zero, and bytes the deferred mode scrubbed at drains
-	// instead of inside free().
+	// their memory, and bytes the zeroing paths elided because the map
+	// already knew them zero.
 	reg.RegisterGauge("sweep_known_zero_pages_total", h.sw.KnownZeroPages)
 	reg.RegisterGauge("zero_elided_bytes_total", h.space.ZeroElidedBytes)
-	reg.RegisterGauge("zero_deferred_bytes_total", h.deferredZeroBytes.Load)
 	if h.ctl != nil {
 		reg.AttachGovernor(h.ctl)
 		// Effective knob gauges: float knobs scaled to integers
@@ -728,70 +693,12 @@ func (h *Heap) RegisterThread() alloc.ThreadID {
 		tbuf:   quarantine.NewThreadBuffer(h.q, h.cfg.BufferCap),
 		subTid: subTid,
 	}
-	// The drain-time zero pass is installed whenever the config can defer
-	// zeroing: even if the governor flips deferral off later, entries
-	// pushed while it was on still need the hook to scrub them at drain.
-	if h.cfg.Zeroing && h.cfg.ZeroMode == ZeroDeferred {
-		ts.tbuf.SetZeroHook(h.ringZeroHook(ts))
-	}
 	if rec := h.evt.Load(); rec != nil {
 		ts.evRing.Store(rec.Ring(fmt.Sprintf("thread-%d", len(old))))
 	}
 	nw[len(old)] = ts
 	h.threads.Store(&nw)
 	return alloc.ThreadID(len(old))
-}
-
-// ringZeroHook returns the deferred zero-on-free pass for ts's ring: collect
-// every entry the free() fast path left unscrubbed, merge adjacent chunks
-// into contiguous runs, and zero them in one batch before the drain publishes
-// anything. Runs under ts.drainMu (every Drain call site holds it), on
-// whichever thread drains — the owner at its tick, or the sweeper inside its
-// quiesce.
-func (h *Heap) ringZeroHook(ts *threadState) func([]*quarantine.Entry) {
-	return func(entries []*quarantine.Entry) {
-		runs := ts.zeroRuns[:0]
-		var bytes uint64
-		for _, e := range entries {
-			if e.Zeroed {
-				continue
-			}
-			// Greedy adjacency merge against the previous run: the ring
-			// holds frees in tcache pop order, which walks slab slots
-			// back-to-back (descending within a refill run), so most
-			// entries extend the last run instead of appending a new one.
-			// ZeroBatch's sort+merge then works on a handful of runs, not
-			// BufferCap of them — the sort was the drain's dominant cost.
-			if n := len(runs); n > 0 {
-				last := &runs[n-1]
-				switch {
-				case e.Base == last.Addr+last.Size:
-					last.Size += e.Size
-					bytes += e.Size
-					e.Zeroed = true
-					continue
-				case e.Base+e.Size == last.Addr:
-					last.Addr = e.Base
-					last.Size += e.Size
-					bytes += e.Size
-					e.Zeroed = true
-					continue
-				}
-			}
-			runs = append(runs, mem.ZeroRun{Addr: e.Base, Size: e.Size})
-			bytes += e.Size
-			e.Zeroed = true
-		}
-		ts.zeroRuns = runs[:0]
-		if len(runs) == 0 {
-			return
-		}
-		_ = h.space.ZeroBatch(runs)
-		h.deferredZeroBytes.Add(bytes)
-		if rg := ts.evRing.Load(); rg != nil {
-			rg.Emit(events.KindZeroScrub, uint64(len(runs)), bytes)
-		}
-	}
 }
 
 // UnregisterThread implements alloc.Allocator. The dead thread's state is
@@ -1093,16 +1000,8 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 			unmapped = true
 		}
 	}
-	e.Zeroed = true // nothing to scrub (zeroing off, or the decommit discarded it)
 	if h.cfg.Zeroing && !unmapped {
-		if h.deferZero.Load() {
-			// ZeroDeferred: the ring's drain hook scrubs the whole batch
-			// in one range-merged pass, always before the entry becomes
-			// sweep-visible via Append.
-			e.Zeroed = false
-		} else {
-			_ = h.space.Zero(a.Base, a.Size)
-		}
+		_ = h.space.Zero(a.Base, a.Size)
 	}
 
 	full := ts.tbuf.Push(e) // thread-local append, no shared state
@@ -1624,12 +1523,6 @@ func (h *Heap) observeAndSteer(r *recorder) {
 	}
 	if !changed {
 		return
-	}
-	if d.After.ZeroDeferred != d.Before.ZeroDeferred {
-		// The cached hot-path switch follows the governed knob. Entries
-		// pushed while deferral was on are still scrubbed: the drain hook
-		// stays installed and keys off Entry.Zeroed, not this switch.
-		h.deferZero.Store(d.After.ZeroDeferred && h.cfg.Zeroing)
 	}
 	if d.After.Helpers == d.Before.Helpers {
 		return

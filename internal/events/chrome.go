@@ -70,8 +70,6 @@ func chromeArgs(e Event) map[string]any {
 		return map[string]any{"stall_ns": e.Arg0}
 	case KindDrain:
 		return map[string]any{"entries": e.Arg0, "took_ns": e.Arg1}
-	case KindZeroScrub:
-		return map[string]any{"runs": e.Arg0, "bytes": e.Arg1}
 	case KindAlloc, KindFree:
 		return map[string]any{"size": e.Arg0, "latency_ns": e.Arg1}
 	case KindGovDecision:

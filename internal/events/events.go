@@ -67,8 +67,8 @@ const (
 	// Mutator-side instants and spans, emitted on the owning thread's ring.
 	KindPauseBegin // §5.7 allocation pause; arg0=trigger reason
 	KindPauseEnd   // arg0=stall ns
-	KindDrain      // quarantine ring drain; arg0=entries, arg1=bytes
-	KindZeroScrub  // deferred zero-on-free batch; arg0=runs, arg1=bytes
+	KindDrain      // quarantine ring drain; arg0=entries, arg1=drain ns
+	KindZeroScrub  // retired, never emitted; kept so old dumps still decode
 	KindAlloc      // sampled malloc; arg0=size, arg1=latency ns
 	KindFree       // sampled free; arg0=size, arg1=latency ns
 

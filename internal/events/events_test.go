@@ -264,3 +264,88 @@ func mustGet(t *testing.T, url string) []byte {
 	}
 	return buf.Bytes()
 }
+
+// TestKindValuesAndNamesPinned pins every Kind's on-disk value and name
+// (DESIGN.md §16): MSEV dumps store the raw value, so renumbering a kind
+// would relabel every event in an older dump. Retired kinds keep their slot
+// and name. A new kind must be appended here at the end.
+func TestKindValuesAndNamesPinned(t *testing.T) {
+	want := []struct {
+		kind  Kind
+		value uint8
+		name  string
+	}{
+		{KindInvalid, 0, "invalid"},
+		{KindSweepBegin, 1, "sweep"},
+		{KindSweepEnd, 2, "sweep.end"},
+		{KindMarkBegin, 3, "mark"},
+		{KindMarkEnd, 4, "mark.end"},
+		{KindPrecleanBegin, 5, "preclean"},
+		{KindPrecleanEnd, 6, "preclean.end"},
+		{KindStwBegin, 7, "stw"},
+		{KindStwAbort, 8, "stw.abort"},
+		{KindStwEnd, 9, "stw.end"},
+		{KindRecycleBegin, 10, "recycle"},
+		{KindRecycleEnd, 11, "recycle.end"},
+		{KindPurgeBegin, 12, "purge"},
+		{KindPurgeEnd, 13, "purge.end"},
+		{KindPauseBegin, 14, "pause"},
+		{KindPauseEnd, 15, "pause.end"},
+		{KindDrain, 16, "drain"},
+		{KindZeroScrub, 17, "zero-scrub"},
+		{KindAlloc, 18, "alloc"},
+		{KindFree, 19, "free"},
+		{KindGovDecision, 20, "governor"},
+		{KindTrip, 21, "trip"},
+		{KindTenantThrottle, 22, "tenant-throttle"},
+		{KindTenantRebalance, 23, "rebalance"},
+		{KindStarveAvert, 24, "starve-avert"},
+		{KindHostLevel, 25, "host-level"},
+	}
+	if len(want) != int(kindCount) {
+		t.Fatalf("table pins %d kinds, kindCount is %d", len(want), kindCount)
+	}
+	for _, w := range want {
+		if uint8(w.kind) != w.value || w.kind.String() != w.name {
+			t.Errorf("kind %d %q, want %d %q", uint8(w.kind), w.kind, w.value, w.name)
+		}
+	}
+}
+
+// TestRetiredKindStillDecodes checks that a dump holding a retired kind (an
+// older build's KindZeroScrub) reads back with its name in the kind table
+// and renders in both exporters.
+func TestRetiredKindStillDecodes(t *testing.T) {
+	rec := NewRecorder(16, time.Minute)
+	rec.Ring("thread-0").EmitAt(100, KindZeroScrub, 3, 4096)
+	var buf bytes.Buffer
+	if _, err := rec.Capture(TripManual).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, kinds, err := ReadDump(&buf)
+	if err != nil {
+		t.Fatalf("ReadDump: %v", err)
+	}
+	labelled := false
+	for _, kn := range kinds {
+		if kn.Kind == KindZeroScrub && kn.Name == "zero-scrub" {
+			labelled = true
+		}
+	}
+	if !labelled {
+		t.Fatalf("kind table %v does not label value %d", kinds, KindZeroScrub)
+	}
+	var tl, ct bytes.Buffer
+	if err := WriteTimeline(&tl, d); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(tl.String(), "zero-scrub") {
+		t.Fatalf("timeline does not name the retired kind:\n%s", tl.String())
+	}
+	if err := WriteChromeTrace(&ct, d); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ct.String(), `"zero-scrub"`) {
+		t.Fatalf("chrome trace does not name the retired kind:\n%s", ct.String())
+	}
+}

@@ -41,8 +41,6 @@ func detailFor(e Event) string {
 		return fmt.Sprintf("stall=%s", time.Duration(e.Arg0))
 	case KindDrain:
 		return fmt.Sprintf("entries=%d took=%s", e.Arg0, time.Duration(e.Arg1))
-	case KindZeroScrub:
-		return fmt.Sprintf("runs=%d %s", e.Arg0, metrics.FmtMiB(e.Arg1))
 	case KindAlloc, KindFree:
 		return fmt.Sprintf("size=%d lat=%s", e.Arg0, time.Duration(e.Arg1))
 	case KindGovDecision:

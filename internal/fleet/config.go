@@ -20,6 +20,8 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"minesweeper/internal/events"
 )
@@ -130,17 +132,17 @@ func (c Config) Validate() error {
 		if cl.Tenants < 1 {
 			return badf("class %d (%q): tenants must be >= 1, got %d", i, cl.Name, cl.Tenants)
 		}
-		if cl.Weight <= 0 {
-			return badf("class %d (%q): weight must be positive, got %g", i, cl.Name, cl.Weight)
+		if !finite(cl.Weight) || cl.Weight <= 0 {
+			return badf("class %d (%q): weight must be positive and finite, got %g", i, cl.Name, cl.Weight)
 		}
 		if cl.Priority < 0 {
 			return badf("class %d (%q): priority must be >= 0, got %d", i, cl.Name, cl.Priority)
 		}
-		if cl.Lambda < 0 {
-			return badf("class %d (%q): lambda must be >= 0, got %g", i, cl.Name, cl.Lambda)
+		if !finite(cl.Lambda) || cl.Lambda < 0 {
+			return badf("class %d (%q): lambda must be finite and >= 0, got %g", i, cl.Name, cl.Lambda)
 		}
-		if cl.Burst < 0 {
-			return badf("class %d (%q): burst must be >= 0, got %g", i, cl.Name, cl.Burst)
+		if !finite(cl.Burst) || cl.Burst < 0 {
+			return badf("class %d (%q): burst must be finite and >= 0, got %g", i, cl.Name, cl.Burst)
 		}
 		switch cl.Workload {
 		case "", "cache", "churn", "burst":
@@ -150,13 +152,21 @@ func (c Config) Validate() error {
 		if cl.Floor > c.HostBudget {
 			return badf("class %d (%q): per-tenant floor %d exceeds host budget %d", i, cl.Name, cl.Floor, c.HostBudget)
 		}
-		floors += uint64(cl.Tenants) * cl.Floor
-		if floors > c.HostBudget {
-			return badf("tenant floors sum past the host budget (%d > %d): floors are guarantees the host must be able to cover", floors, c.HostBudget)
+		// floors <= HostBudget here, so the subtraction cannot wrap, and a
+		// product overflowing 64 bits is past any budget.
+		hi, classFloors := bits.Mul64(uint64(cl.Tenants), cl.Floor)
+		if hi != 0 || classFloors > c.HostBudget-floors {
+			return badf("tenant floors sum past the host budget (class %d adds %d x %d to %d, budget %d): floors are guarantees the host must be able to cover",
+				i, cl.Tenants, cl.Floor, floors, c.HostBudget)
 		}
+		floors += classFloors
 	}
 	return nil
 }
+
+// finite reports whether f is neither NaN nor infinite. Every ordered
+// comparison with NaN is false, so a range check alone lets it through.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // withDefaults returns the config with zero-valued tunables replaced by
 // their defaults. Validate must have passed already.

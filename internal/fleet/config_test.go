@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -48,6 +49,27 @@ func TestConfigValidatePerField(t *testing.T) {
 			c.Classes[0].Floor = 20 << 20
 			c.Classes[1].Floor = 20 << 20
 		}, "floors sum past the host budget"},
+		// 1<<34 tenants x 1 GiB is 2^64 bytes: the product wraps to 0.
+		{"floors product wraps", func(c *Config) {
+			c.HostBudget = 1 << 30
+			c.Classes[0].Tenants = 1 << 34
+			c.Classes[0].Floor = 1 << 30
+		}, "floors sum past the host budget"},
+		// 2^29 + (2^36-1) x 2^28 = 2^64 + 2^28: the running sum wraps
+		// to 256 MiB, under the 1 GiB budget.
+		{"floors sum wraps", func(c *Config) {
+			c.HostBudget = 1 << 30
+			c.Classes[0].Tenants = 1
+			c.Classes[0].Floor = 1 << 29
+			c.Classes[1].Tenants = 1<<36 - 1
+			c.Classes[1].Floor = 1 << 28
+		}, "floors sum past the host budget"},
+		{"NaN weight", func(c *Config) { c.Classes[0].Weight = math.NaN() }, "weight"},
+		{"infinite weight", func(c *Config) { c.Classes[0].Weight = math.Inf(1) }, "weight"},
+		{"NaN lambda", func(c *Config) { c.Classes[1].Lambda = math.NaN() }, "lambda"},
+		{"infinite lambda", func(c *Config) { c.Classes[1].Lambda = math.Inf(1) }, "lambda"},
+		{"NaN burst", func(c *Config) { c.Classes[1].Burst = math.NaN() }, "burst"},
+		{"infinite burst", func(c *Config) { c.Classes[1].Burst = math.Inf(1) }, "burst"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

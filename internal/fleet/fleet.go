@@ -208,7 +208,6 @@ func (h *Host) buildTenant(id int, cl Class) (*Tenant, error) {
 			PauseThreshold:    ccfg.PauseThreshold,
 			Helpers:           ccfg.Helpers,
 			RescanBudgetPages: ccfg.RescanBudgetPages,
-			ZeroDeferred:      ccfg.Zeroing && ccfg.ZeroMode == core.ZeroDeferred,
 		},
 		Budget: cl.Floor, // re-granted immediately by the caller
 		Policy: control.NewAIMD(),

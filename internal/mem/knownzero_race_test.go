@@ -98,11 +98,12 @@ func TestKnownZeroVsStoreOrdering(t *testing.T) {
 	}
 }
 
-// TestKnownZeroZeroBatchConcurrentStores drives ZeroBatch over a region while
-// mutators store into neighbouring pages: -race coverage for the batch path
-// (sorting, merging, per-page locking) against the store fast path, plus the
-// end-state zero oracle on the batched range.
-func TestKnownZeroZeroBatchConcurrentStores(t *testing.T) {
+// TestKnownZeroSpanningZeroConcurrentStores drives one page-spanning Zero
+// over a region while a mutator stores into neighbouring pages: -race
+// coverage for the multi-page clear (per-page locking, known-zero
+// publication) against the store fast path, plus the end-state zero oracle
+// on the cleared range.
+func TestKnownZeroSpanningZeroConcurrentStores(t *testing.T) {
 	as := NewAddressSpace()
 	r, _ := as.Map(KindHeap, 8*PageSize, true)
 	base := r.Base()
@@ -112,7 +113,7 @@ func TestKnownZeroZeroBatchConcurrentStores(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Mutator confined to the last two pages; the batch zeroes the rest.
+		// Mutator confined to the last two pages; Zero clears the rest.
 		for i := uint64(1); !done.Load(); i++ {
 			if err := as.Store64(base+6*PageSize+(i%64)*8, i); err != nil {
 				t.Error(err)
@@ -121,27 +122,34 @@ func TestKnownZeroZeroBatchConcurrentStores(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 2_000; round++ {
-		// Touch the target pages, then zero them as a drain would: many
-		// small runs, adjacent ones merging into page-spanning clears.
+		// Touch the target pages, then zero them in one clear that starts
+		// and ends mid-page, so whole pages sit between two partial ones.
 		for p := uint64(0); p < 6; p++ {
 			if err := as.Store64(base+p*PageSize+64, uint64(round)+1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		runs := make([]ZeroRun, 0, 12)
-		for off := uint64(0); off < 6*PageSize; off += PageSize / 2 {
-			runs = append(runs, ZeroRun{Addr: base + off, Size: PageSize / 2})
+		if err := as.Store64(base+8, uint64(round)+1); err != nil {
+			t.Fatal(err)
 		}
-		if err := as.ZeroBatch(runs); err != nil {
+		if err := as.Zero(base+64, 6*PageSize-64); err != nil {
 			t.Fatal(err)
 		}
 		for p := uint64(0); p < 6; p++ {
 			if v, err := as.Load64(base + p*PageSize + 64); err != nil || v != 0 {
-				t.Fatalf("round %d: page %d not zero after ZeroBatch (v=%#x err=%v)", round, p, v, err)
+				t.Fatalf("round %d: page %d not zero after Zero (v=%#x err=%v)", round, p, v, err)
 			}
-			if !r.PageKnownZero(int(p)) {
-				t.Fatalf("round %d: page %d not known-zero after full-page batched clear", round, p)
+			if p > 0 && !r.PageKnownZero(int(p)) {
+				t.Fatalf("round %d: page %d not known-zero after a whole-page clear", round, p)
 			}
+		}
+		// The partial first page keeps its untouched head word, so it must
+		// not be marked known-zero.
+		if v, err := as.Load64(base + 8); err != nil || v != uint64(round)+1 {
+			t.Fatalf("round %d: word below the cleared range = %#x (err=%v), want %d", round, v, err, round+1)
+		}
+		if r.PageKnownZero(0) {
+			t.Fatalf("round %d: partially cleared page 0 marked known-zero", round)
 		}
 	}
 	done.Store(true)

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -464,59 +463,6 @@ func (as *AddressSpace) Zero(addr, n uint64) error {
 	}
 	r.zeroRange(addr, n)
 	return nil
-}
-
-// ZeroRun is one word-aligned range for ZeroBatch.
-type ZeroRun struct {
-	Addr, Size uint64
-}
-
-// ZeroBatch zeroes every range in runs with the same semantics as Zero,
-// after sorting them and merging adjacent or overlapping ranges within one
-// region into single contiguous clears. A ring drain frees many chunks
-// carved from the same slabs, so the merged runs frequently cover whole
-// pages that individual chunk-sized Zero calls never could — and a
-// whole-page clear both runs once per page and publishes the page's
-// known-zero bit, which per-chunk clears cannot. runs is reordered in
-// place. The first invalid range aborts the batch with an error; earlier
-// runs stay zeroed.
-func (as *AddressSpace) ZeroBatch(runs []ZeroRun) error {
-	if len(runs) == 0 {
-		return nil
-	}
-	// slices.SortFunc, not sort.Slice: this runs on every ring drain and the
-	// reflection-based swapper shows up in malloc/free profiles. Drains push
-	// frees in rough address order already, which pdqsort handles in O(n).
-	slices.SortFunc(runs, func(a, b ZeroRun) int {
-		switch {
-		case a.Addr < b.Addr:
-			return -1
-		case a.Addr > b.Addr:
-			return 1
-		default:
-			return 0
-		}
-	})
-	cur := runs[0]
-	for _, run := range runs[1:] {
-		if run.Size == 0 {
-			continue
-		}
-		if run.Addr <= cur.Addr+cur.Size {
-			if end := run.Addr + run.Size; end > cur.Addr+cur.Size {
-				cur.Size = end - cur.Addr
-			}
-			continue
-		}
-		if err := as.Zero(cur.Addr, cur.Size); err != nil {
-			return err
-		}
-		cur = run
-	}
-	if cur.Size == 0 {
-		return nil
-	}
-	return as.Zero(cur.Addr, cur.Size)
 }
 
 // ZeroElidedBytes returns the total bytes whose zeroing was skipped because

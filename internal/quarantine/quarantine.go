@@ -33,13 +33,6 @@ type Entry struct {
 	// Failed records that at least one sweep found a (possible) dangling
 	// pointer to this allocation.
 	Failed bool
-	// Zeroed records that the allocation's bytes have been zero-filled (or
-	// discarded by a decommit) since it was freed. Ring entries pushed under
-	// deferred zeroing carry false until the drain's batched zero pass runs;
-	// the pass — installed with ThreadBuffer.SetZeroHook — completes before
-	// the entries become visible to sweeps via Append, so a sweep can never
-	// release memory that still holds its old contents.
-	Zeroed bool
 	// Epoch is the sweep epoch in which the entry joined the global pending
 	// list (stamped by Append, under the pending lock, so it is always
 	// consistent with the epoch advance in LockIn).
@@ -739,12 +732,6 @@ type ThreadBuffer struct {
 	batch  []*Entry            // membership winners, handed to Append
 	dups   []*Entry            // membership losers (double frees)
 	groups [setShards][]*Entry // shard grouping
-
-	// zeroHook, when set, runs over the whole ring at the top of every
-	// Drain, before any entry becomes visible to membership or sweeps. The
-	// core layer installs the deferred zero-on-free pass here: one grouped,
-	// range-merged zero over the batch instead of one Zero call per free().
-	zeroHook func([]*Entry)
 }
 
 // DefaultBufferCap is the default thread-ring capacity.
@@ -821,13 +808,6 @@ func (b *ThreadBuffer) Drain() {
 		b.occ.Store(0)
 		return
 	}
-	// Deferred zeroing first: entries must never reach Append — where a
-	// sweep's LockIn can see and release them — still holding their old
-	// bytes. Double-free losers get re-zeroed harmlessly (the known-zero
-	// map elides the second pass).
-	if b.zeroHook != nil {
-		b.zeroHook(b.ring)
-	}
 	q := b.q
 	for i := range b.groups {
 		b.groups[i] = b.groups[i][:0]
@@ -886,12 +866,6 @@ func (b *ThreadBuffer) Drain() {
 	b.ring = b.ring[:0]
 	b.occ.Store(0)
 }
-
-// SetZeroHook installs fn to run over the ring at the top of every Drain
-// (deferred zero-on-free). Must be set before the buffer's first Push; the
-// hook runs on whichever thread drains — the owner at its amortised tick, or
-// the sweeper inside its quiesce — so fn must be safe to call from either.
-func (b *ThreadBuffer) SetZeroHook(fn func([]*Entry)) { b.zeroHook = fn }
 
 // Flush is Drain, kept under the historical name for call sites that publish
 // a thread's frees before a sweep or pause.

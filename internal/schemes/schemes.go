@@ -224,7 +224,6 @@ func Governed(name string, cfg core.Config, budget uint64, policy control.Policy
 				PauseThreshold:    cfg.PauseThreshold,
 				Helpers:           cfg.Helpers,
 				RescanBudgetPages: cfg.RescanBudgetPages,
-				ZeroDeferred:      cfg.Zeroing && cfg.ZeroMode == core.ZeroDeferred,
 			},
 			Budget: budget,
 			Policy: policy,

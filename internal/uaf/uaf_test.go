@@ -1,6 +1,7 @@
 package uaf
 
 import (
+	"fmt"
 	"testing"
 
 	"minesweeper/internal/alloc"
@@ -31,17 +32,22 @@ func setup(t *testing.T, build func(space *mem.AddressSpace) alloc.Allocator) (*
 	return prog, victim, victim
 }
 
-func msBuild(space *mem.AddressSpace) alloc.Allocator {
-	cfg := core.DefaultConfig()
-	cfg.Mode = core.Synchronous
-	cfg.SweepThreshold = 1e18
-	cfg.PauseThreshold = 0
-	cfg.BufferCap = 1
-	h, err := core.New(space, cfg, jemalloc.DefaultConfig())
-	if err != nil {
-		panic(err)
+func msBuild(space *mem.AddressSpace) alloc.Allocator { return msRingBuild(1)(space) }
+
+// msRingBuild is msBuild with a thread ring of bufferCap frees.
+func msRingBuild(bufferCap int) func(space *mem.AddressSpace) alloc.Allocator {
+	return func(space *mem.AddressSpace) alloc.Allocator {
+		cfg := core.DefaultConfig()
+		cfg.Mode = core.Synchronous
+		cfg.SweepThreshold = 1e18
+		cfg.PauseThreshold = 0
+		cfg.BufferCap = bufferCap
+		h, err := core.New(space, cfg, jemalloc.DefaultConfig())
+		if err != nil {
+			panic(err)
+		}
+		return h
 	}
-	return h
 }
 
 func TestExploitSucceedsOnBaseline(t *testing.T) {
@@ -63,21 +69,30 @@ func TestExploitSucceedsOnBaseline(t *testing.T) {
 	}
 }
 
+// TestExploitPreventedByMineSweeper runs the paper's exploit with a ring
+// that drains on every free, and with a 64-entry ring in which the victim's
+// free stays undrained through both sweeps (this sim has no World, so no
+// stop-the-world quiesce drains it). Zero-on-free runs inside free(), so in
+// both the dangling dispatch reads 0, never the stale or attacker vtable.
 func TestExploitPreventedByMineSweeper(t *testing.T) {
-	prog, victim, attacker := setup(t, msBuild)
-	res, err := Run(prog, victim, attacker, DefaultScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome == Exploited {
-		t.Fatalf("MineSweeper failed to prevent the exploit (hits=%d)", res.SprayHits)
-	}
-	if res.SprayHits != 0 {
-		t.Errorf("quarantined address handed to attacker %d times", res.SprayHits)
-	}
-	// Zero-on-free: the benign read sees 0, not the legit vtable.
-	if res.Outcome == Benign && res.ReadVtable != 0 {
-		t.Errorf("benign read = %#x, want 0 (zeroed)", res.ReadVtable)
+	for _, bufferCap := range []int{1, 64} {
+		t.Run(fmt.Sprintf("ring%d", bufferCap), func(t *testing.T) {
+			prog, victim, attacker := setup(t, msRingBuild(bufferCap))
+			res, err := Run(prog, victim, attacker, DefaultScenario())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Outcome == Exploited {
+				t.Fatalf("MineSweeper failed to prevent the exploit (hits=%d)", res.SprayHits)
+			}
+			if res.SprayHits != 0 {
+				t.Errorf("quarantined address handed to attacker %d times", res.SprayHits)
+			}
+			// Zero-on-free: the benign read sees 0, not the legit vtable.
+			if res.Outcome != Benign || res.ReadVtable != 0 {
+				t.Errorf("outcome %v, read %#x; want benign, 0 (zeroed)", res.Outcome, res.ReadVtable)
+			}
+		})
 	}
 }
 

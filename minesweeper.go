@@ -33,6 +33,7 @@ package minesweeper
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"minesweeper/internal/alloc"
 	"minesweeper/internal/control"
@@ -155,17 +156,6 @@ type Config struct {
 	RescanBudgetPages int
 	// DisableZeroing turns off zero-on-free (§4.1) — ablation only.
 	DisableZeroing bool
-	// ZeroMode selects when zero-on-free runs for small quarantined frees.
-	// ZeroImmediate (the default) zeroes inside free(), so a benign
-	// dangling read sees zeros the moment free returns — the paper's
-	// semantics. ZeroDeferred batches the zeroing into the thread ring's
-	// drain (one range-merged pass per batch, always completing before the
-	// entries become sweep-visible), trading a bounded stale-read window —
-	// at most one ring, BufferCap frees — for a cheaper free() hot path.
-	// Incompatible with DisableZeroing; Validate rejects the combination.
-	// Governed heaps expose the deferral as a knob the controller may turn
-	// off under pressure but never on when this field left it immediate.
-	ZeroMode ZeroMode
 	// DisableUnmapping turns off large-object page release (§4.2).
 	DisableUnmapping bool
 	// DisablePurging turns off the post-sweep allocator purge (§4.5).
@@ -202,30 +192,6 @@ type Config struct {
 	// the control plane for observability while freezing the knobs at
 	// their configured values.
 	Controller Policy
-}
-
-// ZeroMode selects when zero-on-free (§4.1) runs for small quarantined
-// frees; see Config.ZeroMode.
-type ZeroMode int
-
-const (
-	// ZeroImmediate zeroes inside free() (the default; the paper's
-	// benign-dangling-read-sees-0 semantics).
-	ZeroImmediate ZeroMode = iota
-	// ZeroDeferred batches zeroing into the thread-ring drain.
-	ZeroDeferred
-)
-
-// String returns the mode's name.
-func (z ZeroMode) String() string {
-	switch z {
-	case ZeroImmediate:
-		return "immediate"
-	case ZeroDeferred:
-		return "deferred"
-	default:
-		return fmt.Sprintf("ZeroMode(%d)", int(z))
-	}
 }
 
 // Policy is a control-plane policy deciding knob adjustments at sweep
@@ -271,9 +237,11 @@ func (s Scheme) schemeHasSweeps() bool {
 // silently disable sweeping — ask for that explicitly with 1), Helpers and
 // BufferCap cannot be negative, UnmappedFactor below 1 would re-sweep
 // permanently (the paper uses 9), and MemoryBudget/Controller require a
-// scheme that sweeps at all.
+// scheme that sweeps at all. The float knobs must be finite: every
+// comparison with NaN is false, so a NaN threshold would silently switch its
+// trigger off, and so would an infinite UnmappedFactor or PauseThreshold.
 func (c Config) Validate() error {
-	if c.SweepThreshold < 0 || c.SweepThreshold > 1 {
+	if math.IsNaN(c.SweepThreshold) || c.SweepThreshold < 0 || c.SweepThreshold > 1 {
 		return fmt.Errorf("%w: SweepThreshold %v outside (0, 1] (0 = default 0.15)",
 			ErrBadConfig, c.SweepThreshold)
 	}
@@ -289,6 +257,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: UnmappedFactor %v below 1 (0 = default 9; values under 1 would trigger permanent re-sweeping)",
 			ErrBadConfig, c.UnmappedFactor)
 	}
+	if math.IsNaN(c.UnmappedFactor) || math.IsInf(c.UnmappedFactor, 0) {
+		return fmt.Errorf("%w: UnmappedFactor %v not finite", ErrBadConfig, c.UnmappedFactor)
+	}
+	if math.IsNaN(c.PauseThreshold) || math.IsInf(c.PauseThreshold, 0) {
+		return fmt.Errorf("%w: PauseThreshold %v not finite (0 = default, negative disables)",
+			ErrBadConfig, c.PauseThreshold)
+	}
 	if c.MemoryBudget > 0 && !c.Scheme.schemeHasSweeps() {
 		return fmt.Errorf("%w: MemoryBudget set but scheme %v has no sweeps to govern",
 			ErrBadConfig, c.Scheme)
@@ -296,13 +271,6 @@ func (c Config) Validate() error {
 	if c.Controller != nil && !c.Scheme.schemeHasSweeps() {
 		return fmt.Errorf("%w: Controller set but scheme %v has no sweeps to govern",
 			ErrBadConfig, c.Scheme)
-	}
-	if c.ZeroMode == ZeroDeferred && c.DisableZeroing {
-		return fmt.Errorf("%w: ZeroDeferred with DisableZeroing — there is no zeroing to defer",
-			ErrBadConfig)
-	}
-	if c.ZeroMode != ZeroImmediate && c.ZeroMode != ZeroDeferred {
-		return fmt.Errorf("%w: unknown ZeroMode %v", ErrBadConfig, c.ZeroMode)
 	}
 	return nil
 }

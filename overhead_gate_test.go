@@ -1,6 +1,5 @@
 // The A/B floor gates behind `make telemetry-overhead`, `make
-// events-overhead` and `make governor-overhead`, plus the ZeroMode floor
-// comparison behind the EXPERIMENTS.md numbers.
+// events-overhead` and `make governor-overhead`.
 //
 // Measuring "feature on vs off" with two separate `go test -bench` entries
 // is unreliable on this class of host: the whole bench binary speeds up as
@@ -39,10 +38,8 @@ func TestOverheadGates(t *testing.T) {
 	for _, g := range []struct {
 		name       string
 		base, test minesweeper.Config
-		// store makes each op store one word into the chunk before the free.
-		store    bool
-		limit    float64
-		attempts int
+		limit      float64
+		attempts   int
 	}{
 		// Attaching the telemetry registry costs at most 3% on the 64-byte
 		// malloc/free pair: the configurations differ only by Telemetry, so
@@ -70,17 +67,6 @@ func TestOverheadGates(t *testing.T) {
 			base:  minesweeper.Config{Scheme: ms},
 			test:  minesweeper.Config{Scheme: ms, MemoryBudget: 1 << 40},
 			limit: 1.03, attempts: 3},
-		// ZeroDeferred must not make the pair slower than ZeroImmediate: the
-		// mode exists to buy throughput with the documented stale-read
-		// window. The store drops each chunk's known-zero bit — an untouched
-		// page keeps it, both modes then elide the clear, and the comparison
-		// collapses to bookkeeping noise — so every free owes a real scrub:
-		// immediate mode a region lookup plus an 80-byte clear per free,
-		// deferred mode a few range-merged clears per ring drain.
-		{name: "zeromode",
-			base:  minesweeper.Config{Scheme: ms, ZeroMode: minesweeper.ZeroImmediate},
-			test:  minesweeper.Config{Scheme: ms, ZeroMode: minesweeper.ZeroDeferred},
-			store: true, limit: 1.0, attempts: 3},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			const (
@@ -105,11 +91,6 @@ func TestOverheadGates(t *testing.T) {
 					a, err := th.Malloc(64)
 					if err != nil {
 						t.Fatal(err)
-					}
-					if g.store {
-						if err := th.Store(a, uint64(i)|1); err != nil {
-							t.Fatal(err)
-						}
 					}
 					if err := th.Free(a); err != nil {
 						t.Fatal(err)

@@ -107,9 +107,6 @@ func coreConfig(cfg Config, world *sim.World) core.Config {
 		}
 	}
 	ccfg.Zeroing = !cfg.DisableZeroing
-	if cfg.ZeroMode == ZeroDeferred {
-		ccfg.ZeroMode = core.ZeroDeferred
-	}
 	ccfg.Unmapping = !cfg.DisableUnmapping
 	ccfg.Purging = !cfg.DisablePurging
 	ccfg.DebugDoubleFree = cfg.DebugDoubleFree
@@ -128,7 +125,6 @@ func coreConfig(cfg Config, world *sim.World) core.Config {
 				PauseThreshold:    ccfg.PauseThreshold,
 				Helpers:           ccfg.Helpers,
 				RescanBudgetPages: ccfg.RescanBudgetPages,
-				ZeroDeferred:      ccfg.Zeroing && ccfg.ZeroMode == core.ZeroDeferred,
 			},
 			Budget: cfg.MemoryBudget,
 			Policy: pol,

@@ -2,6 +2,7 @@ package minesweeper
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -23,8 +24,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"budget on markus", Config{Scheme: SchemeMarkUs, MemoryBudget: 1 << 30}, "MemoryBudget"},
 		{"budget on ffmalloc", Config{Scheme: SchemeFFMalloc, MemoryBudget: 1 << 30}, "MemoryBudget"},
 		{"controller on sweepless scheme", Config{Scheme: SchemeBaseline, Controller: AIMDPolicy()}, "Controller"},
-		{"deferred zeroing with zeroing disabled", Config{Scheme: SchemeMineSweeper, ZeroMode: ZeroDeferred, DisableZeroing: true}, "ZeroDeferred"},
-		{"unknown zero mode", Config{Scheme: SchemeMineSweeper, ZeroMode: ZeroMode(7)}, "ZeroMode"},
+		{"sweep threshold NaN", Config{Scheme: SchemeMineSweeper, SweepThreshold: math.NaN()}, "SweepThreshold"},
+		{"pause threshold NaN", Config{Scheme: SchemeMineSweeper, PauseThreshold: math.NaN()}, "PauseThreshold"},
+		{"pause threshold infinite", Config{Scheme: SchemeMineSweeper, PauseThreshold: math.Inf(1)}, "PauseThreshold"},
+		{"unmapped factor NaN", Config{Scheme: SchemeMineSweeper, UnmappedFactor: math.NaN()}, "UnmappedFactor"},
+		{"unmapped factor infinite", Config{Scheme: SchemeMineSweeper, UnmappedFactor: math.Inf(1)}, "UnmappedFactor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,9 +63,7 @@ func TestValidateAcceptsDefaultsAndSaneConfigs(t *testing.T) {
 		{Scheme: SchemeScudoMineSweeper, MemoryBudget: 64 << 20},
 		{Scheme: SchemeMineSweeperDlmalloc, MemoryBudget: 64 << 20},
 		{Scheme: SchemeMineSweeper, Controller: AIMDPolicy()}, // controller without budget: age signal only
-		{Scheme: SchemeMineSweeper, ZeroMode: ZeroDeferred},
-		{Scheme: SchemeMineSweeper, ZeroMode: ZeroDeferred, MemoryBudget: 64 << 20},
-		{Scheme: SchemeMineSweeper, ZeroMode: ZeroImmediate, DisableZeroing: true}, // immediate + no zeroing = plain ablation
+		{Scheme: SchemeMineSweeper, DisableZeroing: true},     // zeroing ablation
 		{Scheme: SchemeMarkUs, SweepThreshold: 0.25},
 	}
 	for _, cfg := range cases {
