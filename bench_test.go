@@ -187,7 +187,7 @@ func BenchmarkMallocFree64_MineSweeperGoverned(b *testing.B) {
 // rounds and the soft-dirty stop-the-world re-scan. The malloc/free pair
 // itself is identical to the fully concurrent scheme — what this measures is
 // that the pipeline's extra bookkeeping (the dirty-transition CAS on first
-// store to a page, the per-shard quarantine stamp) stays off the hot path.
+// store to a page) stays off the hot path.
 func BenchmarkMallocFree64_MineSweeperMostly(b *testing.B) {
 	benchMallocFree(b, minesweeper.SchemeMineSweeperMostlyConcurrent, 64)
 }

@@ -97,22 +97,13 @@ type Config struct {
 	// stop-the-world re-scan still runs but without stopping mutators
 	// (acceptable for tests; real runs supply the simulator's world).
 	World sweep.StopTheWorld
-	// ConcurrentMark pipelines the MostlyConcurrent sweep: the full-heap
-	// marking pass runs concurrently with mutators against the quarantine
-	// snapshot taken at lock-in, and only the soft-dirty re-scan (plus the
-	// thread-ring quiesce) sits inside the stop-the-world window, so the
-	// pause scales with the mutators' write rate rather than heap size
-	// (§4.3). When false, the entire mark runs inside the stop-the-world
-	// window — the ablation whose pause grows with the heap. Ignored
-	// outside MostlyConcurrent mode.
-	ConcurrentMark bool
 	// RescanBudgetPages bounds the dirty-page set handed to the
 	// stop-the-world re-scan: while more pages than this are dirty, the
 	// sweeper runs extra concurrent pre-clean rounds (test-and-clear
 	// dirty re-scans, at most maxPreCleanRounds) before stopping the
-	// world. Zero or negative disables pre-cleaning; only meaningful with
-	// ConcurrentMark. Governed heaps steer this knob through the control
-	// plane.
+	// world. Zero or negative disables pre-cleaning; only meaningful in
+	// MostlyConcurrent mode. Governed heaps steer this knob through the
+	// control plane.
 	RescanBudgetPages int
 
 	// SweepThreshold triggers a sweep when mapped quarantined bytes
@@ -194,7 +185,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Mode:              FullyConcurrent,
-		ConcurrentMark:    true,
 		RescanBudgetPages: DefaultRescanBudgetPages,
 		SweepThreshold:    0.15,
 		UnmappedFactor:    9.0,
@@ -250,11 +240,6 @@ const maxPreCleanRounds = 2
 // from forcing an oversized pause; after that the scan proceeds regardless so
 // a write-storm cannot starve the sweep.
 const maxStopRetries = 2
-
-// maxShardLagEpochs bounds how many sweep epochs a pending quarantine shard
-// may sit unselected before a routine sweep picks it up regardless of size
-// (see selectShards).
-const maxShardLagEpochs = 4
 
 // sweepCheckInterval is how many quarantining frees a thread performs between
 // sweep-trigger evaluations. The trigger compares four atomic counters plus
@@ -327,12 +312,8 @@ type Heap struct {
 	// skip those pages via residency; the bitmap exists for accounting
 	// and for restoring protections on commit.
 	unmappedPages *shadow.Bitmap
-	// q is created at attach time so its pending-shard count can mirror
-	// the substrate's arena shards (per-shard sweep ownership); qSharded
-	// gates the per-free shard-stamping assertion.
-	q        *quarantine.Quarantine
-	qSharded bool
-	sw       *sweep.Sweeper
+	q             *quarantine.Quarantine
+	sw            *sweep.Sweeper
 	// ctl is the adaptive control plane (nil = ungoverned). Written once at
 	// construction; its knobs are read through one atomic load on the
 	// amortised trigger/pause paths and at sweep boundaries.
@@ -350,10 +331,6 @@ type Heap struct {
 	genCond     *sync.Cond
 	sweepGen    uint64
 	recycleTids []alloc.ThreadID // one registered jemalloc thread per sweep worker
-	// Scratch for per-shard sweep selection, reused across sweeps.
-	// Owned by the sweep (guarded by sweepMu).
-	shardStats []quarantine.ShardPending
-	shardSel   []bool
 
 	// Statistics.
 	sweeps          atomic.Uint64
@@ -426,6 +403,7 @@ func newHeap(space *mem.AddressSpace, cfg Config) (*Heap, error) {
 		space:         space,
 		marks:         marks,
 		unmappedPages: unmapped,
+		q:             quarantine.New(),
 		ctl:           cfg.Control,
 		sweepReq:      make(chan struct{}, 1),
 		stop:          make(chan struct{}),
@@ -440,18 +418,6 @@ func (h *Heap) attach(sub alloc.Substrate) *Heap {
 	space := h.space
 	marks := h.marks
 	h.sub = sub
-
-	// Per-arena-shard sweep ownership (the quarantine side): mirror the
-	// substrate's arena shard count in the quarantine's pending shards so
-	// each arena's frees can be locked in — and hence swept — on that
-	// shard's own cadence (selectShards). Substrates without arena shards
-	// get the single-shard quarantine, which behaves exactly as before.
-	nshards := 1
-	if na, ok := sub.(interface{ NumArenas() int }); ok && na.NumArenas() > 1 {
-		nshards = na.NumArenas()
-	}
-	h.q = quarantine.NewSharded(nshards)
-	h.qSharded = nshards > 1
 
 	h.sw = sweep.New(space, marks, cfg.Helpers)
 
@@ -962,7 +928,6 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 			e = h.q.NewEntry(a.Base, a.Size)
 		}
 		e.Ref = ref
-		h.stampShard(e, ref)
 		if !h.q.Insert(e) {
 			return h.doubleFree(addr)
 		}
@@ -986,7 +951,6 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 
 	e := ts.tbuf.NewEntry(a.Base, a.Size) // lock-free in the common case
 	e.Ref = ref
-	h.stampShard(e, ref)
 
 	// Large allocations that will be unmapped need no explicit zeroing: the
 	// decommit discards their contents (and any pointers within). A double
@@ -1034,20 +998,6 @@ func (h *Heap) drainRing(ts *threadState) {
 		return
 	}
 	ts.lockedDrain()
-}
-
-// stampShard routes a new quarantine entry to the pending shard of the arena
-// that owns its allocation, so per-shard sweep selection sees each arena's
-// frees on that arena's own list. The assertion is on the substrate's
-// resolved ref (a *jemalloc.Extent under the default pairing); refs without
-// an arena shard stay on shard 0. Skipped entirely on unsharded quarantines.
-func (h *Heap) stampShard(e *quarantine.Entry, ref alloc.Ref) {
-	if !h.qSharded {
-		return
-	}
-	if s, ok := ref.(interface{ ArenaShard() int32 }); ok {
-		e.Shard = s.ArenaShard()
-	}
 }
 
 // doubleFree accounts an absorbed double free, or reports it in debug mode.
@@ -1140,70 +1090,6 @@ func (h *Heap) sweeperLoop() {
 			h.runSweep()
 		}
 	}
-}
-
-// selectShards decides which quarantine pending shards this sweep locks in —
-// per-arena-shard sweep ownership. The routine threshold and unmapped
-// triggers take only the shards that have accumulated at least their fair
-// share of the pending bytes (the largest shard always qualifies, so a
-// trigger never selects nothing), plus any shard whose oldest pending free
-// has lagged maxShardLagEpochs behind the sweep epoch — each arena shard
-// effectively sweeps on its own cadence instead of rendezvousing globally.
-// Forced, pause, budget and shutdown sweeps take everything: they exist to
-// reclaim as much as possible right now. A nil return means all shards.
-//
-// Partial lock-in is safe regardless of the selection: the mark pass always
-// covers all of program memory, so an entry released from a selected shard
-// was proven unreferenced against every live pointer; entries left pending in
-// unselected shards keep their original epoch and are reconsidered next sweep
-// (the lag bound and the age gauge both build on that). Caller holds sweepMu.
-func (h *Heap) selectShards(reason telemetry.TriggerReason) []bool {
-	n := h.q.NumShards()
-	if n <= 1 {
-		return nil
-	}
-	switch reason {
-	case telemetry.TriggerThreshold, telemetry.TriggerUnmapped:
-	default:
-		return nil
-	}
-	h.shardStats = h.q.PendingShardStats(h.shardStats)
-	var total, maxBytes uint64
-	maxIdx := 0
-	for i, s := range h.shardStats {
-		total += s.Bytes
-		if s.Bytes > maxBytes {
-			maxIdx, maxBytes = i, s.Bytes
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	if cap(h.shardSel) < n {
-		h.shardSel = make([]bool, n)
-	}
-	sel := h.shardSel[:n]
-	epoch := h.q.Epoch()
-	for i, s := range h.shardStats {
-		sel[i] = i == maxIdx ||
-			s.Bytes*uint64(n) >= total ||
-			(s.Entries > 0 && epoch-s.OldestEpoch >= maxShardLagEpochs)
-	}
-	return sel
-}
-
-// countShards reports how many shards a selection covers (nil = all n).
-func countShards(sel []bool, n int) int {
-	if sel == nil {
-		return n
-	}
-	c := 0
-	for _, s := range sel {
-		if s {
-			c++
-		}
-	}
-	return c
 }
 
 // stopWorld stops mutator threads (when a World is attached) and quiesces the
@@ -1319,7 +1205,7 @@ func (h *Heap) preclean(r *recorder, round int) {
 // markPhase runs the configured marking pipeline for one sweep, filling the
 // mark-related fields of the record. Caller holds sweepMu.
 //
-// The MostlyConcurrent + ConcurrentMark pipeline (§4.3):
+// The MostlyConcurrent pipeline (§4.3):
 //
 //  1. Snapshot-at-beginning: the lock-in that produced this sweep's work
 //     list already happened, and ClearSoftDirty opens the write-tracking
@@ -1333,20 +1219,6 @@ func (h *Heap) preclean(r *recorder, round int) {
 //     still dirty. The pause scales with the mutators' residual write rate,
 //     not heap size.
 func (h *Heap) markPhase(r *recorder) {
-	if h.cfg.Mode == MostlyConcurrent && !h.cfg.ConcurrentMark {
-		// Ablation: the entire mark inside the stop-the-world window — the
-		// configuration whose pause grows with heap size, kept for the
-		// same-window A/B against the pipelined path.
-		start := time.Now()
-		h.stopWorld()
-		r.emit(start, events.KindStwBegin, 0, 0)
-		t := r.begin(events.KindMarkBegin, 0, 0)
-		h.markAll(r)
-		r.end(t, events.KindMarkEnd, r.rec.PagesScanned, r.rec.BytesScanned)
-		h.startWorld()
-		h.recordStw(r, start, 0)
-		return
-	}
 	// In MostlyConcurrent mode the mark span covers the whole pipeline: the
 	// concurrent full-heap pass, and the pre-clean rounds and the STW
 	// re-scan nested inside it.
@@ -1430,7 +1302,7 @@ func (h *Heap) finishPipelinedMark(r *recorder) {
 	}
 }
 
-// runSweep performs one complete sweep: shard selection, lock-in, mark
+// runSweep performs one complete sweep: lock-in of the whole quarantine, mark
 // (pipelined in MostlyConcurrent mode — see markPhase), filter-and-recycle,
 // shadow clear, purge (§3.1, §4). With telemetry attached it emits one
 // SweepRecord — trigger cause, per-phase durations and work figures — per
@@ -1441,14 +1313,12 @@ func (h *Heap) runSweep() {
 
 	r := recorder{tel: h.tel.Load(), er: h.evtSweep.Load()}
 	reason := h.takeTrigger()
-	sel := h.selectShards(reason)
-	locked := h.q.LockInSelected(sel)
+	locked := h.q.LockIn()
 	if len(locked) > 0 {
 		r.rec = telemetry.SweepRecord{
 			Trigger:       reason,
 			EntriesLocked: uint64(len(locked)),
 			Workers:       h.sw.Workers(),
-			ShardsSwept:   countShards(sel, h.q.NumShards()),
 		}
 		start := r.begin(events.KindSweepBegin, uint64(reason), uint64(len(locked)))
 		if start.IsZero() && h.ctl != nil {
@@ -1737,7 +1607,11 @@ func (h *Heap) Shutdown() {
 //     substrate (the quarantine owns it — nothing may have freed it);
 //  2. entry sizes match the substrate's usable sizes;
 //  3. quarantine byte accounting equals the sum over entries;
-//  4. unmapped entries really have no resident pages.
+//  4. unmapped entries really have no resident pages;
+//  5. the pending list and the membership set hold the same entries: every
+//     pending entry is quarantined, none is pending twice, and the pending
+//     count equals the quarantined count. This needs no free in flight —
+//     an unregistered thread's free inserts before it appends.
 func (h *Heap) CheckInvariants() error {
 	h.sweepMu.Lock()
 	defer h.sweepMu.Unlock()
@@ -1781,6 +1655,23 @@ func (h *Heap) CheckInvariants() error {
 	}
 	if got := h.q.FailedBytes(); got != failed {
 		return fmt.Errorf("core: invariant: failed bytes account %d != entry sum %d", got, failed)
+	}
+	pending := make(map[uint64]bool)
+	h.q.ForEachPending(func(e *quarantine.Entry) {
+		switch {
+		case err != nil:
+		case pending[e.Base]:
+			err = fmt.Errorf("core: invariant: entry %#x pending twice", e.Base)
+		case !h.q.Contains(e.Base):
+			err = fmt.Errorf("core: invariant: pending entry %#x not quarantined", e.Base)
+		}
+		pending[e.Base] = true
+	})
+	if err != nil {
+		return err
+	}
+	if got := h.q.Entries(); got != uint64(len(pending)) {
+		return fmt.Errorf("core: invariant: %d pending entries != %d quarantined", len(pending), got)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"minesweeper/internal/alloc"
 	"minesweeper/internal/jemalloc"
 	"minesweeper/internal/mem"
+	"minesweeper/internal/quarantine"
 )
 
 // testConfig returns a deterministic configuration: synchronous sweeps are
@@ -634,5 +635,22 @@ func TestCheckInvariantsUnderChurn(t *testing.T) {
 	h.Sweep()
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsPendingNotMember: an entry on the pending list that the
+// membership set does not hold (appended without Insert) breaks invariant 5.
+func TestCheckInvariantsPendingNotMember(t *testing.T) {
+	h, tid := newTestHeap(t, testConfig())
+	a, err := h.Malloc(tid, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatalf("clean heap: %v", err)
+	}
+	h.q.Append([]*quarantine.Entry{h.q.NewEntry(a, 64)})
+	if err := h.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a pending entry missing from the membership set")
 	}
 }

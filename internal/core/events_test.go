@@ -119,7 +119,6 @@ func (w *dirtyOnStopWorld) Start() {}
 func TestEventsStwSpansAndOverBudgetTrip(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = MostlyConcurrent
-	cfg.ConcurrentMark = true
 	cfg.RescanBudgetPages = 1
 	w := &dirtyOnStopWorld{pages: 4}
 	cfg.World = w
@@ -181,7 +180,6 @@ func TestRecordMatchesSpans(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := testConfig()
 			cfg.Mode = mode
-			cfg.ConcurrentMark = true
 			cfg.RescanBudgetPages = 1
 			w := &dirtyOnStopWorld{pages: 4}
 			cfg.World = w

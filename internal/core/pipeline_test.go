@@ -7,7 +7,6 @@ import (
 	"minesweeper/internal/alloc"
 	"minesweeper/internal/jemalloc"
 	"minesweeper/internal/mem"
-	"minesweeper/internal/quarantine"
 	"minesweeper/internal/telemetry"
 )
 
@@ -45,7 +44,6 @@ func (w *freeOnStopWorld) Start() {}
 func TestConcurrentMarkSnapshotOracle(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = MostlyConcurrent
-	cfg.ConcurrentMark = true
 	cfg.SweepThreshold = 1e18 // manual sweeps only
 	cfg.UnmappedFactor = 0
 	cfg.PauseThreshold = 0
@@ -90,106 +88,65 @@ func TestConcurrentMarkSnapshotOracle(t *testing.T) {
 	}
 }
 
-// TestSelectShardsFairShareAndAge is a white-box test of the per-shard sweep
-// cadence policy: a routine threshold sweep takes only shards holding at
-// least their fair share of pending bytes, and a shard left behind long
-// enough is picked up by the epoch-lag bound regardless of size.
-func TestSelectShardsFairShareAndAge(t *testing.T) {
+// TestThresholdSweepTakesWholeQuarantine: frees from two threads bound to
+// different arena shards, one large and one small, are both released by the
+// single threshold-triggered sweep the large free sets off. Every sweep locks
+// in the whole quarantine, whichever arena the frees came from.
+func TestThresholdSweepTakesWholeQuarantine(t *testing.T) {
 	jcfg := jemalloc.DefaultConfig()
 	jcfg.Arenas = 4
-	cfg := testConfig()
+	cfg := testConfig() // Synchronous, BufferCap 1: every free publishes immediately
+	cfg.SweepThreshold = 0.15
+	// Between the two frees' sizes: the small free alone stays under the
+	// floor, the large one crosses it.
+	cfg.SweepFloorBytes = 4 << 10
+	cfg.Unmapping = false // keep both frees on the mapped (threshold) account
+	reg := telemetry.NewRegistry(16)
+	cfg.Telemetry = reg
 	h, err := New(mem.NewAddressSpace(), cfg, jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Shutdown)
-	if got := h.q.NumShards(); got != 4 {
-		t.Fatalf("NumShards = %d, want 4 (mirroring the arena count)", got)
-	}
-
-	// Seed the pending shards directly (no sweep runs in this test):
-	// shard 1 dominates, shards 0 and 3 hold small change, shard 2 is empty.
-	ents := []struct {
-		base, size uint64
-		shard      int32
-	}{
-		{0x10_0000, 100, 0},
-		{0x20_0000, 10_000, 1},
-		{0x30_0000, 200, 3},
-	}
-	for _, s := range ents {
-		e := h.q.NewEntry(s.base, s.size)
-		e.Shard = s.shard
-		h.q.Append([]*quarantine.Entry{e})
-	}
-
-	sel := h.selectShards(telemetry.TriggerThreshold)
-	want := []bool{false, true, false, false}
-	for i := range want {
-		if sel[i] != want[i] {
-			t.Fatalf("fair-share selection = %v, want %v", sel, want)
-		}
-	}
-
-	// Forced (and pause/budget/shutdown) sweeps take everything.
-	if got := h.selectShards(telemetry.TriggerForced); got != nil {
-		t.Fatalf("forced selection = %v, want nil (all shards)", got)
-	}
-
-	// Age the world past the lag bound without taking anything: each
-	// lock-in advances the epoch once, selected or not.
-	none := make([]bool, 4)
-	for i := 0; i < maxShardLagEpochs; i++ {
-		if locked := h.q.LockInSelected(none); len(locked) != 0 {
-			t.Fatalf("empty selection locked %d entries", len(locked))
-		}
-	}
-	sel = h.selectShards(telemetry.TriggerThreshold)
-	want = []bool{true, true, false, true} // every non-empty shard now lags
-	for i := range want {
-		if sel[i] != want[i] {
-			t.Fatalf("age selection = %v, want %v", sel, want)
-		}
-	}
-}
-
-// TestShardStampingRoutesFrees checks the integration end of per-shard
-// ownership: frees from threads bound to different arena shards land on
-// different quarantine pending shards.
-func TestShardStampingRoutesFrees(t *testing.T) {
-	jcfg := jemalloc.DefaultConfig()
-	jcfg.Arenas = 4
-	cfg := testConfig() // BufferCap 1: every free publishes immediately
-	h, err := New(mem.NewAddressSpace(), cfg, jcfg)
+	big, small := h.RegisterThread(), h.RegisterThread()
+	a, err := h.Malloc(big, 10<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(h.Shutdown)
-	t1 := h.RegisterThread()
-	t2 := h.RegisterThread()
-	for _, tid := range []alloc.ThreadID{t1, t2} {
-		a, err := h.Malloc(tid, 48)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Free(tid, a); err != nil {
-			t.Fatal(err)
-		}
+	b, err := h.Malloc(small, 100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	stats := h.q.PendingShardStats(nil)
-	nonEmpty := 0
-	for _, s := range stats {
-		if s.Entries > 0 {
-			nonEmpty++
+	jh := h.sub.(*jemalloc.Heap)
+	arenas := 0
+	for i := 0; i < jh.NumArenas(); i++ {
+		if jh.ShardStats(i).Extents > 0 {
+			arenas++
 		}
 	}
-	if nonEmpty != 2 {
-		t.Errorf("frees from 2 arena-distinct threads landed on %d pending shards, want 2 (%+v)",
-			nonEmpty, stats)
+	if arenas != 2 {
+		t.Fatalf("the two threads allocated from %d arenas, want 2", arenas)
 	}
-	h.Sweep() // forced: takes all shards
-	if st := h.Stats(); st.Quarantined != 0 {
-		t.Errorf("Quarantined = %d after forced sweep, want 0", st.Quarantined)
+
+	if err := h.Free(small, b); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.Stats(); st.Sweeps != 0 {
+		t.Fatalf("the small free alone triggered %d sweeps, want 0", st.Sweeps)
+	}
+	if err := h.Free(big, a); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if len(snap.Sweeps) != 1 {
+		t.Fatalf("sweep records = %d, want 1", len(snap.Sweeps))
+	}
+	if rec := snap.Sweeps[0]; rec.Trigger != telemetry.TriggerThreshold || rec.Released != 2 {
+		t.Errorf("sweep: trigger %s, released %d; want threshold, 2", rec.Trigger, rec.Released)
+	}
+	if h.q.Contains(a) || h.q.Contains(b) {
+		t.Errorf("still quarantined after the threshold sweep: large %v, small %v",
+			h.q.Contains(a), h.q.Contains(b))
 	}
 }
 
@@ -222,7 +179,6 @@ func (w *writeOnStopWorld) Start() {}
 func TestDirtyRescanSeesWindowWrite(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = MostlyConcurrent
-	cfg.ConcurrentMark = true
 	cfg.RescanBudgetPages = DefaultRescanBudgetPages
 	reg := telemetry.NewRegistry(64)
 	cfg.Telemetry = reg
@@ -270,7 +226,6 @@ func TestDirtyRescanSeesWindowWrite(t *testing.T) {
 func TestPrecleanRoundsConsumeDirtyPages(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = MostlyConcurrent
-	cfg.ConcurrentMark = true
 	cfg.RescanBudgetPages = 1
 	h, tid := newTestHeap(t, cfg)
 
@@ -310,7 +265,6 @@ func TestPrecleanRoundsConsumeDirtyPages(t *testing.T) {
 func TestPipelinedPrecleanUnderChurn(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = MostlyConcurrent
-	cfg.ConcurrentMark = true
 	cfg.RescanBudgetPages = 1
 	cfg.BufferCap = 8
 	h, err := New(mem.NewAddressSpace(), cfg, jemalloc.DefaultConfig())

@@ -44,10 +44,6 @@ type Entry struct {
 	// the allocation until Release, which is precisely the window the
 	// substrate guarantees the ref stays valid for.
 	Ref any
-	// Shard is the arena shard that owns the allocation (0 on substrates
-	// without arena shards). It routes the entry to the matching pending
-	// shard so each arena shard can sweep on its own cadence.
-	Shard int32
 
 	next *Entry // intrusive freelist link, owned by the quarantine
 }
@@ -188,17 +184,19 @@ type Quarantine struct {
 	freeMu sync.Mutex
 	chains []*Entry // each element heads an intrusive chain of free entries
 
-	// pend is the pending side, split into per-arena-shard lists so each
-	// shard can be locked in (and hence swept) on its own cadence. One
-	// mutex covers all of them: pending traffic is already batched (ring
-	// drains, requeues, lock-ins), so per-shard locks would buy contention
-	// relief nothing measurable while complicating the epoch stamp, which
-	// MUST be consistent across shards (one global epoch counter orders
-	// every append against every lock-in).
-	pendMu sync.Mutex
-	pend   []pendShard
-	// lockedSpare recycles the flattened slice LockInSelected hands the
-	// sweep (see Reclaim).
+	// The pending side: one list, locked in whole by every sweep. pendMu
+	// also orders every Append's epoch stamp against LockIn's epoch
+	// advance (see Append).
+	pendMu  sync.Mutex
+	pending []*Entry
+	// oldest is the epoch of the oldest pending entry (meaningful only
+	// while pending is non-empty). Appends stamp the current epoch, so
+	// they never lower it; Requeue can, since failed entries keep the
+	// epoch of their original append.
+	oldest uint64
+	// lockedSpare is a locked-in slice the sweep handed back (Reclaim);
+	// the next LockIn makes it the new pending list, so steady-state
+	// sweeps swap two backing arrays instead of regrowing one.
 	lockedSpare []*Entry
 	epoch       atomic.Uint64
 
@@ -209,47 +207,8 @@ type Quarantine struct {
 	doubleFrees   atomic.Uint64
 }
 
-// pendShard is one arena shard's slice of the pending list. All fields are
-// guarded by pendMu.
-type pendShard struct {
-	pending []*Entry
-	// oldest is the epoch of the oldest pending entry (meaningful only
-	// while pending is non-empty). Appends stamp the current epoch, so
-	// they never lower it; Requeue can, since failed entries keep the
-	// epoch of their original append.
-	oldest uint64
-	// bytes tallies the pending entries' sizes (mapped + unmapped) — the
-	// fair-share input for the core layer's shard selection policy.
-	bytes int64
-}
-
-// New returns an empty quarantine with a single pending shard (the
-// rendezvous behaviour: every lock-in takes everything).
-func New() *Quarantine {
-	return NewSharded(1)
-}
-
-// NewSharded returns an empty quarantine whose pending list is split across
-// n shards (n <= 0 means 1), matching the substrate's arena shard count.
-// Entries route by Entry.Shard; LockInSelected can take any subset.
-func NewSharded(n int) *Quarantine {
-	if n <= 0 {
-		n = 1
-	}
-	return &Quarantine{pend: make([]pendShard, n)}
-}
-
-// NumShards returns the pending-list shard count.
-func (q *Quarantine) NumShards() int { return len(q.pend) }
-
-// pendIdx maps an entry to its pending shard.
-func (q *Quarantine) pendIdx(e *Entry) int {
-	si := int(e.Shard)
-	if si < 0 || si >= len(q.pend) {
-		return 0
-	}
-	return si
-}
+// New returns an empty quarantine.
+func New() *Quarantine { return &Quarantine{} }
 
 // shardIdx selects the membership shard for a base from the hash's top bits
 // (the slot index uses the folded low bits, so the two stay independent).
@@ -349,59 +308,35 @@ func (q *Quarantine) Append(batch []*Entry) {
 	}
 	q.pendMu.Lock()
 	ep := q.epoch.Load()
+	if len(q.pending) == 0 {
+		q.oldest = ep
+	}
 	for _, e := range batch {
 		e.Epoch = ep
-		ps := &q.pend[q.pendIdx(e)]
-		if len(ps.pending) == 0 {
-			ps.oldest = ep
-		}
-		ps.pending = append(ps.pending, e)
-		ps.bytes += int64(e.Size)
 	}
+	q.pending = append(q.pending, batch...)
 	q.pendMu.Unlock()
 }
 
-// LockIn atomically takes the whole pending list (every shard) and starts a
-// new epoch — the global-rendezvous lock-in. The returned entries are the
-// sweep's candidate set; entries quarantined after LockIn go to the next
-// sweep. The swap and the epoch advance happen under one critical section so
-// no Append can interleave between them (see Append).
-func (q *Quarantine) LockIn() []*Entry { return q.LockInSelected(nil) }
-
-// LockInSelected takes the pending entries of the selected shards (nil means
-// all) into one flattened slice and starts a new epoch. The epoch advances
-// once regardless of how many shards are taken, so entries left behind in
-// unselected shards age by one epoch — the core layer's lag rule uses that
-// age to force stragglers into a later sweep. Safety is unaffected by
-// partial selection: released entries must survive a full mark pass that
-// began after their lock-in, which covers all memory regardless of which
-// shard owned the entry.
-func (q *Quarantine) LockInSelected(sel []bool) []*Entry {
+// LockIn atomically takes the whole pending list and starts a new epoch. The
+// returned entries are the sweep's candidate set; entries quarantined after
+// LockIn go to the next sweep. The swap and the epoch advance happen under
+// one critical section so no Append can interleave between them (see
+// Append).
+func (q *Quarantine) LockIn() []*Entry {
 	q.pendMu.Lock()
-	locked := q.lockedSpare[:0]
+	locked := q.pending
+	q.pending = q.lockedSpare[:0]
 	q.lockedSpare = nil
-	for si := range q.pend {
-		if sel != nil && (si >= len(sel) || !sel[si]) {
-			continue
-		}
-		ps := &q.pend[si]
-		if len(ps.pending) == 0 {
-			continue
-		}
-		locked = append(locked, ps.pending...)
-		clear(ps.pending)
-		ps.pending = ps.pending[:0]
-		ps.bytes = 0
-	}
 	q.epoch.Add(1)
 	q.pendMu.Unlock()
 	return locked
 }
 
-// Reclaim donates a slice previously returned by LockIn/LockInSelected back
-// to the quarantine once the sweep is done with it, so steady-state sweeps
-// reuse one backing array instead of regrowing from nil every epoch. The
-// entries themselves must already be Released or Requeued.
+// Reclaim donates a slice previously returned by LockIn back to the
+// quarantine once the sweep is done with it, so steady-state sweeps reuse
+// its backing array instead of regrowing from nil every epoch. The entries
+// themselves must already be Released or Requeued.
 func (q *Quarantine) Reclaim(buf []*Entry) {
 	if cap(buf) == 0 {
 		return
@@ -417,19 +352,17 @@ func (q *Quarantine) Reclaim(buf []*Entry) {
 // Requeue returns failed entries to the pending list so future sweeps retry
 // them. Unlike Append it preserves each entry's original epoch — the age of a
 // stubborn failed free is measured from when it first went pending — and
-// lowers the owning shard's oldest-epoch watermark accordingly.
+// lowers the oldest-epoch watermark accordingly.
 func (q *Quarantine) Requeue(failed []*Entry) {
 	if len(failed) == 0 {
 		return
 	}
 	q.pendMu.Lock()
 	for _, e := range failed {
-		ps := &q.pend[q.pendIdx(e)]
-		if len(ps.pending) == 0 || e.Epoch < ps.oldest {
-			ps.oldest = e.Epoch
+		if len(q.pending) == 0 || e.Epoch < q.oldest {
+			q.oldest = e.Epoch
 		}
-		ps.pending = append(ps.pending, e)
-		ps.bytes += int64(e.Size)
+		q.pending = append(q.pending, e)
 	}
 	q.pendMu.Unlock()
 }
@@ -623,52 +556,24 @@ func (q *Quarantine) Epoch() uint64 { return q.epoch.Load() }
 func (q *Quarantine) OldestPendingEpoch() uint64 {
 	q.pendMu.Lock()
 	defer q.pendMu.Unlock()
-	// The tracked watermarks, not pending[0].Epoch: Requeue appends failed
-	// entries (which keep old epochs) behind newer appends, so the lists
-	// are not epoch-sorted.
-	oldest := q.epoch.Load()
-	for si := range q.pend {
-		ps := &q.pend[si]
-		if len(ps.pending) > 0 && ps.oldest < oldest {
-			oldest = ps.oldest
-		}
+	// The tracked watermark, not pending[0].Epoch: Requeue appends failed
+	// entries (which keep old epochs) behind newer appends, so the list is
+	// not epoch-sorted.
+	if len(q.pending) == 0 {
+		return q.epoch.Load()
 	}
-	return oldest
+	return q.oldest
 }
 
-// ShardPending is one pending shard's state as PendingShardStats reports it.
-type ShardPending struct {
-	// Entries and Bytes cover the shard's pending (not yet locked-in)
-	// entries.
-	Entries int
-	Bytes   uint64
-	// OldestEpoch is the shard's oldest pending entry's epoch; equal to
-	// the current epoch when the shard is empty. Epoch() - OldestEpoch is
-	// the shard's lag in sweeps.
-	OldestEpoch uint64
-}
-
-// PendingShardStats fills dst (grown as needed) with each pending shard's
-// entry count, byte tally and oldest epoch — the inputs to the core layer's
-// per-shard sweep selection. The snapshot is consistent (taken under the
-// pending lock).
-func (q *Quarantine) PendingShardStats(dst []ShardPending) []ShardPending {
+// ForEachPending calls fn for a snapshot of the pending list (the entries
+// the next LockIn would take). The entries must not be mutated.
+func (q *Quarantine) ForEachPending(fn func(e *Entry)) {
 	q.pendMu.Lock()
-	defer q.pendMu.Unlock()
-	ep := q.epoch.Load()
-	if cap(dst) < len(q.pend) {
-		dst = make([]ShardPending, len(q.pend))
+	snap := append([]*Entry(nil), q.pending...)
+	q.pendMu.Unlock()
+	for _, e := range snap {
+		fn(e)
 	}
-	dst = dst[:len(q.pend)]
-	for si := range q.pend {
-		ps := &q.pend[si]
-		sp := ShardPending{Entries: len(ps.pending), Bytes: clamp(ps.bytes), OldestEpoch: ep}
-		if len(ps.pending) > 0 {
-			sp.OldestEpoch = ps.oldest
-		}
-		dst[si] = sp
-	}
-	return dst
 }
 
 // ForEach calls fn for a snapshot of every quarantined entry. Entries

@@ -305,6 +305,42 @@ func TestRequeueLowersOldestPendingEpoch(t *testing.T) {
 	}
 }
 
+// TestRequeuePerShardWatermark: a failed entry requeued after several
+// epochs keeps the epoch of its original append, so it alone drives the
+// pending list's OldestPendingEpoch watermark — fresh appends behind it do
+// not raise it, and once a lock-in takes the entry the watermark returns to
+// the current epoch.
+func TestRequeuePerShardWatermark(t *testing.T) {
+	q := New()
+	e := &Entry{Base: 0x1000, Size: 64}
+	q.Insert(e)
+	q.Append([]*Entry{e})
+	locked := q.LockIn() // e carries epoch 0
+	// Age the world a few epochs, then fail the entry back in behind a
+	// fresh append.
+	q.LockIn()
+	q.LockIn()
+	f := &Entry{Base: 0x2000, Size: 64}
+	q.Insert(f)
+	q.Append([]*Entry{f})
+	q.Requeue(locked)
+	if e.Epoch != 0 {
+		t.Fatalf("requeued entry epoch = %d, want 0 (its original append)", e.Epoch)
+	}
+	if got := q.OldestPendingEpoch(); got != 0 {
+		t.Fatalf("OldestPendingEpoch = %d, want 0 (requeue preserves epoch)", got)
+	}
+	if age := q.Epoch() - q.OldestPendingEpoch(); age != 3 {
+		t.Fatalf("age = %d epochs, want 3", age)
+	}
+	if got := q.LockIn(); len(got) != 2 {
+		t.Fatalf("LockIn took %d entries, want 2 (the fresh append and the requeued one)", len(got))
+	}
+	if got := q.OldestPendingEpoch(); got != q.Epoch() {
+		t.Fatalf("OldestPendingEpoch on empty = %d, want current epoch %d", got, q.Epoch())
+	}
+}
+
 func TestConcurrentInsertRelease(t *testing.T) {
 	q := New()
 	const threads = 8

@@ -170,22 +170,18 @@ func New(kind Kind) Factory {
 
 // Custom returns a MineSweeper factory with an explicit core configuration —
 // the hook the ablation experiments (Figures 15-17) use to switch individual
-// optimisations off.
+// optimisations off. Each Build works on its own copy of cfg, so a heap
+// built for one run stops that run's World, never an earlier run's.
 func Custom(name string, cfg core.Config) Factory {
 	return Factory{Name: name, Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-		if world != nil && cfg.World == nil {
-			cfg.World = world
+		c := cfg
+		if world != nil && c.World == nil {
+			c.World = world
 		}
-		return core.New(space, cfg, jemalloc.DefaultConfig())
+		return core.New(space, c, jemalloc.DefaultConfig())
 	}}
 }
 
-// Governed returns a MineSweeper factory whose heap is steered by an adaptive
-// control plane: budget is the resident-memory budget in bytes (0 =
-// unbounded, pressure then comes only from quarantine age) and policy the
-// governing policy (nil = control.Static, the bit-for-bit-compatible
-// default). Each Build constructs a fresh plane, so repeated runs do not
-// share governor state.
 // GovernedByName resolves a scheme name and policy name (the CLI flag forms)
 // into a governed factory. Only the sweeping MineSweeper schemes can be
 // governed — the knobs the plane steers do not exist elsewhere — so any other
@@ -212,22 +208,29 @@ func GovernedByName(scheme string, budget uint64, policyName string) (Factory, e
 	return Governed(scheme+"-governed", cfg, budget, pol), nil
 }
 
+// Governed returns a MineSweeper factory whose heap is steered by an adaptive
+// control plane: budget is the resident-memory budget in bytes (0 =
+// unbounded, pressure then comes only from quarantine age) and policy the
+// governing policy (nil = control.Static, the bit-for-bit-compatible
+// default). Each Build constructs a fresh plane, so repeated runs do not
+// share governor state or a World.
 func Governed(name string, cfg core.Config, budget uint64, policy control.Policy) Factory {
 	return Factory{Name: name, Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-		if world != nil && cfg.World == nil {
-			cfg.World = world
+		c := cfg
+		if world != nil && c.World == nil {
+			c.World = world
 		}
-		cfg.Control = control.NewPlane(control.Config{
+		c.Control = control.NewPlane(control.Config{
 			Base: control.Knobs{
-				SweepThreshold:    cfg.SweepThreshold,
-				UnmappedFactor:    cfg.UnmappedFactor,
-				PauseThreshold:    cfg.PauseThreshold,
-				Helpers:           cfg.Helpers,
-				RescanBudgetPages: cfg.RescanBudgetPages,
+				SweepThreshold:    c.SweepThreshold,
+				UnmappedFactor:    c.UnmappedFactor,
+				PauseThreshold:    c.PauseThreshold,
+				Helpers:           c.Helpers,
+				RescanBudgetPages: c.RescanBudgetPages,
 			},
 			Budget: budget,
 			Policy: policy,
 		})
-		return core.New(space, cfg, jemalloc.DefaultConfig())
+		return core.New(space, c, jemalloc.DefaultConfig())
 	}}
 }

@@ -2,7 +2,10 @@ package schemes
 
 import (
 	"testing"
+	"time"
 
+	"minesweeper/internal/control"
+	"minesweeper/internal/core"
 	"minesweeper/internal/mem"
 	"minesweeper/internal/sim"
 )
@@ -45,6 +48,66 @@ func TestBuildWithNilWorld(t *testing.T) {
 			t.Fatalf("%v: %v", k, err)
 		}
 		h.Shutdown()
+	}
+}
+
+// TestFactoryWorldsDistinct builds two heaps from one Custom and one
+// Governed factory and checks the second heap stops its own World, not the
+// first's: a factory whose Build kept the first World it was given would
+// leave the second heap's sweep waiting forever on the first World's mutator
+// (the deadline turns that wait into a failure).
+func TestFactoryWorldsDistinct(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Mode = core.MostlyConcurrent
+	for _, f := range []Factory{
+		Custom("custom-mostly", cfg),
+		Governed("governed-mostly", cfg, 0, control.Static{}),
+	} {
+		t.Run(f.Name, func(t *testing.T) {
+			w1, w2 := sim.NewWorld(), sim.NewWorld()
+			h1, err := f.Build(mem.NewAddressSpace(), w1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h1.Shutdown()
+			a2, err := f.Build(mem.NewAddressSpace(), w2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h2 := a2.(*core.Heap)
+			defer h2.Shutdown()
+
+			// A mutator of the first program that never reaches a
+			// safepoint: a stop of w1 cannot complete while it is
+			// registered.
+			w1.Register()
+			tid := h2.RegisterThread()
+			p, err := h2.Malloc(tid, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h2.Free(tid, p); err != nil {
+				t.Fatal(err)
+			}
+			h2.FlushThread(tid)
+			done := make(chan struct{})
+			go func() {
+				h2.Sweep()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Error("the second heap's sweep is stopping the first heap's World")
+			}
+			w1.Unregister()
+			<-done
+			h2.UnregisterThread(tid)
+			if st := h2.Stats(); st.Sweeps != 1 || st.STWCycles == 0 {
+				t.Errorf("second heap: %d sweeps, %d ns stopped; want one stop-the-world sweep",
+					st.Sweeps, st.STWCycles)
+			}
+		})
 	}
 }
 

@@ -26,7 +26,7 @@ func goldenSnapshot() Snapshot {
 			PagesScanned: 16_853, DirtyPages: 12, PagesKnownZero: 987_654_321,
 			BytesZeroSkipped: 68_074_624,
 			EntriesLocked:    12_345_678, Released: 12_000_000, Retained: 345_678,
-			Workers: 6, ShardsSwept: 8,
+			Workers: 6,
 		}},
 		Histograms:   []HistogramSnapshot{h.Snapshot()},
 		Gauges:       []GaugeValue{{Name: "shard_occupancy_bp", Value: 123_456_789_012}},
@@ -65,9 +65,9 @@ func TestWriteTextNoTrailingSpace(t *testing.T) {
 
 const goldenText = `captured: +2.5s (sweep seq 7)
 sweeps observed: 7 (showing last 1)
-sweep  trigger    total     mark  dirty   recycle  purge  pages  dirty-pg  kz-pg   zero-skip  locked  released  retained  workers  shards
------  ---------  --------  ----  ------  -------  -----  -----  --------  ------  ---------  ------  --------  --------  -------  ------
-7      threshold  12.345ms  8ms   150µs   3ms      1ms    16.9k  12        987.7M  64.9 MiB   12.3M   12.0M     345.7k    6        8
+sweep  trigger    total     mark  dirty   recycle  purge  pages  dirty-pg  kz-pg   zero-skip  locked  released  retained  workers
+-----  ---------  --------  ----  ------  -------  -----  -----  --------  ------  ---------  ------  --------  --------  -------
+7      threshold  12.345ms  8ms   150µs   3ms      1ms    16.9k  12        987.7M  64.9 MiB   12.3M   12.0M     345.7k    6
 
 malloc/free latencies sampled 1 in 256 ops
 

@@ -126,10 +126,6 @@ type SweepRecord struct {
 	// Workers is the sweep worker count (main + helpers) that marked; the
 	// helper-utilisation figure of §4.4.
 	Workers int `json:"workers"`
-	// ShardsSwept is how many arena shards this sweep locked in (per-shard
-	// sweep ownership: threshold-triggered sweeps lock in only the shards
-	// that are due). Zero when the quarantine is unsharded.
-	ShardsSwept int `json:"shards_swept,omitempty"`
 }
 
 // DefaultRingCap is the default number of sweep records retained.

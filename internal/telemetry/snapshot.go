@@ -93,7 +93,7 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 	if len(s.Sweeps) > 0 {
 		tb := metrics.NewTable("sweep", "trigger", "total", "mark", "dirty", "recycle", "purge",
-			"pages", "dirty-pg", "kz-pg", "zero-skip", "locked", "released", "retained", "workers", "shards")
+			"pages", "dirty-pg", "kz-pg", "zero-skip", "locked", "released", "retained", "workers")
 		for _, r := range s.Sweeps {
 			tb.AddRow(
 				fmt.Sprint(r.Seq), r.Trigger.String(),
@@ -102,7 +102,7 @@ func (s Snapshot) WriteText(w io.Writer) error {
 				fmtCount(r.PagesScanned), fmtCount(r.DirtyPages), fmtCount(r.PagesKnownZero),
 				metrics.FmtMiB(r.BytesZeroSkipped),
 				fmtCount(r.EntriesLocked), fmtCount(r.Released), fmtCount(r.Retained),
-				fmt.Sprint(r.Workers), fmt.Sprint(r.ShardsSwept),
+				fmt.Sprint(r.Workers),
 			)
 		}
 		if _, err := io.WriteString(w, tb.String()); err != nil {

@@ -168,6 +168,35 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadSnapshotRetiredSweepField: a snapshot saved while sweep records
+// still carried the retired per-sweep shard count decodes, keeps every other
+// field, and renders.
+func TestReadSnapshotRetiredSweepField(t *testing.T) {
+	const legacy = `{
+  "sweeps_total": 1,
+  "sweeps": [
+    {"seq": 1, "trigger": "threshold", "total_ns": 5000, "entries_locked": 3,
+     "released": 2, "retained": 1, "workers": 2, "shards_swept": 1}
+  ]
+}`
+	s, err := ReadSnapshot(strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SweepRecord{Seq: 1, Trigger: TriggerThreshold, TotalNanos: 5000,
+		EntriesLocked: 3, Released: 2, Retained: 1, Workers: 2}
+	if len(s.Sweeps) != 1 || s.Sweeps[0] != want {
+		t.Fatalf("decoded sweeps = %+v, want [%+v]", s.Sweeps, want)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "threshold") {
+		t.Errorf("rendered snapshot lacks the sweep row:\n%s", buf.String())
+	}
+}
+
 func TestSnapshotWriteText(t *testing.T) {
 	reg := NewRegistry(8)
 	reg.Malloc.Record(100)

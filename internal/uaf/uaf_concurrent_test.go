@@ -18,7 +18,6 @@ import (
 func msConcurrentBuild(space *mem.AddressSpace) alloc.Allocator {
 	cfg := core.DefaultConfig()
 	cfg.Mode = core.MostlyConcurrent
-	cfg.ConcurrentMark = true
 	cfg.RescanBudgetPages = core.DefaultRescanBudgetPages
 	cfg.SweepThreshold = 1e18
 	cfg.PauseThreshold = 0

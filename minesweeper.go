@@ -143,12 +143,6 @@ type Config struct {
 	UnmappedFactor float64
 	// BufferCap overrides the thread-local quarantine buffer capacity.
 	BufferCap int
-	// DisableConcurrentMark turns off the pipelined mostly-concurrent mark:
-	// the whole marking pass then runs inside the stop-the-world window
-	// instead of concurrently with mutators, so the pause grows with heap
-	// size — ablation only. Meaningful only for
-	// SchemeMineSweeperMostlyConcurrent.
-	DisableConcurrentMark bool
 	// RescanBudgetPages overrides the dirty-page budget for the
 	// mostly-concurrent stop-the-world re-scan (default 512): while more
 	// pages are dirty, the sweeper pre-cleans concurrently before stopping

@@ -99,7 +99,6 @@ func coreConfig(cfg Config, world *sim.World) core.Config {
 	if cfg.BufferCap > 0 {
 		ccfg.BufferCap = cfg.BufferCap
 	}
-	ccfg.ConcurrentMark = !cfg.DisableConcurrentMark
 	if cfg.RescanBudgetPages != 0 {
 		ccfg.RescanBudgetPages = cfg.RescanBudgetPages
 		if cfg.RescanBudgetPages < 0 {
