@@ -9,7 +9,7 @@ all: build vet test
 help:
 	@echo "MineSweeper reproduction targets:"
 	@echo "  all        build + vet + test"
-	@echo "  check      go vet + go test (root and bench/) + race-hot + events-overhead + fleet-gate"
+	@echo "  check      go vet + go test (root and bench/) + race-hot + events-overhead + flightrec-smoke + fleet-gate"
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on the sweep, quarantine, allocator, telemetry, UAF and scheme packages"
@@ -54,15 +54,18 @@ race-hot:
 # hot-path race
 # pass, the events-overhead gate (the flight recorder is always-attachable,
 # so its hot-path cost is a merge-blocking property like the race freedom of
-# the paths it instruments), then the fleet gate (the federated governor's
-# budget bound is likewise a merge-blocking property of the two-level
-# control plane).
+# the paths it instruments), the flight-recorder smoke (every timed site in
+# core emits through the one recorder, so a real run must still produce a
+# dump msstat decodes and exports), then the fleet gate (the federated
+# governor's budget bound is likewise a merge-blocking property of the
+# two-level control plane).
 check: vet
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) test ./...
 	$(MAKE) race-hot
 	$(MAKE) events-overhead
+	$(MAKE) flightrec-smoke
 	$(MAKE) fleet-gate
 
 # One-command perf baseline for the sweep hot path: the bulk-scan vs per-word

@@ -10,18 +10,6 @@
 // records (medians resist the occasional GC-noise outlier that means would
 // absorb).
 //
-// Gate mode compares two benchmarks from the same input and fails when the
-// probe's statistic (-stat median or min) exceeds the base's by more than the
-// allowed ratio — an ad-hoc regression check over any bench-json output
-// (note that two benchmarks from one binary share warm-up drift; for a
-// drift-proof pairing see make telemetry-overhead, which interleaves):
-//
-//	go test -run '^$' -bench 'BenchmarkMallocFree64_MineSweeper' -count=5 . \
-//	    | go run ./cmd/benchjson \
-//	        -base BenchmarkMallocFree64_MineSweeper \
-//	        -probe BenchmarkMallocFree64_MineSweeperTelemetry \
-//	        -max-ratio 1.03 -stat min
-//
 // Envelope mode compares a fresh run against a checked-in baseline JSON (a
 // previous run of this tool) and fails when any matching benchmark's
 // statistic exceeds its recorded value by more than the allowed ratio — the
@@ -34,17 +22,6 @@
 // Benchmarks present in the fresh run but absent from the baseline are
 // reported and skipped (a new benchmark is not a regression); benchmarks in
 // the baseline but missing from the run are ignored (the run may be scoped).
-//
-// Quantile mode reads a telemetry snapshot (telemetry.Snapshot JSON, as
-// written by msrun -telemetry-json or msstat) instead of bench output and
-// fails when a named histogram's quantile exceeds a bound — the pause-tail
-// gate behind make pause-gate:
-//
-//	go run ./cmd/benchjson -snapshot pause.json \
-//	    -hist stw_pause_ns -q 0.999 -max-ns 524288
-//
-// Histogram quantiles are bucket upper bounds (power-of-two buckets), so a
-// reported p99.9 ≤ 2^19 ns guarantees the true p99.9 is under 1 ms.
 package main
 
 import (
@@ -56,8 +33,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"minesweeper/internal/telemetry"
 )
 
 // result is one benchmark name's aggregated runs.
@@ -101,22 +76,11 @@ func splitName(s string) (string, int) {
 }
 
 func main() {
-	base := flag.String("base", "", "gate mode: base benchmark name (without -P suffix)")
-	probe := flag.String("probe", "", "gate mode: probe benchmark name compared against -base")
-	maxRatio := flag.Float64("max-ratio", 1.03, "gate/envelope mode: fail if probe exceeds base(line) by this ratio")
-	stat := flag.String("stat", "median", "gate/envelope mode: statistic to compare, median or min (min resists warm-up drift)")
+	maxRatio := flag.Float64("max-ratio", 1.03, "envelope mode: fail if a benchmark exceeds its baseline by this ratio")
+	stat := flag.String("stat", "median", "envelope mode: statistic to compare, median or min (min resists warm-up drift)")
 	baseline := flag.String("baseline", "", "envelope mode: baseline JSON file (a previous benchjson run) to compare the fresh run against")
 	match := flag.String("match", "", "envelope mode: only check benchmarks whose name contains this substring (empty = all)")
-	snapshot := flag.String("snapshot", "", "quantile mode: telemetry snapshot JSON file to read histograms from")
-	hist := flag.String("hist", telemetry.HistStw, "quantile mode: histogram name to check")
-	quant := flag.Float64("q", 0.999, "quantile mode: quantile to extract (0..1)")
-	maxNs := flag.Uint64("max-ns", 0, "quantile mode: fail if the quantile (bucket upper bound, ns) exceeds this; 0 just prints")
 	flag.Parse()
-
-	if *snapshot != "" {
-		quantileGate(*snapshot, *hist, *quant, *maxNs)
-		return
-	}
 
 	byName := make(map[string]*result)
 	var names []string // first-seen order
@@ -169,14 +133,6 @@ func main() {
 		out = append(out, r)
 	}
 
-	if *base != "" || *probe != "" {
-		if *base == "" || *probe == "" {
-			fmt.Fprintln(os.Stderr, "benchjson: gate mode needs both -base and -probe")
-			os.Exit(2)
-		}
-		gate(out, *base, *probe, *maxRatio, *stat)
-		return
-	}
 	if *baseline != "" {
 		envelope(out, *baseline, *match, *maxRatio, *stat)
 		return
@@ -188,79 +144,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: encode:", err)
 		os.Exit(1)
 	}
-}
-
-// quantileGate reads a telemetry snapshot and checks one histogram's quantile
-// against a nanosecond bound. Quantiles are bucket upper bounds, so the check
-// is conservative: a pass guarantees the true quantile is under the bound.
-func quantileGate(file, hist string, q float64, maxNs uint64) {
-	f, err := os.Open(file)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: quantile:", err)
-		os.Exit(2)
-	}
-	defer f.Close()
-	snap, err := telemetry.ReadSnapshot(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: quantile:", err)
-		os.Exit(2)
-	}
-	for _, h := range snap.Histograms {
-		if h.Name != hist {
-			continue
-		}
-		if h.Count == 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: quantile: histogram %s has no samples\n", hist)
-			os.Exit(2)
-		}
-		v := h.Quantile(q)
-		fmt.Printf("quantile %s p%g: <%d ns (n=%d, p50<%d p99<%d p99.9<%d max<%d)\n",
-			hist, q*100, v, h.Count, h.P50, h.P99, h.P999, h.Max())
-		if maxNs > 0 && v > maxNs {
-			fmt.Fprintf(os.Stderr, "benchjson: quantile FAILED: %d ns > %d ns bound\n", v, maxNs)
-			os.Exit(1)
-		}
-		if maxNs > 0 {
-			fmt.Println("quantile OK")
-		}
-		return
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: quantile: histogram %s not in %s\n", hist, file)
-	os.Exit(2)
-}
-
-// gate compares probe's statistic against base's and exits nonzero on a
-// regression beyond maxRatio. stat "min" compares fastest runs — the usual
-// estimator when early runs of a process carry warm-up cost that medians
-// would count as regression.
-func gate(results []*result, base, probe string, maxRatio float64, stat string) {
-	pick := func(r *result) float64 { return pickStat(r, stat) }
-	find := func(name string) *result {
-		for _, r := range results {
-			if r.Name == name && len(r.NsPerOp) > 0 {
-				return r
-			}
-		}
-		return nil
-	}
-	b, p := find(base), find(probe)
-	if b == nil || p == nil {
-		fmt.Fprintf(os.Stderr, "benchjson: gate: missing %s and/or %s in input\n", base, probe)
-		os.Exit(2)
-	}
-	bv, pv := pick(b), pick(p)
-	if bv <= 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: gate: base %s is %v\n", stat, bv)
-		os.Exit(2)
-	}
-	ratio := pv / bv
-	fmt.Printf("gate %s/%s (%s): %.1f ns / %.1f ns = %.4fx (limit %.2fx)\n",
-		probe, base, stat, pv, bv, ratio, maxRatio)
-	if ratio > maxRatio {
-		fmt.Fprintf(os.Stderr, "benchjson: gate FAILED: %.4fx > %.2fx\n", ratio, maxRatio)
-		os.Exit(1)
-	}
-	fmt.Println("gate OK")
 }
 
 // pickStat extracts the comparison statistic from a result's runs. Median is

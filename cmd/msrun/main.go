@@ -21,6 +21,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"minesweeper/internal/control"
@@ -34,7 +35,7 @@ import (
 
 func main() {
 	bench := flag.String("bench", "", "benchmark profile name (see -list)")
-	scheme := flag.String("scheme", "minesweeper", "scheme: baseline, minesweeper, minesweeper-mostly, markus, ffmalloc, scudo")
+	scheme := flag.String("scheme", "minesweeper", "scheme: "+strings.Join(schemes.Names(), ", "))
 	compare := flag.Bool("compare", false, "also run the baseline and print ratios")
 	scale := flag.Int("scale", 1, "divide the op budget by this factor")
 	reps := flag.Int("reps", 1, "repetitions (median reported)")
@@ -72,7 +73,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "msrun: unknown benchmark %q\n", *bench)
 		os.Exit(2)
 	}
-	factory, err := schemeByName(*scheme)
+	factory, err := schemes.ByName(*scheme)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "msrun:", err)
 		os.Exit(2)
@@ -251,19 +252,6 @@ func fmtBudget(b uint64) string {
 		return "none (age-signal only)"
 	}
 	return metrics.FmtMiB(b)
-}
-
-func schemeByName(name string) (schemes.Factory, error) {
-	for _, k := range []schemes.Kind{
-		schemes.Baseline, schemes.MineSweeper, schemes.MineSweeperMostly,
-		schemes.MarkUs, schemes.FFMalloc, schemes.Scudo,
-		schemes.Oscar, schemes.DangSan, schemes.PSweeper, schemes.CRCount,
-	} {
-		if k.String() == name {
-			return schemes.New(k), nil
-		}
-	}
-	return schemes.Factory{}, fmt.Errorf("unknown scheme %q", name)
 }
 
 func printResult(r workload.Result, withTrace bool) {

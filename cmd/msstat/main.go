@@ -57,11 +57,7 @@ func main() {
 		if len(addrs) == 0 {
 			addrs = addrList{"127.0.0.1:8844"}
 		}
-		if len(addrs) == 1 {
-			watchEvents(addrs[0], *interval, *count)
-		} else {
-			watchEventsMulti(addrs, *interval, *count)
-		}
+		watchEvents(addrs, *interval, *count)
 		return
 	case *diff != "":
 		newer := flag.Arg(0)
@@ -93,9 +89,9 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("unknown benchmark %q", *bench))
 		}
-		factory, ok := schemeFor(*scheme)
-		if !ok {
-			fatal(fmt.Errorf("unknown scheme %q", *scheme))
+		factory, err := schemes.ByName(*scheme)
+		if err != nil {
+			fatal(err)
 		}
 		if *budgetFlag != "" || *governor != "" {
 			budget, err := metrics.ParseSize(*budgetFlag)
@@ -132,19 +128,6 @@ func main() {
 	}
 }
 
-func schemeFor(name string) (schemes.Factory, bool) {
-	for _, k := range []schemes.Kind{
-		schemes.Baseline, schemes.MineSweeper, schemes.MineSweeperMostly,
-		schemes.MarkUs, schemes.FFMalloc, schemes.Scudo,
-		schemes.Oscar, schemes.DangSan, schemes.PSweeper, schemes.CRCount,
-	} {
-		if k.String() == name {
-			return schemes.New(k), true
-		}
-	}
-	return schemes.Factory{}, false
-}
-
 // renderFlightDump reads an MSEV flight dump, checks its sweep spans nest
 // correctly, renders the merged timeline, and optionally converts it to a
 // Chrome trace file.
@@ -178,14 +161,8 @@ func renderFlightDump(path, chromePath string) {
 	fmt.Printf("\nchrome trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", chromePath)
 }
 
-// watchEvents polls an msrun -events-addr server and prints one status line
-// per tick: pressure level, in-flight sweep phase, recent pauses, and the
-// volume of fresh events since the previous tick. It exits cleanly when the
-// server goes away (the run ended), and fails only if the very first poll
-// cannot connect.
 // addrList lets -addr repeat so -watch can tail several tenants side by
-// side. With a single (or defaulted) address the behaviour and output are
-// exactly the historical single-target ones.
+// side.
 type addrList []string
 
 func (a *addrList) String() string { return strings.Join(*a, ",") }
@@ -195,59 +172,33 @@ func (a *addrList) Set(v string) error {
 	return nil
 }
 
-func watchEvents(addr string, interval time.Duration, count int) {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	url := strings.TrimRight(addr, "/") + "/events/state"
-	var after uint64
-	for tick := 0; count == 0 || tick < count; tick++ {
-		if tick > 0 {
-			time.Sleep(interval)
-		}
-		st, err := fetchState(fmt.Sprintf("%s?after=%d", url, after))
-		if err != nil {
-			if tick == 0 {
-				fatal(fmt.Errorf("connecting to %s: %w", url, err))
-			}
-			fmt.Println("msstat: server gone (run finished)")
-			return
-		}
-		fresh := 0
-		for _, b := range st.Batches {
-			fresh += len(b.Events)
-			for _, e := range b.Events {
-				if e.Nanos > after {
-					after = e.Nanos
-				}
-			}
-		}
-		fmt.Println(formatState(st, fresh))
-	}
-}
-
-// watchEventsMulti tails several tenants side by side: one line per live
-// target per tick, each prefixed with its address. A target that cannot be
-// reached on the very first tick is fatal (same contract as the single-addr
-// path); one that disappears mid-watch is reported once and dropped, and the
-// watch ends when every target is gone.
-func watchEventsMulti(addrs []string, interval time.Duration, count int) {
+// watchEvents polls msrun -events-addr servers and prints one status line
+// per live target per tick: pressure level, in-flight sweep phase, recent
+// pauses, and the volume of fresh events since the previous tick. With
+// several targets each line is prefixed with its address; a single target's
+// lines carry no prefix. A target that cannot be reached on the very first
+// tick is fatal; one that disappears mid-watch (its run ended) is reported
+// once and dropped, and the watch ends when every target is gone.
+func watchEvents(addrs []string, interval time.Duration, count int) {
 	type target struct {
-		addr  string
-		url   string
-		after uint64
-		gone  bool
+		prefix string
+		url    string
+		after  uint64
+		gone   bool
 	}
 	width := 0
+	for _, a := range addrs {
+		width = max(width, len(a))
+	}
 	targets := make([]*target, len(addrs))
 	for i, a := range addrs {
 		full := a
 		if !strings.Contains(full, "://") {
 			full = "http://" + full
 		}
-		targets[i] = &target{addr: a, url: strings.TrimRight(full, "/") + "/events/state"}
-		if len(a) > width {
-			width = len(a)
+		targets[i] = &target{url: strings.TrimRight(full, "/") + "/events/state"}
+		if len(addrs) > 1 {
+			targets[i].prefix = fmt.Sprintf("%-*s  ", width, a)
 		}
 	}
 	live := len(targets)
@@ -264,7 +215,7 @@ func watchEventsMulti(addrs []string, interval time.Duration, count int) {
 				if tick == 0 {
 					fatal(fmt.Errorf("connecting to %s: %w", tg.url, err))
 				}
-				fmt.Printf("%-*s  msstat: server gone (run finished)\n", width, tg.addr)
+				fmt.Printf("%smsstat: server gone (run finished)\n", tg.prefix)
 				tg.gone = true
 				live--
 				continue
@@ -278,7 +229,7 @@ func watchEventsMulti(addrs []string, interval time.Duration, count int) {
 					}
 				}
 			}
-			fmt.Printf("%-*s  %s\n", width, tg.addr, formatState(st, fresh))
+			fmt.Printf("%s%s\n", tg.prefix, formatState(st, fresh))
 		}
 	}
 }

@@ -125,16 +125,6 @@ type Substrate interface {
 	// is a performance contract only: the end state must be what the same
 	// frees performed one at a time would have produced.
 	FreeBatch(tid ThreadID, refs []Ref, addrs []uint64, errs []error)
-	// AllocBatch allocates len(out) allocations of size bytes each, writing
-	// their base addresses to out in order, and returns how many succeeded
-	// (short only on error, with the error that stopped it). Like FreeBatch
-	// it is a performance contract only: the end state — returned addresses,
-	// cache contents, double-free tracking bits, statistics — must be
-	// exactly what len(out) serial Malloc calls would have produced.
-	// Substrates with batchable refill paths amortise their locks (jemalloc
-	// refills a whole tcache run under one bin-lock acquisition); others
-	// loop, via AllocBatchSerial.
-	AllocBatch(tid ThreadID, size uint64, out []uint64) (int, error)
 	// DecommitExtent releases the physical pages of a live large
 	// allocation, leaving it allocated (§4.2).
 	DecommitExtent(base uint64) error
@@ -181,21 +171,6 @@ func FreeBatchSerial(s Substrate, tid ThreadID, refs []Ref, addrs []uint64, errs
 		}
 		errs[i] = s.FreeResolved(tid, ref, addr)
 	}
-}
-
-// AllocBatchSerial implements the AllocBatch contract by looping Malloc — the
-// fallback for substrates with no batchable refill structure. On error the
-// addresses already produced remain allocated (exactly as the equivalent
-// serial calls would leave them) and their count is returned.
-func AllocBatchSerial(s Substrate, tid ThreadID, size uint64, out []uint64) (int, error) {
-	for i := range out {
-		a, err := s.Malloc(tid, size)
-		if err != nil {
-			return i, err
-		}
-		out[i] = a
-	}
-	return len(out), nil
 }
 
 // Name returns a short human-readable scheme name for an allocator, used in

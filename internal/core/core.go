@@ -267,11 +267,8 @@ type threadState struct {
 	// mallocsSincePause likewise amortises the allocation-side pause check
 	// (three atomic loads per Malloc otherwise). Owner-thread only.
 	mallocsSincePause int
-	// telMallocs/telFrees are the telemetry sampling countdown ticks:
-	// a live tick (> 1) decrements without touching shared state, and the
-	// op that exhausts it (or finds it <= 1: fresh thread, or registry
-	// detached) loads the registry, is timed into the latency histogram,
-	// and rearms from the current sample period. Owner-thread only.
+	// telMallocs/telFrees are the malloc/free sampling countdown ticks
+	// (see Heap.sample). Owner-thread only.
 	telMallocs uint64
 	telFrees   uint64
 	// evRing is this thread's flight-recorder ring (nil when events are
@@ -279,25 +276,6 @@ type threadState struct {
 	// — drains, pauses, the telemetry-sampled op — never on the bare hot
 	// path.
 	evRing atomic.Pointer[events.Ring]
-}
-
-// lockedDrain publishes the ring to the global quarantine under the drain
-// lock; every Drain call site uses it (see drainMu). With events attached,
-// each non-empty drain emits one KindDrain (entries, drain ns) on the
-// thread's ring — emitted by whichever goroutine drains, the owner at its
-// tick or the sweeper inside its quiesce (the rings tolerate that foreign
-// writer).
-func (ts *threadState) lockedDrain() {
-	ts.drainMu.Lock()
-	if rg := ts.evRing.Load(); rg != nil && ts.tbuf.Len() > 0 {
-		n := uint64(ts.tbuf.Len())
-		start := time.Now()
-		ts.tbuf.Drain()
-		rg.Emit(events.KindDrain, n, uint64(time.Since(start)))
-	} else {
-		ts.tbuf.Drain()
-	}
-	ts.drainMu.Unlock()
 }
 
 // Heap is the MineSweeper-protected heap: alloc.Allocator over a jemalloc
@@ -340,14 +318,14 @@ type Heap struct {
 	stwNanos        atomic.Int64
 	pauseNanos      atomic.Int64
 
-	// Telemetry. tel is nil when disabled — every instrumented path loads
-	// it once and branches, so the disabled cost is a single predictable
-	// branch. trigReason latches the first cause that requested the
-	// currently pending sweep (values are telemetry.TriggerReason+1; zero
-	// means none, i.e. a forced sweep).
+	// Telemetry. tel is nil when disabled; only the recorder (and the
+	// attach code) loads it, once per timed event, so the disabled cost is
+	// a single predictable branch. trigReason latches the first cause that
+	// requested the currently pending sweep (values are
+	// telemetry.TriggerReason+1; zero means none, i.e. a forced sweep).
 	tel        atomic.Pointer[telemetry.Registry]
 	trigReason atomic.Uint32
-	// drainHist samples ring-drain latency when telemetry is attached
+	// drainHist is the quarantine_drain_ns histogram drains project into
 	// (registered by SetTelemetry; nil otherwise).
 	drainHist atomic.Pointer[telemetry.Histogram]
 
@@ -677,9 +655,11 @@ func (h *Heap) UnregisterThread(tid alloc.ThreadID) {
 	if ts == nil {
 		return
 	}
-	ts.drainMu.Lock()
-	ts.tbuf.Retire()
-	ts.drainMu.Unlock()
+	func() {
+		ts.drainMu.Lock()
+		defer ts.drainMu.Unlock()
+		ts.tbuf.Retire()
+	}()
 	h.sub.UnregisterThread(ts.subTid)
 	h.threadMu.Lock()
 	defer h.threadMu.Unlock()
@@ -714,33 +694,20 @@ func (h *Heap) threadState(tid alloc.ThreadID) *threadState {
 // emergency brake, so evaluating it every sweepCheckInterval mallocs delays
 // the brake by at most a handful of small allocations.
 //
-// With telemetry attached, the call's latency — including any §5.7 pause —
-// lands in the malloc histogram on the thread's stripe; detached, the only
-// cost is the pointer load and branch.
+// With telemetry attached, one call in SamplePeriod is a timed event: its
+// latency — including any §5.7 pause — lands in the malloc histogram on the
+// thread's stripe and, with events attached, as a KindAlloc on the thread's
+// ring. Detached, the only cost is the pointer load and branch in sample.
 func (h *Heap) Malloc(tid alloc.ThreadID, size uint64) (uint64, error) {
 	ts := h.threadState(tid)
-	// Telemetry sampling, countdown-tick style: a live tick (> 1, meaning a
-	// registry armed it) decrements on the thread's own state and goes
-	// straight to the fast path — no shared access, not even the registry
-	// pointer load. Only the op that exhausts the tick (or finds it in the
-	// fresh/detached <= 1 state) loads the registry, rearms from the current
-	// SamplePeriod, and pays the two time.Now calls.
-	if ts != nil && ts.telMallocs > 1 {
-		ts.telMallocs--
-	} else if tel := h.tel.Load(); tel != nil && ts != nil {
-		ts.telMallocs = tel.SamplePeriod()
-		start := time.Now()
-		a, err := h.malloc(tid, ts, size)
-		lat := uint64(time.Since(start))
-		tel.Malloc.RecordShard(int(tid), lat)
-		// GWP-ASan-style sampled op event, riding the same countdown tick:
-		// the unsampled hot path never sees the events layer.
-		if rg := ts.evRing.Load(); rg != nil {
-			rg.Emit(events.KindAlloc, size, lat)
-		}
-		return a, err
+	if ts == nil || !h.sample(&ts.telMallocs) {
+		return h.malloc(tid, ts, size)
 	}
-	return h.malloc(tid, ts, size)
+	r := h.threadRecorder(tid, ts)
+	start := r.now()
+	a, err := h.malloc(tid, ts, size)
+	r.end(start, events.KindAlloc, size, 0)
+	return a, err
 }
 
 func (h *Heap) malloc(tid alloc.ThreadID, ts *threadState, size uint64) (uint64, error) {
@@ -810,12 +777,9 @@ func (h *Heap) maybePause(tid alloc.ThreadID) {
 		// must not block a mostly-concurrent stop-the-world.
 		ts := h.threadState(tid)
 		if ts != nil {
-			ts.lockedDrain()
+			h.drain(tid, ts)
 		}
-		r := recorder{tel: h.tel.Load()}
-		if ts != nil {
-			r.er = ts.evRing.Load()
-		}
+		r := h.threadRecorder(tid, ts)
 		start := time.Now()
 		r.emit(start, events.KindPauseBegin, uint64(reason), 0)
 		qz, _ := h.cfg.World.(quiescer)
@@ -833,13 +797,7 @@ func (h *Heap) maybePause(tid alloc.ThreadID) {
 		if qz != nil {
 			qz.EndQuiescent()
 		}
-		end := time.Now()
-		stall := end.Sub(start)
-		h.pauseNanos.Add(int64(stall))
-		r.emit(end, events.KindPauseEnd, uint64(stall), 0)
-		if r.tel != nil {
-			r.tel.Pause.Record(uint64(stall))
-		}
+		h.pauseNanos.Add(r.end(start, events.KindPauseEnd, 0, 0))
 	}
 }
 
@@ -861,40 +819,32 @@ func (h *Heap) takeTrigger() telemetry.TriggerReason {
 // Free implements alloc.Allocator: the paper's free() interception. The
 // allocation is resolved through the substrate exactly once — the returned
 // ref rides in the quarantine entry so the sweep's recycle phase can free
-// without a second page-map lookup.
+// without a second page-map lookup. Sampling is Malloc's: one call in
+// SamplePeriod is a KindFree timed event carrying the freed size.
 func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 	ts := h.threadState(tid)
-	// Countdown-tick sampling; see Malloc.
-	if ts != nil && ts.telFrees > 1 {
-		ts.telFrees--
-	} else if tel := h.tel.Load(); tel != nil && ts != nil {
-		ts.telFrees = tel.SamplePeriod()
-		start := time.Now()
-		err := h.free(tid, ts, addr)
-		lat := uint64(time.Since(start))
-		tel.Free.RecordShard(int(tid), lat)
-		if rg := ts.evRing.Load(); rg != nil {
-			// Sampled free; size 0 when the address did not resolve.
-			var size uint64
-			if a, _, ok := h.sub.Resolve(addr); ok {
-				size = a.Size
-			}
-			rg.Emit(events.KindFree, size, lat)
-		}
+	if ts == nil || !h.sample(&ts.telFrees) {
+		_, err := h.free(tid, ts, addr)
 		return err
 	}
-	return h.free(tid, ts, addr)
+	r := h.threadRecorder(tid, ts)
+	start := r.now()
+	size, err := h.free(tid, ts, addr)
+	r.end(start, events.KindFree, size, 0)
+	return err
 }
 
-func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
+// free frees addr and returns its allocation's size (0 when addr is not an
+// allocation's base).
+func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) (uint64, error) {
 	a, ref, ok := h.sub.Resolve(addr)
 	if !ok || a.Base != addr {
 		if h.q.Contains(addr) {
 			// Double free of a quarantined allocation whose lookup
 			// raced; absorbed (idempotent).
-			return h.doubleFree(addr)
+			return 0, h.doubleFree(addr)
 		}
-		return fmt.Errorf("%w: %#x", alloc.ErrInvalidFree, addr)
+		return 0, fmt.Errorf("%w: %#x", alloc.ErrInvalidFree, addr)
 	}
 
 	if !h.cfg.Quarantine {
@@ -912,7 +862,7 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 		} else if h.cfg.Zeroing && a.Large {
 			_ = h.space.Zero(a.Base, a.Size)
 		}
-		return h.sub.FreeResolved(h.subTidFor(tid), ref, addr)
+		return a.Size, h.sub.FreeResolved(h.subTidFor(tid), ref, addr)
 	}
 
 	// Unregistered callers and debug mode take the eager path: membership
@@ -929,7 +879,7 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 		}
 		e.Ref = ref
 		if !h.q.Insert(e) {
-			return h.doubleFree(addr)
+			return a.Size, h.doubleFree(addr)
 		}
 		// Large allocations that will be unmapped need no explicit
 		// zeroing: the decommit discards their contents (and any pointers
@@ -946,7 +896,7 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 		}
 		h.q.Append([]*quarantine.Entry{e})
 		h.maybeTriggerSweep(tid)
-		return nil
+		return a.Size, nil
 	}
 
 	e := ts.tbuf.NewEntry(a.Base, a.Size) // lock-free in the common case
@@ -979,25 +929,33 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 	if full || unmapped || ts.freesSinceCheck >= sweepCheckInterval {
 		ts.freesSinceCheck = 0
 		if full || unmapped || ts.tbuf.NeedsDrain() {
-			h.drainRing(ts)
+			h.drain(tid, ts)
 		} else {
 			ts.tbuf.PublishOccupancy()
 		}
 		h.maybeTriggerSweep(tid)
 	}
-	return nil
+	return a.Size, nil
 }
 
-// drainRing publishes a thread's private ring to the global quarantine,
-// sampling the drain latency when telemetry is attached.
-func (h *Heap) drainRing(ts *threadState) {
-	if hist := h.drainHist.Load(); hist != nil {
-		start := time.Now()
-		ts.lockedDrain()
-		hist.Record(uint64(time.Since(start)))
+// drain publishes ts's ring to the global quarantine under the drain lock;
+// every drain site uses it (see drainMu). A non-empty drain is one timed
+// event — KindDrain (entries, ns) on the thread's ring and one
+// quarantine_drain_ns sample — recorded by whichever goroutine drains: the
+// owner at its tick or a quiesce point, or the sweeper inside its
+// stop-the-world (the rings tolerate that foreign writer).
+func (h *Heap) drain(tid alloc.ThreadID, ts *threadState) {
+	ts.drainMu.Lock()
+	defer ts.drainMu.Unlock()
+	n := uint64(ts.tbuf.Len())
+	if n == 0 {
+		ts.tbuf.Drain()
 		return
 	}
-	ts.lockedDrain()
+	r := h.threadRecorder(tid, ts)
+	start := r.now()
+	ts.tbuf.Drain()
+	r.end(start, events.KindDrain, n, 0)
 }
 
 // doubleFree accounts an absorbed double free, or reports it in debug mode.
@@ -1057,7 +1015,7 @@ func (h *Heap) maybeTriggerSweep(tid alloc.ThreadID) {
 		// The sweep runs inline right now: our buffered frees must be in
 		// the global list to be swept.
 		if ts := h.threadState(tid); ts != nil {
-			ts.lockedDrain()
+			h.drain(tid, ts)
 		}
 		h.runSweep()
 		return
@@ -1103,9 +1061,9 @@ func (h *Heap) stopWorld() {
 		return
 	}
 	h.cfg.World.Stop()
-	for _, ts := range *h.threads.Load() {
+	for i, ts := range *h.threads.Load() {
 		if ts != nil {
-			ts.lockedDrain()
+			h.drain(alloc.ThreadID(i), ts)
 		}
 	}
 }
@@ -1117,47 +1075,147 @@ func (h *Heap) startWorld() {
 	}
 }
 
-// recorder is the one recording point of the sweep path and the §5.7
-// pause: the only code there that knows about both sinks, the telemetry
-// registry (per-sweep records, histograms) and a flight-recorder ring (MSEV
-// spans). Each phase boundary reads the clock once; that one reading stamps
-// the event and yields the SweepRecord duration, so a span's End-Begin and
-// the record's phase time are the same number. With both sinks detached it
-// reads no clock. MarkNanos is the exception: it is the sweeper's own pass
+// recorder is the one recording point of core: every timed site — a sweep
+// phase, a stop-the-world window, a §5.7 pause, a ring drain, a sampled
+// malloc or free — records through it, and it is the only code that knows
+// about both sinks: the telemetry registry (latency histograms, per-sweep
+// records) and a flight-recorder ring (MSEV events). A timed event is two
+// clock readings, begin and end. The end reading stamps the event and yields
+// the duration, which also lands in the histogram the event's kind maps to
+// (hist): telemetry's latency histograms are a projection of the event kinds,
+// and a span's End-Begin is the same number as the record's phase time. With
+// both sinks detached, now and begin read no clock; the stop-the-world window
+// and the pause, which Stats counts regardless, read their own start.
+// MarkNanos is the one duration not taken here: it is the sweeper's own pass
 // time, because the pipelined mark span also covers pre-clean and the
 // re-scan.
 type recorder struct {
-	tel *telemetry.Registry
-	er  *events.Ring
-	rec telemetry.SweepRecord
+	tel   *telemetry.Registry
+	drain *telemetry.Histogram // quarantine_drain_ns (mutator recorders only)
+	er    *events.Ring
+	shard int // histogram stripe: the mutator's thread ID
+	rec   telemetry.SweepRecord
 }
 
-// begin opens a phase span and returns the clock reading end measures from
-// (the zero Time when no sink is attached).
-func (r *recorder) begin(k events.Kind, arg0, arg1 uint64) time.Time {
+// sweepRecorder returns the recorder of one sweep, writing to the sweeper's
+// ring.
+func (h *Heap) sweepRecorder() recorder {
+	return recorder{tel: h.tel.Load(), er: h.evtSweep.Load()}
+}
+
+// threadRecorder returns the recorder of one mutator-side event of thread
+// tid, writing to its ring (none when ts is nil: an unregistered caller).
+func (h *Heap) threadRecorder(tid alloc.ThreadID, ts *threadState) recorder {
+	r := recorder{tel: h.tel.Load(), drain: h.drainHist.Load(), shard: int(tid)}
+	if ts != nil {
+		r.er = ts.evRing.Load()
+	}
+	return r
+}
+
+// sample is the countdown sampler of the malloc/free fast path: a live tick
+// (> 1, meaning a registry armed it) decrements on the thread's own state —
+// no shared access, not even the registry pointer load. Only the op that
+// exhausts the tick (or finds it in the fresh/detached <= 1 state) loads the
+// registry; with one attached, the op is sampled and the tick rearms from the
+// current SamplePeriod. Sampled alloc/free events ride the same tick, so the
+// unsampled hot path never sees the events layer.
+func (h *Heap) sample(tick *uint64) bool {
+	if *tick > 1 {
+		*tick--
+		return false
+	}
+	tel := h.tel.Load()
+	if tel == nil {
+		return false
+	}
+	*tick = tel.SamplePeriod()
+	return true
+}
+
+// now is a timed event's begin reading: the zero Time, without reading the
+// clock, when no sink is attached.
+func (r *recorder) now() time.Time {
 	if r.tel == nil && r.er == nil {
 		return time.Time{}
 	}
-	t := time.Now()
-	r.emit(t, k, arg0, arg1)
+	return time.Now()
+}
+
+// begin opens a span: the begin reading, which also stamps k's event.
+func (r *recorder) begin(k events.Kind, arg0, arg1 uint64) time.Time {
+	t := r.now()
+	if !t.IsZero() {
+		r.emit(t, k, arg0, arg1)
+	}
 	return t
 }
 
-// end closes the span opened at start and returns its duration in ns; zero,
-// without reading the clock, when start is the zero Time.
+// end closes the timed event that began at start and returns its duration in
+// ns; zero, without reading the clock, when start is the zero Time. The
+// event carries the duration where its kind does (arg1 of a drain or sampled
+// op, arg0 of a pause end), and the duration projects into hist(k).
 func (r *recorder) end(start time.Time, k events.Kind, arg0, arg1 uint64) int64 {
 	if start.IsZero() {
 		return 0
 	}
 	t := time.Now()
+	d := t.Sub(start).Nanoseconds()
+	switch k {
+	case events.KindAlloc, events.KindFree, events.KindDrain:
+		arg1 = uint64(d)
+	case events.KindPauseEnd:
+		arg0 = uint64(d)
+	}
 	r.emit(t, k, arg0, arg1)
-	return t.Sub(start).Nanoseconds()
+	if hist := r.hist(k); hist != nil {
+		hist.RecordShard(r.shard, uint64(d))
+	}
+	return d
+}
+
+// hist maps an event kind to the latency histogram its durations project
+// into; nil for a kind with none (sweep phases: the per-sweep record holds
+// those) or with telemetry detached.
+func (r *recorder) hist(k events.Kind) *telemetry.Histogram {
+	if r.tel == nil {
+		return nil
+	}
+	switch k {
+	case events.KindAlloc:
+		return r.tel.Malloc
+	case events.KindFree:
+		return r.tel.Free
+	case events.KindDrain:
+		return r.drain
+	case events.KindPauseEnd:
+		return r.tel.Pause
+	case events.KindStwEnd:
+		return r.tel.Stw
+	}
+	return nil
 }
 
 // emit puts one event stamped with the clock reading t on the ring.
 func (r *recorder) emit(t time.Time, k events.Kind, arg0, arg1 uint64) {
 	if r.er != nil {
 		r.er.EmitAt(r.er.Nanos(t), k, arg0, arg1)
+	}
+}
+
+// note puts one untimed instant, stamped now, on the ring.
+func (r *recorder) note(k events.Kind, arg0, arg1 uint64) {
+	if r.er != nil {
+		r.er.Emit(k, arg0, arg1)
+	}
+}
+
+// endSweep closes the sweep span opened at start and hands the finished
+// record to telemetry.
+func (r *recorder) endSweep(start time.Time) {
+	r.rec.TotalNanos = r.end(start, events.KindSweepEnd, r.rec.Released, r.rec.Retained)
+	if r.tel != nil {
+		r.tel.ObserveSweep(r.rec)
 	}
 }
 
@@ -1169,14 +1227,9 @@ func (r *recorder) emit(t time.Time, k events.Kind, arg0, arg1 uint64) {
 // histogram, which gets one entry per window. Always timed: STWCycles
 // counts every window, sinks attached or not.
 func (h *Heap) recordStw(r *recorder, start time.Time, scanned uint64) {
-	t := time.Now()
-	r.emit(t, events.KindStwEnd, scanned, 0)
-	d := t.Sub(start).Nanoseconds()
+	d := r.end(start, events.KindStwEnd, scanned, 0)
 	h.stwNanos.Add(d)
 	r.rec.DirtyNanos += d
-	if r.tel != nil {
-		r.tel.Stw.Record(uint64(d))
-	}
 }
 
 // markAll runs the full-heap mark pass and records its work figures.
@@ -1276,9 +1329,7 @@ func (h *Heap) finishPipelinedMark(r *recorder) {
 		}
 		r.emit(start, events.KindStwBegin, dirty, 0)
 		if budget > 0 && attempt < maxStopRetries && dirty > uint64(budget) {
-			if r.er != nil {
-				r.er.Emit(events.KindStwAbort, dirty, uint64(budget))
-			}
+			r.note(events.KindStwAbort, dirty, uint64(budget))
 			h.startWorld()
 			h.recordStw(r, start, dirty)
 			h.preclean(r, maxPreCleanRounds+attempt)
@@ -1311,7 +1362,7 @@ func (h *Heap) runSweep() {
 	h.sweepMu.Lock()
 	defer h.sweepMu.Unlock()
 
-	r := recorder{tel: h.tel.Load(), er: h.evtSweep.Load()}
+	r := h.sweepRecorder()
 	reason := h.takeTrigger()
 	locked := h.q.LockIn()
 	if len(locked) > 0 {
@@ -1339,10 +1390,7 @@ func (h *Heap) runSweep() {
 			r.rec.PurgeNanos = r.end(t, events.KindPurgeEnd, 0, 0)
 		}
 		h.sweeps.Add(1)
-		r.rec.TotalNanos = r.end(start, events.KindSweepEnd, r.rec.Released, r.rec.Retained)
-		if r.tel != nil {
-			r.tel.ObserveSweep(r.rec)
-		}
+		r.endSweep(start)
 	}
 	if h.ctl != nil {
 		h.observeAndSteer(&r)
@@ -1380,9 +1428,7 @@ func (h *Heap) observeAndSteer(r *recorder) {
 	// flight dump, and so does resident memory over the governed budget
 	// (both evaluated here, the sweep boundary — the single writer).
 	if lvl := h.ctl.Level(); lvl != h.evLevel {
-		if r.er != nil {
-			r.er.Emit(events.KindGovDecision, uint64(lvl), uint64(h.evLevel))
-		}
+		r.note(events.KindGovDecision, uint64(lvl), uint64(h.evLevel))
 		if lvl == control.Critical {
 			h.tripFlight(events.TripGovernorCritical)
 		}
@@ -1543,7 +1589,7 @@ func (h *Heap) Sweep() { h.runSweep() }
 // FlushThread publishes tid's buffered frees to the global quarantine.
 func (h *Heap) FlushThread(tid alloc.ThreadID) {
 	if ts := h.threadState(tid); ts != nil {
-		ts.lockedDrain()
+		h.drain(tid, ts)
 	}
 }
 
@@ -1588,9 +1634,9 @@ func (h *Heap) Stats() alloc.Stats {
 // expect a quiesced heap's Stats to reflect every Free issued) and stops the
 // sweeper thread.
 func (h *Heap) Shutdown() {
-	for _, ts := range *h.threads.Load() {
+	for i, ts := range *h.threads.Load() {
 		if ts != nil {
-			ts.lockedDrain()
+			h.drain(alloc.ThreadID(i), ts)
 		}
 	}
 	if h.cfg.Mode != Synchronous {

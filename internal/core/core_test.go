@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"minesweeper/internal/alloc"
 	"minesweeper/internal/jemalloc"
@@ -653,4 +654,43 @@ func TestCheckInvariantsPendingNotMember(t *testing.T) {
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a pending entry missing from the membership set")
 	}
+}
+
+// TestDrainPanicReleasesDrainLock: a drain that panics, recovered by its
+// caller, must release the thread's drain lock; otherwise the thread's
+// UnregisterThread (and every later drain) blocks on it for good.
+func TestDrainPanicReleasesDrainLock(t *testing.T) {
+	// No t.Cleanup(Shutdown): after a deadlock Shutdown would block on the
+	// same lock. Synchronous mode runs no sweeper goroutine to leak.
+	h, err := New(mem.NewAddressSpace(), testConfig(), jemalloc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid := h.RegisterThread()
+	ts := h.threadState(tid)
+	good := ts.tbuf
+	// A ring over no quarantine: its drain dereferences the nil quarantine.
+	ts.tbuf = quarantine.NewThreadBuffer(nil, 4)
+	ts.tbuf.Push(&quarantine.Entry{Base: mem.HeapBase, Size: 16})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("draining a ring over a nil quarantine did not panic")
+			}
+		}()
+		h.FlushThread(tid)
+	}()
+	ts.tbuf = good
+
+	done := make(chan struct{})
+	go func() {
+		h.UnregisterThread(tid)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("UnregisterThread blocked on the drain lock a panicking drain kept")
+	}
+	h.Shutdown()
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"minesweeper/internal/events"
+	"minesweeper/internal/jemalloc"
 	"minesweeper/internal/mem"
 	"minesweeper/internal/telemetry"
 )
@@ -265,5 +266,83 @@ func TestRecordMatchesSpans(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHistogramsProjectEvents checks that telemetry's latency histograms are
+// a projection of the event stream: with both sinks attached and every op
+// sampled, each timed event kind occurs on the rings exactly as often as the
+// histogram it maps to counts. That includes the drains at quiesce points —
+// FlushThread, the §5.7 pause, the stop-the-world window — which enter
+// quarantine_drain_ns like the owner's amortised drains do.
+func TestHistogramsProjectEvents(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mode = MostlyConcurrent
+	cfg.World = &dirtyOnStopWorld{} // the sweeper drains every ring inside the stop
+	cfg.PauseThreshold = 0.5
+	cfg.SweepThreshold = 1e18 // only the pause brake requests sweeps
+	cfg.UnmappedFactor = 0
+	reg := telemetry.NewRegistry(64)
+	reg.SetSamplePeriod(1)
+	cfg.Telemetry = reg
+	h, err := New(mem.NewAddressSpace(), cfg, jemalloc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Shutdown()
+	rec := events.NewRecorder(1<<14, time.Minute)
+	h.SetEvents(rec)
+	id := h.RegisterThread()
+
+	// Each pause waits for the sweep it requested, so no sweep runs while
+	// this goroutine mutates its ring.
+	keep, _ := h.Malloc(id, 4096)
+	for i := 0; i < 3000; i++ {
+		a, err := h.Malloc(id, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Free(id, a); err != nil {
+			t.Fatal(err)
+		}
+		if i%1000 == 10 {
+			h.FlushThread(id) // a ring holding at least ten frees
+		}
+	}
+	_ = h.Free(id, keep)
+	h.Sweep()
+	if h.Stats().PauseNanos == 0 {
+		t.Fatal("no §5.7 pause engaged")
+	}
+
+	counts := map[events.Kind]uint64{}
+	for _, tr := range rec.Capture(events.TripManual).Threads {
+		if len(tr.Events) > 0 && tr.Events[0].Seq != 1 {
+			t.Fatalf("ring %s wrapped; the counts below would be short", tr.Name)
+		}
+		for _, e := range tr.Events {
+			counts[e.Kind]++
+		}
+	}
+	hists := map[string]uint64{}
+	for _, hs := range reg.Snapshot().Histograms {
+		hists[hs.Name] = hs.Count
+	}
+	for _, c := range []struct {
+		kind events.Kind
+		hist string
+	}{
+		{events.KindAlloc, telemetry.HistMalloc},
+		{events.KindFree, telemetry.HistFree},
+		{events.KindDrain, "quarantine_drain_ns"},
+		{events.KindPauseEnd, telemetry.HistPause},
+		{events.KindStwEnd, telemetry.HistStw},
+	} {
+		if counts[c.kind] == 0 {
+			t.Errorf("no %s events", c.kind)
+		}
+		if counts[c.kind] != hists[c.hist] {
+			t.Errorf("%d %s events, %s counts %d", counts[c.kind], c.kind, c.hist, hists[c.hist])
+		}
 	}
 }

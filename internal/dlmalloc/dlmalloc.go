@@ -234,13 +234,6 @@ func (h *Heap) FreeBatch(tid alloc.ThreadID, refs []alloc.Ref, addrs []uint64, e
 	alloc.FreeBatchSerial(h, tid, refs, addrs, errs)
 }
 
-// AllocBatch implements alloc.Substrate per-item: dlmalloc's boundary-tag
-// carving has no run-refill structure to amortise, so the serial fallback is
-// the whole implementation.
-func (h *Heap) AllocBatch(tid alloc.ThreadID, size uint64, out []uint64) (int, error) {
-	return alloc.AllocBatchSerial(h, tid, size, out)
-}
-
 // DecommitExtent implements alloc.Substrate: in-band chunks share pages with
 // neighbours, so page release is unavailable (the drop-in layer copes, as
 // with any allocator lacking the extension).

@@ -239,56 +239,6 @@ func (h *Heap) Malloc(tid alloc.ThreadID, size uint64) (uint64, error) {
 	return addr, nil
 }
 
-// AllocBatch implements alloc.Substrate: len(out) same-sized allocations in
-// one call. Small classes replay the serial tcache protocol exactly — LIFO
-// pops, with each refill pulling a fillTarget run from the shard bin under a
-// single bin-lock acquisition — so the produced addresses, the surviving
-// cache contents, and the extents' cachemap double-free bits are bit-for-bit
-// what len(out) serial Malloc calls would leave. Only the statistics updates
-// are coalesced (two stripe adds per batch instead of two per allocation);
-// the end state is identical. Large sizes take the serial fallback: every
-// large allocation is its own extent carve, with nothing to batch.
-func (h *Heap) AllocBatch(tid alloc.ThreadID, size uint64, out []uint64) (int, error) {
-	if len(out) == 0 {
-		return 0, nil
-	}
-	if size == 0 {
-		size = 1
-	}
-	req := size
-	if h.cfg.PadEnd {
-		req++
-	}
-	if !IsSmall(req) {
-		return alloc.AllocBatchSerial(h, tid, size, out)
-	}
-	class := SizeToClass(req)
-	usable := ClassSize(class)
-	tc := h.tcacheFor(tid)
-	sh := h.shardFor(tid)
-	got := 0
-	var err error
-	for got < len(out) {
-		var addr uint64
-		if tc != nil {
-			addr = tc.pop(class)
-		}
-		if addr == 0 {
-			if addr, err = h.smallSlow(sh, tc, class); err != nil {
-				break
-			}
-		}
-		out[got] = addr
-		got++
-	}
-	if got > 0 {
-		c := h.ctr(tid)
-		c.allocated.Add(int64(usable) * int64(got))
-		c.mallocs.Add(uint64(got))
-	}
-	return got, err
-}
-
 // smallSlow refills the tcache from the shard's bin (or allocates one region
 // when tcache is disabled).
 func (h *Heap) smallSlow(sh *heapShard, tc *tcache, class int) (uint64, error) {

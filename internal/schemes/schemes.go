@@ -5,6 +5,7 @@ package schemes
 
 import (
 	"fmt"
+	"strings"
 
 	"minesweeper/internal/alloc"
 	"minesweeper/internal/control"
@@ -56,6 +57,10 @@ const (
 	// MineSweeperDlmalloc drops the MineSweeper layer onto the dlmalloc
 	// substrate — a second any-allocator integration (§7).
 	MineSweeperDlmalloc
+
+	// numKinds counts the schemes: every Kind below it has a name and a
+	// factory.
+	numKinds
 )
 
 // String returns the scheme's display name.
@@ -88,6 +93,26 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// Names returns every scheme's name, in Kind order.
+func Names() []string {
+	names := make([]string, numKinds)
+	for k := range numKinds {
+		names[k] = k.String()
+	}
+	return names
+}
+
+// ByName returns the standard factory for the scheme named name (the CLI
+// -scheme form).
+func ByName(name string) (Factory, error) {
+	for k := range numKinds {
+		if k.String() == name {
+			return New(k), nil
+		}
+	}
+	return Factory{}, fmt.Errorf("unknown scheme %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
 
 // Factory builds an allocator for one run.

@@ -115,6 +115,9 @@ func TestKindStrings(t *testing.T) {
 	if Kind(99).String() == "" {
 		t.Error("unknown kind has empty string")
 	}
+	if numKinds != MineSweeperDlmalloc+1 {
+		t.Errorf("numKinds = %d, want one past the last scheme", numKinds)
+	}
 	seen := map[string]bool{}
 	for _, k := range []Kind{Baseline, MineSweeper, MineSweeperMostly, MarkUs, FFMalloc, Scudo, Oscar, DangSan, PSweeper, CRCount, Dlmalloc, MineSweeperDlmalloc} {
 		s := k.String()
@@ -122,5 +125,16 @@ func TestKindStrings(t *testing.T) {
 			t.Errorf("duplicate scheme name %q", s)
 		}
 		seen[s] = true
+		// Every kind round-trips through its name.
+		f, err := ByName(s)
+		if err != nil || f.Name != s {
+			t.Errorf("ByName(%q) = %q, %v", s, f.Name, err)
+		}
+	}
+	if got := len(Names()); got != len(seen) {
+		t.Errorf("Names() lists %d schemes, want %d", got, len(seen))
+	}
+	if _, err := ByName("no-such-scheme"); err == nil {
+		t.Error("ByName accepted an unknown name")
 	}
 }

@@ -275,13 +275,6 @@ func (a *Allocator) FreeBatch(tid alloc.ThreadID, refs []alloc.Ref, addrs []uint
 	alloc.FreeBatchSerial(a, tid, refs, addrs, errs)
 }
 
-// AllocBatch implements alloc.Substrate per-item: Scudo's primary hands out
-// one chunk per header initialisation, so there is no run to pull in bulk and
-// the serial fallback matches the real allocator's behaviour.
-func (a *Allocator) AllocBatch(tid alloc.ThreadID, size uint64, out []uint64) (int, error) {
-	return alloc.AllocBatchSerial(a, tid, size, out)
-}
-
 // finishFree returns a dead chunk's storage to the class freelist or the
 // secondary cache and settles accounting. c.live was flipped by the caller.
 func (a *Allocator) finishFree(c *chunk, addr uint64) error {

@@ -66,8 +66,8 @@ func (h *Histogram) RecordShard(hint int, v uint64) {
 // counts values in [2^(b-1), 2^b); Buckets[0] counts zeros.
 //
 // P50/P99/P999 are the pre-extracted tail quantiles (bucket upper bounds, see
-// Quantile) so JSON consumers — msstat, cmd/benchjson's pause gate — read the
-// percentiles directly instead of re-deriving them from the bucket array.
+// Quantile) so JSON consumers such as msstat read the percentiles directly
+// instead of re-deriving them from the bucket array.
 type HistogramSnapshot struct {
 	Name    string             `json:"name"`
 	Unit    string             `json:"unit"`
