@@ -1,6 +1,7 @@
 # Convenience targets for the MineSweeper reproduction. `make help` lists them.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all help build vet test race race-hot check bench bench-free bench-json bench-gate bench-all telemetry-overhead events-overhead governor-overhead governor-gate pause-gate fleet-gate flightrec-smoke figures examples clean
 
@@ -9,7 +10,8 @@ all: build vet test
 help:
 	@echo "MineSweeper reproduction targets:"
 	@echo "  all        build + vet + test"
-	@echo "  check      go vet + go test (root and bench/) + race-hot + events-overhead + flightrec-smoke + fleet-gate"
+	@echo "  vet        go vet + gofmt -l (fails when any file needs formatting)"
+	@echo "  check      go vet + gofmt + go test (root and bench/) + race-hot + events-overhead + flightrec-smoke + fleet-gate"
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on the sweep, quarantine, allocator, telemetry, UAF and scheme packages"
@@ -31,8 +33,11 @@ help:
 build:
 	$(GO) build ./...
 
+# vet also fails when gofmt would reformat any Go file of either module.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l *.go bench cmd examples internal); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

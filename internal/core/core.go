@@ -253,13 +253,13 @@ const sweepCheckInterval = 16
 type threadState struct {
 	tbuf   *quarantine.ThreadBuffer
 	subTid alloc.ThreadID // the substrate's ID for this thread
-	// drainMu serialises ring drains and retirement. The ring is otherwise
-	// owner-thread-only, but the mostly-concurrent sweeper drains every
-	// ring inside its stop-the-world window, and a thread that is not
-	// parked at a safepoint — one exiting through UnregisterThread, or any
-	// thread when no World is attached — could drain or retire the same
-	// buffer concurrently. Uncontended in every fast path (the owner takes
-	// it only at its amortised drain tick, the sweeper once per sweep).
+	// drainMu serialises ring drains. The ring is otherwise owner-thread-only,
+	// but the mostly-concurrent sweeper drains every ring inside its
+	// stop-the-world window, and a thread that is not parked at a safepoint —
+	// one exiting through UnregisterThread, or any thread when no World is
+	// attached — could drain the same buffer concurrently. Uncontended in
+	// every fast path (the owner takes it only at its amortised drain tick,
+	// the sweeper once per sweep).
 	drainMu sync.Mutex
 	// freesSinceCheck counts quarantining frees since the last
 	// sweep-trigger evaluation. Owner-thread only, like tbuf.
@@ -655,11 +655,7 @@ func (h *Heap) UnregisterThread(tid alloc.ThreadID) {
 	if ts == nil {
 		return
 	}
-	func() {
-		ts.drainMu.Lock()
-		defer ts.drainMu.Unlock()
-		ts.tbuf.Retire()
-	}()
+	h.drain(tid, ts)
 	h.sub.UnregisterThread(ts.subTid)
 	h.threadMu.Lock()
 	defer h.threadMu.Unlock()
@@ -870,14 +866,8 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) (uint64, e
 	// pending append. Registered threads take the ring path below, where
 	// free() touches only thread-local state and everything shared is
 	// deferred to bulk drains.
+	e := quarantine.Entry{Base: a.Base, Size: a.Size, Ref: ref}
 	if ts == nil || h.cfg.DebugDoubleFree {
-		var e *quarantine.Entry
-		if ts != nil {
-			e = ts.tbuf.NewEntry(a.Base, a.Size)
-		} else {
-			e = h.q.NewEntry(a.Base, a.Size)
-		}
-		e.Ref = ref
 		if !h.q.Insert(e) {
 			return a.Size, h.doubleFree(addr)
 		}
@@ -887,20 +877,17 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) (uint64, e
 		unmapped := false
 		if h.cfg.Unmapping && a.Large && a.Size >= unmapMinBytes {
 			if err := h.sub.DecommitExtent(a.Base); err == nil {
-				h.q.NoteUnmapped(e)
+				h.q.NoteUnmapped(&e)
 				unmapped = true
 			}
 		}
 		if h.cfg.Zeroing && !unmapped {
 			_ = h.space.Zero(a.Base, a.Size)
 		}
-		h.q.Append([]*quarantine.Entry{e})
+		h.q.Append([]quarantine.Entry{e})
 		h.maybeTriggerSweep(tid)
 		return a.Size, nil
 	}
-
-	e := ts.tbuf.NewEntry(a.Base, a.Size) // lock-free in the common case
-	e.Ref = ref
 
 	// Large allocations that will be unmapped need no explicit zeroing: the
 	// decommit discards their contents (and any pointers within). A double
@@ -1466,7 +1453,7 @@ const releaseBatchSize = 256
 // recycling n entries costs locks proportional to the number of (shard,
 // class) groups, not to n. Returns how many entries were released to the
 // substrate and how many were retained (requeued as failed frees).
-func (h *Heap) filterAndRecycle(locked []*quarantine.Entry) (released, retained uint64) {
+func (h *Heap) filterAndRecycle(locked []quarantine.Entry) (released, retained uint64) {
 	start := time.Now()
 	// The current worker count tracks the governed helper knob; the
 	// registered thread pool only ever grows, so clamp to both (a plane
@@ -1484,7 +1471,7 @@ func (h *Heap) filterAndRecycle(locked []*quarantine.Entry) (released, retained 
 	if h.cfg.Mode == Synchronous {
 		workers = 1
 	}
-	failed := make([][]*quarantine.Entry, workers)
+	failed := make([][]quarantine.Entry, workers)
 	var wg sync.WaitGroup
 	chunk := (len(locked) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -1501,10 +1488,10 @@ func (h *Heap) filterAndRecycle(locked []*quarantine.Entry) (released, retained 
 			defer wg.Done()
 			tid := h.recycleTids[w]
 			rel := h.q.NewReleaser()
-			var fails []*quarantine.Entry
+			var fails []quarantine.Entry
 			refs := make([]alloc.Ref, 0, releaseBatchSize)
 			addrs := make([]uint64, 0, releaseBatchSize)
-			torel := make([]*quarantine.Entry, 0, releaseBatchSize)
+			torel := make([]quarantine.Entry, 0, releaseBatchSize)
 			errs := make([]error, releaseBatchSize)
 			released := uint64(0)
 			flush := func() {
@@ -1537,7 +1524,9 @@ func (h *Heap) filterAndRecycle(locked []*quarantine.Entry) (released, retained 
 				}
 				refs, addrs, torel = refs[:0], addrs[:0], torel[:0]
 			}
-			for _, e := range locked[lo:hi] {
+			part := locked[lo:hi]
+			for i := range part {
+				e := &part[i]
 				dangling := false
 				if h.cfg.Sweeping {
 					dangling = h.marks.AnyInRange(e.Base, e.Base+e.Size)
@@ -1545,18 +1534,16 @@ func (h *Heap) filterAndRecycle(locked []*quarantine.Entry) (released, retained 
 				if dangling && h.cfg.FailedFrees {
 					h.q.NoteFailed(e)
 					h.failedFrees.Add(1)
-					fails = append(fails, e)
+					fails = append(fails, *e)
 					continue
 				}
 				if dangling {
 					// Partial version: counted but freed anyway.
 					h.failedFrees.Add(1)
 				}
-				// e is recycled by the flush's ReleaseBatch; its base and
-				// ref survive in the batch.
 				refs = append(refs, e.Ref)
 				addrs = append(addrs, e.Base)
-				torel = append(torel, e)
+				torel = append(torel, *e)
 				released++
 				if len(addrs) == releaseBatchSize {
 					flush()
@@ -1647,7 +1634,9 @@ func (h *Heap) Shutdown() {
 
 // CheckInvariants verifies cross-structure consistency and returns the first
 // violation found, or nil. It is a debugging and testing aid; it takes the
-// sweep lock, so no sweep runs concurrently. Invariants checked:
+// sweep lock, so no sweep runs concurrently. It walks the pending list, which
+// invariant 5 proves is the membership set, so invariants 1–4 hold for every
+// quarantined entry. Invariants checked:
 //
 //  1. every quarantined entry's base is still a live allocation at the
 //     substrate (the quarantine owns it — nothing may have freed it);
@@ -1664,8 +1653,18 @@ func (h *Heap) CheckInvariants() error {
 
 	var err error
 	var mapped, unmapped, failed uint64
-	h.q.ForEach(func(e *quarantine.Entry) {
+	pending := make(map[uint64]bool)
+	h.q.ForEachPending(func(e quarantine.Entry) {
 		if err != nil {
+			return
+		}
+		if pending[e.Base] {
+			err = fmt.Errorf("core: invariant: entry %#x pending twice", e.Base)
+			return
+		}
+		pending[e.Base] = true
+		if !h.q.Contains(e.Base) {
+			err = fmt.Errorf("core: invariant: pending entry %#x not quarantined", e.Base)
 			return
 		}
 		a, ok := h.sub.Lookup(e.Base)
@@ -1693,6 +1692,9 @@ func (h *Heap) CheckInvariants() error {
 	if err != nil {
 		return err
 	}
+	if got := h.q.Entries(); got != uint64(len(pending)) {
+		return fmt.Errorf("core: invariant: %d pending entries != %d quarantined", len(pending), got)
+	}
 	if got := h.q.Bytes(); got != mapped {
 		return fmt.Errorf("core: invariant: mapped bytes account %d != entry sum %d", got, mapped)
 	}
@@ -1701,23 +1703,6 @@ func (h *Heap) CheckInvariants() error {
 	}
 	if got := h.q.FailedBytes(); got != failed {
 		return fmt.Errorf("core: invariant: failed bytes account %d != entry sum %d", got, failed)
-	}
-	pending := make(map[uint64]bool)
-	h.q.ForEachPending(func(e *quarantine.Entry) {
-		switch {
-		case err != nil:
-		case pending[e.Base]:
-			err = fmt.Errorf("core: invariant: entry %#x pending twice", e.Base)
-		case !h.q.Contains(e.Base):
-			err = fmt.Errorf("core: invariant: pending entry %#x not quarantined", e.Base)
-		}
-		pending[e.Base] = true
-	})
-	if err != nil {
-		return err
-	}
-	if got := h.q.Entries(); got != uint64(len(pending)) {
-		return fmt.Errorf("core: invariant: %d pending entries != %d quarantined", len(pending), got)
 	}
 	return nil
 }

@@ -650,9 +650,29 @@ func TestCheckInvariantsPendingNotMember(t *testing.T) {
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatalf("clean heap: %v", err)
 	}
-	h.q.Append([]*quarantine.Entry{h.q.NewEntry(a, 64)})
+	h.q.Append([]quarantine.Entry{{Base: a, Size: 64}})
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a pending entry missing from the membership set")
+	}
+}
+
+// TestCheckInvariantsMemberNotPending: a base the membership set holds with
+// no pending entry (inserted without Append) breaks invariant 5, although the
+// check walks only the pending list.
+func TestCheckInvariantsMemberNotPending(t *testing.T) {
+	h, tid := newTestHeap(t, testConfig())
+	a, err := h.Malloc(tid, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatalf("clean heap: %v", err)
+	}
+	if !h.q.Insert(quarantine.Entry{Base: a, Size: 64}) {
+		t.Fatal("Insert rejected a fresh base")
+	}
+	if err := h.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a quarantined base missing from the pending list")
 	}
 }
 
@@ -671,7 +691,7 @@ func TestDrainPanicReleasesDrainLock(t *testing.T) {
 	good := ts.tbuf
 	// A ring over no quarantine: its drain dereferences the nil quarantine.
 	ts.tbuf = quarantine.NewThreadBuffer(nil, 4)
-	ts.tbuf.Push(&quarantine.Entry{Base: mem.HeapBase, Size: 16})
+	ts.tbuf.Push(quarantine.Entry{Base: mem.HeapBase, Size: 16})
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -40,7 +40,7 @@ const (
 
 // rtreeLeaf maps the low rtreeLeafBits of a page index to its extent.
 type rtreeLeaf struct {
-	ents [rtreeLeafSize]atomic.Pointer[Extent]
+	extents [rtreeLeafSize]atomic.Pointer[Extent]
 }
 
 // rtree is the page map. The zero value is not usable; call newRtree.
@@ -111,7 +111,7 @@ func (rt *rtree) setRange(first, n uint64, e *Extent) {
 		}
 		if leaf != nil {
 			for i := lo; i < lo+run; i++ {
-				leaf.ents[i].Store(e)
+				leaf.extents[i].Store(e)
 			}
 		}
 		first += run
@@ -130,7 +130,7 @@ func (rt *rtree) lookup(addr uint64) *Extent {
 	if leaf == nil {
 		return nil
 	}
-	return leaf.ents[idx&rtreeLeafMask].Load()
+	return leaf.extents[idx&rtreeLeafMask].Load()
 }
 
 // footprint returns the tree's exact metadata bytes: the root array plus one

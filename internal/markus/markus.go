@@ -121,16 +121,16 @@ func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 		}
 		return fmt.Errorf("%w: %#x", alloc.ErrInvalidFree, addr)
 	}
-	e := h.q.NewEntry(a.Base, a.Size)
+	e := quarantine.Entry{Base: a.Base, Size: a.Size}
 	if !h.q.Insert(e) {
 		return nil
 	}
 	if h.cfg.Unmapping && a.Large {
 		if err := h.je.DecommitExtent(a.Base); err == nil {
-			h.q.NoteUnmapped(e)
+			h.q.NoteUnmapped(&e)
 		}
 	}
-	h.q.Append([]*quarantine.Entry{e})
+	h.q.Append([]quarantine.Entry{e})
 
 	qb := h.q.Bytes()
 	heapB := h.je.AllocatedBytes()
@@ -188,18 +188,18 @@ func (h *Heap) Collect() {
 	}
 	h.stwNanos.Add(int64(stw))
 
-	var fails []*quarantine.Entry
-	for _, e := range locked {
+	var fails []quarantine.Entry
+	for i := range locked {
+		e := &locked[i]
 		if _, reachable := visited[e.Base]; reachable {
 			h.q.NoteFailed(e)
 			h.failedFrees.Add(1)
-			fails = append(fails, e)
+			fails = append(fails, *e)
 			continue
 		}
-		base := e.Base // e is recycled by Release
-		h.q.Release(e)
+		h.q.Release(*e)
 		h.releasedFrees.Add(1)
-		if err := h.je.Free(h.collectorTid, base); err != nil {
+		if err := h.je.Free(h.collectorTid, e.Base); err != nil {
 			// Late double free (see core.filterAndRecycle): the
 			// substrate rejected it; absorb.
 			if !errors.Is(err, alloc.ErrDoubleFree) && !errors.Is(err, alloc.ErrInvalidFree) {

@@ -160,6 +160,40 @@ func TestDecommitFaultsAndZeroes(t *testing.T) {
 	}
 }
 
+// TestDroppedBackingPooledZero: a region's backing goes back to the frame
+// pool all zero, whether the whole region is decommitted or unmapped, so the
+// pool can hand it out again without clearing it.
+func TestDroppedBackingPooledZero(t *testing.T) {
+	drops := []struct {
+		name string
+		drop func(as *AddressSpace, r *Region) error
+	}{
+		{"decommit", func(as *AddressSpace, r *Region) error { return as.Decommit(r.Base(), r.Size()) }},
+		{"unmap", func(as *AddressSpace, r *Region) error { return as.Unmap(r) }},
+	}
+	for _, d := range drops {
+		t.Run(d.name, func(t *testing.T) {
+			as := NewAddressSpace()
+			r, _ := as.Map(KindHeap, 2*PageSize, true)
+			if err := as.Store64(r.Base()+PageSize+8, 42); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.drop(as, r); err != nil {
+				t.Fatal(err)
+			}
+			pool := as.backing[int(r.Size()/WordSize)]
+			if len(pool) != 1 {
+				t.Fatalf("pool holds %d frames, want 1", len(pool))
+			}
+			for i, w := range pool[0] {
+				if w != 0 {
+					t.Fatalf("pooled frame word %d = %d, want 0", i, w)
+				}
+			}
+		})
+	}
+}
+
 func TestCommitIdempotentRSS(t *testing.T) {
 	as := NewAddressSpace()
 	r, _ := as.Map(KindHeap, PageSize, true)

@@ -611,10 +611,11 @@ func (r *Region) commit(addr, n uint64, prot Prot) int {
 // dropped to the pool. Returns the number of pages that were resident.
 // The known-zero bit is preserved across decommit: nothing writes a
 // non-resident page, so words that were zero stay zero in the (retained)
-// backing, and commit's re-zero elision depends on the bit surviving. When
-// the whole region's backing is dropped, every page becomes known-zero —
-// the next ensureBacking installs zeroed frames — which is what makes an
-// unmap/remap or full purge/recommit cycle cost no zeroing at all.
+// backing, and commit's re-zero elision depends on the bit surviving. Before
+// the whole region's backing is dropped, zeroRange clears the pages not
+// already known-zero and publishes every page known-zero, so the pool only
+// ever holds zeroed frames and the next ensureBacking installs one as is: an
+// unmap/remap or full purge/recommit cycle zeroes each stale page once.
 func (r *Region) decommit(addr, n uint64) int {
 	first := r.pageIndexOf(addr)
 	last := r.pageIndexOf(addr + n - 1)
@@ -638,25 +639,16 @@ func (r *Region) decommit(addr, n uint64) int {
 	if wipedDirty != 0 {
 		r.space.dirtyPages.Add(-wipedDirty)
 	}
+	// The region is fully non-resident here (that is the drop condition)
+	// and owner-serialised against recommit, so no store can race the
+	// zeroing.
 	if released > 0 && r.resident.Add(int32(-released)) == 0 && r.parent == nil {
+		r.zeroRange(r.base, r.size)
 		if old := r.words.Swap(nil); old != nil {
 			r.space.putBacking(*old)
-			r.setAllKnownZero()
 		}
 	}
 	return released
-}
-
-// setAllKnownZero publishes every page as known-zero after the region's
-// backing is dropped: the stale frames are gone and the replacement arrives
-// zeroed from the pool. The region is fully non-resident here (that is the
-// drop condition) and owner-serialised against recommit, so no store or
-// zeroing can race the publication; the loop still refuses to cover a dirty
-// page, preserving the never-dirty-and-known-zero invariant.
-func (r *Region) setAllKnownZero() {
-	for i := range r.pages {
-		r.markKnownZero(i)
-	}
 }
 
 // protect changes the protection of pages [addr, addr+n) without touching

@@ -114,7 +114,8 @@ type AddressSpace struct {
 const maxBackingWords = 512 << 20 / 8
 
 // getBacking returns a zeroed backing of the given word count, reusing a
-// pooled one when available.
+// pooled one when available. Pooled backings are already zero: every
+// putBacking caller clears the frame first.
 func (as *AddressSpace) getBacking(words int) []uint64 {
 	as.backingMu.Lock()
 	if list := as.backing[words]; len(list) > 0 {
@@ -123,14 +124,13 @@ func (as *AddressSpace) getBacking(words int) []uint64 {
 		as.backing[words] = list[:len(list)-1]
 		as.backingWords -= words
 		as.backingMu.Unlock()
-		clear(s)
 		return s
 	}
 	as.backingMu.Unlock()
 	return make([]uint64, words)
 }
 
-// putBacking returns a dropped backing to the pool.
+// putBacking returns a dropped, all-zero backing to the pool.
 func (as *AddressSpace) putBacking(s []uint64) {
 	as.backingMu.Lock()
 	if as.backingWords+len(s) <= maxBackingWords {
@@ -304,6 +304,7 @@ func (as *AddressSpace) Unmap(r *Region) error {
 	r.resident.Store(0)
 	if r.parent == nil {
 		if old := r.words.Swap(nil); old != nil {
+			clear(*old)
 			as.putBacking(*old)
 		}
 		as.rss.Add(-int64(resident * PageSize))

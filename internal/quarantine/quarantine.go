@@ -21,18 +21,15 @@ import (
 	"sync/atomic"
 )
 
-// Entry describes one quarantined allocation.
+// Entry describes one quarantined allocation. It is a plain value: the
+// thread rings, the pending list, a sweep's locked-in slice and a worker's
+// release batch each hold their own copy, and the membership set holds only
+// the base. Nothing points at an entry, so nothing recycles one.
 type Entry struct {
 	// Base is the allocation's base address.
 	Base uint64
 	// Size is the allocation's usable size in bytes.
 	Size uint64
-	// Unmapped records that the allocation's physical pages were released
-	// while in quarantine (§4.2).
-	Unmapped bool
-	// Failed records that at least one sweep found a (possible) dangling
-	// pointer to this allocation.
-	Failed bool
 	// Epoch is the sweep epoch in which the entry joined the global pending
 	// list (stamped by Append, under the pending lock, so it is always
 	// consistent with the epoch advance in LockIn).
@@ -41,11 +38,15 @@ type Entry struct {
 	// captured when free() resolved the allocation. The sweep's recycle
 	// phase frees through it, so the allocation's address is resolved
 	// exactly once over its whole quarantine lifetime. The quarantine owns
-	// the allocation until Release, which is precisely the window the
-	// substrate guarantees the ref stays valid for.
+	// the allocation until it is released, which is precisely the window
+	// the substrate guarantees the ref stays valid for.
 	Ref any
-
-	next *Entry // intrusive freelist link, owned by the quarantine
+	// Unmapped records that the allocation's physical pages were released
+	// while in quarantine (§4.2).
+	Unmapped bool
+	// Failed records that at least one sweep found a (possible) dangling
+	// pointer to this allocation.
+	Failed bool
 }
 
 // setShards is the membership-set shard count. Eight (not the 64 of earlier
@@ -66,15 +67,13 @@ const (
 // table avoids the runtime map's hashing and bucket machinery — on the
 // malloc/free microbenchmark the generic map was ~20% of total CPU.
 //
-// Keys live in their own pointer-free array so a probe chain walks one cache
-// line of uint64s instead of dereferencing an *Entry per slot; the entry
-// pointers sit in a parallel array touched only on a confirmed hit. Max load
-// is 50%, keeping unsuccessful probes (what every Insert of a fresh base
-// pays) near two slots.
+// The set holds keys only, in one pointer-free array, so a probe chain walks
+// one cache line of uint64s; the entries themselves live on the pending list.
+// Max load is 50%, keeping unsuccessful probes (what every Insert of a fresh
+// base pays) near two slots.
 type shard struct {
 	mu   sync.Mutex
 	keys []uint64 // power-of-two; 0 = empty slot (0 is never a heap base)
-	ents []*Entry // parallel to keys
 	n    int      // occupied slots
 }
 
@@ -107,24 +106,25 @@ func (s *shard) lookup(base uint64) (at, free int) {
 	}
 }
 
-func (s *shard) insert(e *Entry) bool {
+func (s *shard) insert(base uint64) bool {
 	if s.keys == nil {
 		s.keys = make([]uint64, shardMinSize)
-		s.ents = make([]*Entry, shardMinSize)
 	} else if 2*(s.n+1) > len(s.keys) {
 		s.grow()
 	}
-	at, free := s.lookup(e.Base)
+	at, free := s.lookup(base)
 	if at >= 0 {
 		return false
 	}
-	s.keys[free] = e.Base
-	s.ents[free] = e
+	s.keys[free] = base
 	s.n++
 	return true
 }
 
 func (s *shard) remove(base uint64) {
+	if s.keys == nil {
+		return
+	}
 	at, _ := s.lookup(base)
 	if at < 0 {
 		return
@@ -144,26 +144,22 @@ func (s *shard) remove(base uint64) {
 		// inside (i, j].
 		if home := s.slot(k); (j-home)&mask >= (j-i)&mask {
 			s.keys[i] = k
-			s.ents[i] = s.ents[j]
 			i = j
 		}
 	}
 	s.keys[i] = 0
-	s.ents[i] = nil
 	s.n--
 }
 
 func (s *shard) grow() {
-	oldKeys, oldEnts := s.keys, s.ents
-	s.keys = make([]uint64, 2*len(oldKeys))
-	s.ents = make([]*Entry, 2*len(oldEnts))
-	for i, k := range oldKeys {
+	old := s.keys
+	s.keys = make([]uint64, 2*len(old))
+	for _, k := range old {
 		if k == 0 {
 			continue
 		}
 		_, free := s.lookup(k)
 		s.keys[free] = k
-		s.ents[free] = oldEnts[i]
 	}
 }
 
@@ -172,23 +168,11 @@ func (s *shard) grow() {
 type Quarantine struct {
 	shards [setShards]shard
 
-	// Entry recycling: free() is the hot path, so Entries flow NewEntry ->
-	// Insert -> (sweeps) -> Release -> this freelist and back. An intrusive
-	// structure under its own mutex rather than a sync.Pool: the pool is
-	// emptied at every GC cycle, and with millions of quarantined entries
-	// in flight the subsequent re-allocation (plus the pool's own ring
-	// growth) was a double-digit share of benchmark CPU. Entries are held
-	// as whole chains — a sweep worker's Releaser donates its chunk with
-	// one splice, and a thread's buffer takes a chain at a time — so the
-	// lock is paid per batch, not per free.
-	freeMu sync.Mutex
-	chains []*Entry // each element heads an intrusive chain of free entries
-
 	// The pending side: one list, locked in whole by every sweep. pendMu
 	// also orders every Append's epoch stamp against LockIn's epoch
 	// advance (see Append).
 	pendMu  sync.Mutex
-	pending []*Entry
+	pending []Entry
 	// oldest is the epoch of the oldest pending entry (meaningful only
 	// while pending is non-empty). Appends stamp the current epoch, so
 	// they never lower it; Requeue can, since failed entries keep the
@@ -197,7 +181,7 @@ type Quarantine struct {
 	// lockedSpare is a locked-in slice the sweep handed back (Reclaim);
 	// the next LockIn makes it the new pending list, so steady-state
 	// sweeps swap two backing arrays instead of regrowing one.
-	lockedSpare []*Entry
+	lockedSpare []Entry
 	epoch       atomic.Uint64
 
 	bytes         atomic.Int64 // mapped quarantined bytes (excludes unmapped)
@@ -220,57 +204,15 @@ func (q *Quarantine) shardFor(base uint64) *shard {
 	return &q.shards[shardIdx(base)]
 }
 
-// NewEntry returns a recycled or fresh Entry initialised for (base, size).
-// Threads with a ThreadBuffer should prefer ThreadBuffer.NewEntry, which
-// amortises the freelist lock over whole chains.
-func (q *Quarantine) NewEntry(base, size uint64) *Entry {
-	e := q.getChain()
-	if e == nil {
-		return &Entry{Base: base, Size: size}
-	}
-	if e.next != nil {
-		q.putChain(e.next)
-	}
-	*e = Entry{Base: base, Size: size}
-	return e
-}
-
-// getChain pops one free chain, or nil.
-func (q *Quarantine) getChain() *Entry {
-	q.freeMu.Lock()
-	var e *Entry
-	if n := len(q.chains); n > 0 {
-		e = q.chains[n-1]
-		q.chains[n-1] = nil
-		q.chains = q.chains[:n-1]
-	}
-	q.freeMu.Unlock()
-	return e
-}
-
-// putChain donates a chain of free entries.
-func (q *Quarantine) putChain(head *Entry) {
-	q.freeMu.Lock()
-	q.chains = append(q.chains, head)
-	q.freeMu.Unlock()
-}
-
-// putEntry returns a single released entry to the freelist.
-func (q *Quarantine) putEntry(e *Entry) {
-	e.next = nil
-	q.putChain(e)
-}
-
-// Insert registers a freed allocation. It returns false — and counts a
-// de-duplicated double free — if the base is already quarantined; in that
-// case Insert takes ownership of e (recycling it).
-func (q *Quarantine) Insert(e *Entry) bool {
+// Insert registers a freed allocation in the membership set and the byte
+// accounts; the caller then hands e to Append. It returns false — and counts
+// a de-duplicated double free — if the base is already quarantined.
+func (q *Quarantine) Insert(e Entry) bool {
 	s := q.shardFor(e.Base)
 	s.mu.Lock()
-	if !s.insert(e) {
+	if !s.insert(e.Base) {
 		s.mu.Unlock()
 		q.doubleFrees.Add(1)
-		q.putEntry(e)
 		return false
 	}
 	s.mu.Unlock()
@@ -284,7 +226,7 @@ func (q *Quarantine) Contains(base uint64) bool {
 	s := q.shardFor(base)
 	s.mu.Lock()
 	ok := false
-	if s.ents != nil {
+	if s.keys != nil {
 		at, _ := s.lookup(base)
 		ok = at >= 0
 	}
@@ -302,7 +244,7 @@ func (q *Quarantine) Contains(base uint64) bool {
 // so a flush racing the advance could publish entries whose recorded epoch
 // was already released — the age gauge then under-reported forever and a
 // governor steering on it never escalated.)
-func (q *Quarantine) Append(batch []*Entry) {
+func (q *Quarantine) Append(batch []Entry) {
 	if len(batch) == 0 {
 		return
 	}
@@ -311,10 +253,11 @@ func (q *Quarantine) Append(batch []*Entry) {
 	if len(q.pending) == 0 {
 		q.oldest = ep
 	}
-	for _, e := range batch {
-		e.Epoch = ep
-	}
+	n := len(q.pending)
 	q.pending = append(q.pending, batch...)
+	for i := n; i < len(q.pending); i++ {
+		q.pending[i].Epoch = ep
+	}
 	q.pendMu.Unlock()
 }
 
@@ -323,7 +266,7 @@ func (q *Quarantine) Append(batch []*Entry) {
 // LockIn go to the next sweep. The swap and the epoch advance happen under
 // one critical section so no Append can interleave between them (see
 // Append).
-func (q *Quarantine) LockIn() []*Entry {
+func (q *Quarantine) LockIn() []Entry {
 	q.pendMu.Lock()
 	locked := q.pending
 	q.pending = q.lockedSpare[:0]
@@ -336,8 +279,8 @@ func (q *Quarantine) LockIn() []*Entry {
 // Reclaim donates a slice previously returned by LockIn back to the
 // quarantine once the sweep is done with it, so steady-state sweeps reuse
 // its backing array instead of regrowing from nil every epoch. The entries
-// themselves must already be Released or Requeued.
-func (q *Quarantine) Reclaim(buf []*Entry) {
+// must already be released or requeued; clearing them drops their refs.
+func (q *Quarantine) Reclaim(buf []Entry) {
 	if cap(buf) == 0 {
 		return
 	}
@@ -353,7 +296,7 @@ func (q *Quarantine) Reclaim(buf []*Entry) {
 // them. Unlike Append it preserves each entry's original epoch — the age of a
 // stubborn failed free is measured from when it first went pending — and
 // lowers the oldest-epoch watermark accordingly.
-func (q *Quarantine) Requeue(failed []*Entry) {
+func (q *Quarantine) Requeue(failed []Entry) {
 	if len(failed) == 0 {
 		return
 	}
@@ -362,14 +305,15 @@ func (q *Quarantine) Requeue(failed []*Entry) {
 		if len(q.pending) == 0 || e.Epoch < q.oldest {
 			q.oldest = e.Epoch
 		}
-		q.pending = append(q.pending, e)
 	}
+	q.pending = append(q.pending, failed...)
 	q.pendMu.Unlock()
 }
 
 // NoteUnmapped moves an entry's bytes from the standard quarantine account to
 // the unmapped account (§4.2: unmapped allocations "do not count towards
-// standard memory usage or quarantine-size sweep thresholds").
+// standard memory usage or quarantine-size sweep thresholds"). e is the
+// caller's copy; the flag it sets travels with it to Append.
 func (q *Quarantine) NoteUnmapped(e *Entry) {
 	if e.Unmapped {
 		return
@@ -380,7 +324,8 @@ func (q *Quarantine) NoteUnmapped(e *Entry) {
 }
 
 // NoteFailed accounts an entry's first failed free (§3.2: failed frees are
-// subtracted from both sides of the trigger comparison).
+// subtracted from both sides of the trigger comparison). e is the sweep's
+// locked-in copy; the flag it sets travels with it to Requeue.
 func (q *Quarantine) NoteFailed(e *Entry) {
 	if e.Failed {
 		return
@@ -392,12 +337,10 @@ func (q *Quarantine) NoteFailed(e *Entry) {
 // Release removes a released entry from the membership set and all byte
 // accounts. It must be called exactly once per entry, after the sweep has
 // proven it safe and before the underlying free.
-func (q *Quarantine) Release(e *Entry) {
+func (q *Quarantine) Release(e Entry) {
 	s := q.shardFor(e.Base)
 	s.mu.Lock()
-	if s.ents != nil {
-		s.remove(e.Base)
-	}
+	s.remove(e.Base)
 	s.mu.Unlock()
 	if e.Unmapped {
 		q.unmappedBytes.Add(-int64(e.Size))
@@ -408,106 +351,64 @@ func (q *Quarantine) Release(e *Entry) {
 		q.failedBytes.Add(-int64(e.Size))
 	}
 	q.entries.Add(-1)
-	e.Ref = nil
-	q.putEntry(e)
 }
 
-// Releaser batches one sweep worker's releases. Shard removal still happens
-// per entry (membership must be exact at all times), but the freelist splice
-// and the byte/entry accounting are deferred to Flush, turning five atomic
-// operations per release into one set per chunk.
+// Releaser batches one sweep worker's releases. Membership removal happens
+// per batch (membership must be exact before the substrate free), but the
+// byte/entry accounting is deferred to Flush, turning up to three atomic adds
+// per release into one set per worker.
 type Releaser struct {
 	q                                 *Quarantine
-	head                              *Entry
-	chainLen                          int
 	bytes, unmappedBytes, failedBytes int64
 	n                                 int64
 	// groups is ReleaseBatch's shard-grouping scratch, reused across batches
 	// so a worker's whole run allocates it once.
-	groups [setShards][]*Entry
+	groups [setShards][]uint64
 }
-
-// releaseChainLen bounds the length of a donated free chain. A sweep worker
-// may release a hundred thousand entries; donated as one chain, whichever
-// thread's buffer popped it first would hoard the whole freelist while every
-// other thread allocated fresh entries (ThreadBuffer.NewEntry keeps the
-// popped chain locally). Bounded chains keep the freelist shareable at a
-// cost of one splice lock per chunk.
-const releaseChainLen = 256
 
 // NewReleaser returns a Releaser for one worker's chunk. Not safe for
 // concurrent use; each worker owns one and must call Flush when done.
 func (q *Quarantine) NewReleaser() Releaser { return Releaser{q: q} }
 
-// Release is Quarantine.Release with deferred accounting.
-func (r *Releaser) Release(e *Entry) {
-	s := r.q.shardFor(e.Base)
-	s.mu.Lock()
-	if s.keys != nil {
-		s.remove(e.Base)
-	}
-	s.mu.Unlock()
-	r.account(e)
-}
-
 // ReleaseBatch releases a whole batch: membership removal is grouped by shard
 // so the batch costs one shard-lock round-trip per touched shard (at most
-// setShards) instead of one per entry, and the accounting and freelist splice
-// are deferred exactly as in Release. The caller must copy out each entry's
-// Base and Ref first — the entries are recycled here.
-func (r *Releaser) ReleaseBatch(entries []*Entry) {
+// setShards) instead of one per entry, and the accounting is deferred to
+// Flush.
+func (r *Releaser) ReleaseBatch(entries []Entry) {
 	if len(entries) == 0 {
 		return
 	}
 	for i := range r.groups {
 		r.groups[i] = r.groups[i][:0]
 	}
-	for _, e := range entries {
+	for i := range entries {
+		e := &entries[i]
 		si := shardIdx(e.Base)
-		r.groups[si] = append(r.groups[si], e)
+		r.groups[si] = append(r.groups[si], e.Base)
+		if e.Unmapped {
+			r.unmappedBytes -= int64(e.Size)
+		} else {
+			r.bytes -= int64(e.Size)
+		}
+		if e.Failed {
+			r.failedBytes -= int64(e.Size)
+		}
 	}
-	for si := range r.groups {
-		g := r.groups[si]
+	r.n += int64(len(entries))
+	for si, g := range r.groups {
 		if len(g) == 0 {
 			continue
 		}
 		s := &r.q.shards[si]
 		s.mu.Lock()
-		if s.keys != nil {
-			for _, e := range g {
-				s.remove(e.Base)
-			}
+		for _, base := range g {
+			s.remove(base)
 		}
 		s.mu.Unlock()
 	}
-	for _, e := range entries {
-		r.account(e)
-	}
 }
 
-// account performs Release's lock-free tail: deferred byte/entry accounting
-// plus the bounded freelist chain.
-func (r *Releaser) account(e *Entry) {
-	if e.Unmapped {
-		r.unmappedBytes -= int64(e.Size)
-	} else {
-		r.bytes -= int64(e.Size)
-	}
-	if e.Failed {
-		r.failedBytes -= int64(e.Size)
-	}
-	r.n++
-	e.Ref = nil
-	e.next = r.head
-	r.head = e
-	if r.chainLen++; r.chainLen >= releaseChainLen {
-		r.q.putChain(r.head)
-		r.head, r.chainLen = nil, 0
-	}
-}
-
-// Flush publishes the accumulated accounting and donates the released
-// entries to the freelist as one chain.
+// Flush publishes the accumulated accounting.
 func (r *Releaser) Flush() {
 	q := r.q
 	if r.bytes != 0 {
@@ -522,11 +423,7 @@ func (r *Releaser) Flush() {
 	if r.n != 0 {
 		q.entries.Add(-r.n)
 	}
-	if r.head != nil {
-		q.putChain(r.head)
-	}
-	groups := r.groups
-	*r = Releaser{q: q, groups: groups}
+	r.bytes, r.unmappedBytes, r.failedBytes, r.n = 0, 0, 0, 0
 }
 
 // Bytes returns mapped quarantined bytes (unmapped entries excluded).
@@ -566,41 +463,21 @@ func (q *Quarantine) OldestPendingEpoch() uint64 {
 }
 
 // ForEachPending calls fn for a snapshot of the pending list (the entries
-// the next LockIn would take). The entries must not be mutated.
-func (q *Quarantine) ForEachPending(fn func(e *Entry)) {
+// the next LockIn would take).
+func (q *Quarantine) ForEachPending(fn func(e Entry)) {
 	q.pendMu.Lock()
-	snap := append([]*Entry(nil), q.pending...)
+	snap := append([]Entry(nil), q.pending...)
 	q.pendMu.Unlock()
 	for _, e := range snap {
 		fn(e)
 	}
 }
 
-// ForEach calls fn for a snapshot of every quarantined entry. Entries
-// quarantined or released concurrently may or may not be visited. The
-// entries must not be mutated.
-func (q *Quarantine) ForEach(fn func(e *Entry)) {
-	for i := range q.shards {
-		s := &q.shards[i]
-		s.mu.Lock()
-		snap := make([]*Entry, 0, s.n)
-		for _, e := range s.ents {
-			if e != nil {
-				snap = append(snap, e)
-			}
-		}
-		s.mu.Unlock()
-		for _, e := range snap {
-			fn(e)
-		}
-	}
-}
-
 // MetaBytes estimates the quarantine's metadata footprint.
 func (q *Quarantine) MetaBytes() uint64 {
-	// Set slot pair (16 B at <=50% load, so ~32 B amortised) + Entry
-	// struct (incl. the substrate ref word pair) + pending slot.
-	return clamp(q.entries.Load()) * (32 + 56 + 8)
+	// The 48 B Entry value on the pending list (the substrate ref word pair
+	// included) + its 8 B membership key at <=50% load, so 16 B amortised.
+	return clamp(q.entries.Load()) * (48 + 16)
 }
 
 func clamp(v int64) uint64 {
@@ -620,23 +497,21 @@ func clamp(v int64) uint64 {
 //
 // The deferral is visible: until a ring entry is drained it is absent from
 // Contains, from the byte accounts, and from double-free de-duplication
-// (a duplicate waits in the ring and is detected — and counted — when the
-// drain's membership insert loses). The lag is bounded by the ring capacity;
-// a capacity of 1 restores the fully eager behaviour.
+// (a duplicate waits in the ring and is detected — counted and dropped —
+// when the drain's membership insert loses). The lag is bounded by the ring
+// capacity; a capacity of 1 restores the fully eager behaviour.
 //
 // Not safe for concurrent use; each thread owns one.
 type ThreadBuffer struct {
 	q    *Quarantine
-	ring []*Entry // fixed backing of cap entries; len is the occupancy
+	ring []Entry // fixed backing of cap entries; len is the occupancy
 	cap  int
 	wm   int          // Drain watermark for the amortised tick (see NeedsDrain)
-	free *Entry       // local entry cache, refilled from the freelist a chain at a time
 	occ  atomic.Int32 // occupancy published at drains/ticks for gauges (stale in between)
 
 	// Drain scratch, reused across drains.
-	batch  []*Entry            // membership winners, handed to Append
-	dups   []*Entry            // membership losers (double frees)
-	groups [setShards][]*Entry // shard grouping
+	batch  []Entry          // membership winners, handed to Append
+	groups [setShards][]int // ring indices grouped by shard
 }
 
 // DefaultBufferCap is the default thread-ring capacity.
@@ -654,11 +529,10 @@ func NewThreadBuffer(q *Quarantine, capN int) *ThreadBuffer {
 	}
 	return &ThreadBuffer{
 		q:     q,
-		ring:  make([]*Entry, 0, capN),
+		ring:  make([]Entry, 0, capN),
 		cap:   capN,
 		wm:    wm,
-		batch: make([]*Entry, 0, capN),
-		dups:  make([]*Entry, 0, 4),
+		batch: make([]Entry, 0, capN),
 	}
 }
 
@@ -666,7 +540,7 @@ func NewThreadBuffer(q *Quarantine, capN int) *ThreadBuffer {
 // shared state — and reports whether the ring is now full, in which case the
 // caller must Drain before the next Push. (A Push past capacity is tolerated
 // — the ring grows — but loses the fixed-footprint guarantee.)
-func (b *ThreadBuffer) Push(e *Entry) bool {
+func (b *ThreadBuffer) Push(e Entry) bool {
 	b.ring = append(b.ring, e)
 	return len(b.ring) >= b.cap
 }
@@ -687,27 +561,12 @@ func (b *ThreadBuffer) Occupancy() int { return int(b.occ.Load()) }
 // (gauges). Owner-thread only, like Push.
 func (b *ThreadBuffer) PublishOccupancy() { b.occ.Store(int32(len(b.ring))) }
 
-// NewEntry returns a recycled or fresh Entry initialised for (base, size),
-// drawing on the buffer's local cache so the hot path usually takes no lock.
-func (b *ThreadBuffer) NewEntry(base, size uint64) *Entry {
-	e := b.free
-	if e == nil {
-		e = b.q.getChain()
-		if e == nil {
-			return &Entry{Base: base, Size: size}
-		}
-	}
-	b.free = e.next
-	*e = Entry{Base: base, Size: size}
-	return e
-}
-
 // Drain publishes the whole ring: membership inserts grouped by shard,
-// double-free losers counted in one add and recycled straight into the local
-// entry cache, byte/entry accounting published as one set of atomic adds, and
-// the winners appended to the pending list in a single Append. Accounting is
-// published before the pending append so a sweep that locks the batch in can
-// never release an entry whose bytes were not yet counted.
+// double-free losers counted in one add and dropped, byte/entry accounting
+// published as one set of atomic adds, and the winners appended to the
+// pending list in a single Append. Accounting is published before the
+// pending append so a sweep that locks the batch in can never release an
+// entry whose bytes were not yet counted.
 func (b *ThreadBuffer) Drain() {
 	if len(b.ring) == 0 {
 		b.occ.Store(0)
@@ -717,34 +576,33 @@ func (b *ThreadBuffer) Drain() {
 	for i := range b.groups {
 		b.groups[i] = b.groups[i][:0]
 	}
-	for _, e := range b.ring {
-		si := shardIdx(e.Base)
-		b.groups[si] = append(b.groups[si], e)
+	for i := range b.ring {
+		si := shardIdx(b.ring[i].Base)
+		b.groups[si] = append(b.groups[si], i)
 	}
 	winners := b.batch[:0]
-	dups := b.dups[:0]
-	for si := range b.groups {
-		g := b.groups[si]
+	dups := 0
+	for si, g := range b.groups {
 		if len(g) == 0 {
 			continue
 		}
 		s := &q.shards[si]
 		s.mu.Lock()
-		for _, e := range g {
-			if s.insert(e) {
-				winners = append(winners, e)
+		for _, i := range g {
+			if s.insert(b.ring[i].Base) {
+				winners = append(winners, b.ring[i])
 			} else {
-				dups = append(dups, e)
+				dups++
 			}
 		}
 		s.mu.Unlock()
 	}
 	var mapped, unmapped int64
-	for _, e := range winners {
-		if e.Unmapped {
-			unmapped += int64(e.Size)
+	for i := range winners {
+		if winners[i].Unmapped {
+			unmapped += int64(winners[i].Size)
 		} else {
-			mapped += int64(e.Size)
+			mapped += int64(winners[i].Size)
 		}
 	}
 	if mapped != 0 {
@@ -756,32 +614,14 @@ func (b *ThreadBuffer) Drain() {
 	if len(winners) != 0 {
 		q.entries.Add(int64(len(winners)))
 	}
-	if len(dups) != 0 {
-		q.doubleFrees.Add(uint64(len(dups)))
-		for _, e := range dups {
-			e.Ref = nil
-			e.next = b.free
-			b.free = e
-		}
+	if dups != 0 {
+		q.doubleFrees.Add(uint64(dups))
 	}
 	q.Append(winners)
+	// Both scratch slices drop their copies so no ref outlives its entry.
+	clear(winners)
 	b.batch = winners[:0]
-	b.dups = dups[:0]
 	clear(b.ring)
 	b.ring = b.ring[:0]
 	b.occ.Store(0)
-}
-
-// Flush is Drain, kept under the historical name for call sites that publish
-// a thread's frees before a sweep or pause.
-func (b *ThreadBuffer) Flush() { b.Drain() }
-
-// Retire drains the ring and donates the local entry cache back to the
-// global freelist; the owning thread is going away.
-func (b *ThreadBuffer) Retire() {
-	b.Drain()
-	if b.free != nil {
-		b.q.putChain(b.free)
-		b.free = nil
-	}
 }

@@ -8,7 +8,7 @@ import (
 
 func TestInsertRelease(t *testing.T) {
 	q := New()
-	e := &Entry{Base: 0x1000, Size: 64}
+	e := Entry{Base: 0x1000, Size: 64}
 	if !q.Insert(e) {
 		t.Fatal("Insert returned false")
 	}
@@ -29,10 +29,10 @@ func TestInsertRelease(t *testing.T) {
 
 func TestDoubleFreeDeduplicated(t *testing.T) {
 	q := New()
-	if !q.Insert(&Entry{Base: 0x2000, Size: 32}) {
+	if !q.Insert(Entry{Base: 0x2000, Size: 32}) {
 		t.Fatal("first insert failed")
 	}
-	if q.Insert(&Entry{Base: 0x2000, Size: 32}) {
+	if q.Insert(Entry{Base: 0x2000, Size: 32}) {
 		t.Fatal("duplicate insert succeeded")
 	}
 	if q.DoubleFrees() != 1 {
@@ -47,31 +47,31 @@ func TestReinsertAfterRelease(t *testing.T) {
 	// Once released (truly freed), the same base can be allocated and
 	// freed again — the quarantine must accept it.
 	q := New()
-	e := &Entry{Base: 0x3000, Size: 16}
+	e := Entry{Base: 0x3000, Size: 16}
 	q.Insert(e)
 	q.Release(e)
-	if !q.Insert(&Entry{Base: 0x3000, Size: 16}) {
+	if !q.Insert(Entry{Base: 0x3000, Size: 16}) {
 		t.Error("reinsert after release failed")
 	}
 }
 
 func TestLockInEpochs(t *testing.T) {
 	q := New()
-	a := &Entry{Base: 0x1000, Size: 8}
-	b := &Entry{Base: 0x2000, Size: 8}
+	a := Entry{Base: 0x1000, Size: 8}
+	b := Entry{Base: 0x2000, Size: 8}
 	q.Insert(a)
 	q.Insert(b)
-	q.Append([]*Entry{a, b})
+	q.Append([]Entry{a, b})
 
 	locked := q.LockIn()
 	if len(locked) != 2 {
 		t.Fatalf("LockIn returned %d entries, want 2", len(locked))
 	}
 	// New frees during the sweep go to the next epoch.
-	c := &Entry{Base: 0x3000, Size: 8}
+	c := Entry{Base: 0x3000, Size: 8}
 	q.Insert(c)
-	q.Append([]*Entry{c})
-	if got := q.LockIn(); len(got) != 1 || got[0] != c {
+	q.Append([]Entry{c})
+	if got := q.LockIn(); len(got) != 1 || got[0].Base != c.Base {
 		t.Errorf("second LockIn = %v, want [c]", got)
 	}
 	if q.Epoch() != 2 {
@@ -81,10 +81,10 @@ func TestLockInEpochs(t *testing.T) {
 
 func TestFailedAccounting(t *testing.T) {
 	q := New()
-	e := &Entry{Base: 0x1000, Size: 100}
+	e := Entry{Base: 0x1000, Size: 100}
 	q.Insert(e)
-	q.NoteFailed(e)
-	q.NoteFailed(e) // idempotent
+	q.NoteFailed(&e)
+	q.NoteFailed(&e) // idempotent
 	if q.FailedBytes() != 100 {
 		t.Errorf("FailedBytes = %d, want 100", q.FailedBytes())
 	}
@@ -96,10 +96,10 @@ func TestFailedAccounting(t *testing.T) {
 
 func TestUnmappedAccounting(t *testing.T) {
 	q := New()
-	e := &Entry{Base: 0x1000, Size: 8192}
+	e := Entry{Base: 0x1000, Size: 8192}
 	q.Insert(e)
-	q.NoteUnmapped(e)
-	q.NoteUnmapped(e) // idempotent
+	q.NoteUnmapped(&e)
+	q.NoteUnmapped(&e) // idempotent
 	if q.Bytes() != 0 {
 		t.Errorf("Bytes = %d, want 0 (unmapped excluded)", q.Bytes())
 	}
@@ -116,7 +116,7 @@ func TestThreadBufferDrainPublishes(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 4)
 	for i := 0; i < 3; i++ {
-		if tb.Push(&Entry{Base: uint64(0x1000 + i*16), Size: 16}) {
+		if tb.Push(Entry{Base: uint64(0x1000 + i*16), Size: 16}) {
 			t.Fatalf("ring full after %d of 4 pushes", i+1)
 		}
 	}
@@ -130,7 +130,7 @@ func TestThreadBufferDrainPublishes(t *testing.T) {
 	if got := q.LockIn(); len(got) != 0 {
 		t.Fatalf("pending published early: %d entries", len(got))
 	}
-	if !tb.Push(&Entry{Base: 0x9000, Size: 16}) {
+	if !tb.Push(Entry{Base: 0x9000, Size: 16}) {
 		t.Fatal("Push at capacity did not report full")
 	}
 	tb.Drain()
@@ -148,7 +148,7 @@ func TestThreadBufferDrainPublishes(t *testing.T) {
 func TestThreadBufferExplicitDrain(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 0) // default cap
-	tb.Push(&Entry{Base: 0x1000, Size: 16})
+	tb.Push(Entry{Base: 0x1000, Size: 16})
 	tb.Drain()
 	tb.Drain() // empty drain is a no-op
 	if got := q.LockIn(); len(got) != 1 {
@@ -159,9 +159,9 @@ func TestThreadBufferExplicitDrain(t *testing.T) {
 func TestThreadBufferDrainDeduplicates(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 8)
-	tb.Push(&Entry{Base: 0x1000, Size: 32})
-	tb.Push(&Entry{Base: 0x1000, Size: 32}) // double free, both still ring-resident
-	tb.Push(&Entry{Base: 0x2000, Size: 16})
+	tb.Push(Entry{Base: 0x1000, Size: 32})
+	tb.Push(Entry{Base: 0x1000, Size: 32}) // double free, both still ring-resident
+	tb.Push(Entry{Base: 0x2000, Size: 16})
 	tb.Drain()
 	if q.DoubleFrees() != 1 {
 		t.Errorf("DoubleFrees = %d, want 1", q.DoubleFrees())
@@ -170,7 +170,7 @@ func TestThreadBufferDrainDeduplicates(t *testing.T) {
 		t.Errorf("Bytes/Entries = %d/%d, want 48/2", q.Bytes(), q.Entries())
 	}
 	// A duplicate against an already-drained entry is also caught.
-	tb.Push(&Entry{Base: 0x2000, Size: 16})
+	tb.Push(Entry{Base: 0x2000, Size: 16})
 	tb.Drain()
 	if q.DoubleFrees() != 2 {
 		t.Errorf("DoubleFrees = %d after second drain, want 2", q.DoubleFrees())
@@ -183,9 +183,9 @@ func TestThreadBufferDrainDeduplicates(t *testing.T) {
 func TestThreadBufferDrainUnmappedAccounting(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 4)
-	e := &Entry{Base: 0x4000, Size: 8192, Unmapped: true} // flagged while ring-resident
+	e := Entry{Base: 0x4000, Size: 8192, Unmapped: true} // flagged while ring-resident
 	tb.Push(e)
-	tb.Push(&Entry{Base: 0x8000, Size: 64})
+	tb.Push(Entry{Base: 0x8000, Size: 64})
 	tb.Drain()
 	if q.Bytes() != 64 {
 		t.Errorf("Bytes = %d, want 64 (unmapped excluded)", q.Bytes())
@@ -203,12 +203,12 @@ func TestThreadBufferWatermark(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 64)
 	for i := 0; i < 47; i++ {
-		tb.Push(&Entry{Base: uint64(0x1000 + i*16), Size: 16})
+		tb.Push(Entry{Base: uint64(0x1000 + i*16), Size: 16})
 	}
 	if tb.NeedsDrain() {
 		t.Error("NeedsDrain = true below watermark")
 	}
-	tb.Push(&Entry{Base: 0x9000, Size: 16})
+	tb.Push(Entry{Base: 0x9000, Size: 16})
 	if !tb.NeedsDrain() {
 		t.Error("NeedsDrain = false at watermark (48 of 64)")
 	}
@@ -242,7 +242,7 @@ func TestAppendEpochLockInRace(t *testing.T) {
 			defer wg.Done()
 			tb := NewThreadBuffer(q, 8)
 			for i := 0; i < perPusher; i++ {
-				if tb.Push(&Entry{Base: uint64(g*perPusher+i+1) * 16, Size: 16}) {
+				if tb.Push(Entry{Base: uint64(g*perPusher+i+1) * 16, Size: 16}) {
 					tb.Drain()
 				}
 			}
@@ -288,14 +288,14 @@ func TestAppendEpochLockInRace(t *testing.T) {
 
 func TestRequeueLowersOldestPendingEpoch(t *testing.T) {
 	q := New()
-	a := &Entry{Base: 0x1000, Size: 8}
+	a := Entry{Base: 0x1000, Size: 8}
 	q.Insert(a)
-	q.Append([]*Entry{a})
+	q.Append([]Entry{a})
 	locked := q.LockIn() // epoch 0 -> 1; a carries epoch 0
 	// New free lands at epoch 1, then the failed entry is requeued behind it.
-	b := &Entry{Base: 0x2000, Size: 8}
+	b := Entry{Base: 0x2000, Size: 8}
 	q.Insert(b)
-	q.Append([]*Entry{b})
+	q.Append([]Entry{b})
 	q.Requeue(locked)
 	if got := q.OldestPendingEpoch(); got != 0 {
 		t.Errorf("OldestPendingEpoch = %d, want 0 (requeued entry is oldest)", got)
@@ -312,19 +312,19 @@ func TestRequeueLowersOldestPendingEpoch(t *testing.T) {
 // the current epoch.
 func TestRequeuePerShardWatermark(t *testing.T) {
 	q := New()
-	e := &Entry{Base: 0x1000, Size: 64}
+	e := Entry{Base: 0x1000, Size: 64}
 	q.Insert(e)
-	q.Append([]*Entry{e})
+	q.Append([]Entry{e})
 	locked := q.LockIn() // e carries epoch 0
 	// Age the world a few epochs, then fail the entry back in behind a
 	// fresh append.
 	q.LockIn()
 	q.LockIn()
-	f := &Entry{Base: 0x2000, Size: 64}
+	f := Entry{Base: 0x2000, Size: 64}
 	q.Insert(f)
-	q.Append([]*Entry{f})
+	q.Append([]Entry{f})
 	q.Requeue(locked)
-	if e.Epoch != 0 {
+	if locked[0].Epoch != 0 {
 		t.Fatalf("requeued entry epoch = %d, want 0 (its original append)", e.Epoch)
 	}
 	if got := q.OldestPendingEpoch(); got != 0 {
@@ -352,11 +352,11 @@ func TestConcurrentInsertRelease(t *testing.T) {
 			defer wg.Done()
 			tb := NewThreadBuffer(q, 16)
 			for i := 0; i < n; i++ {
-				if tb.Push(&Entry{Base: uint64(g*n+i+1) * 16, Size: 16}) {
+				if tb.Push(Entry{Base: uint64(g*n+i+1) * 16, Size: 16}) {
 					tb.Drain()
 				}
 			}
-			tb.Retire()
+			tb.Drain()
 		}(g)
 	}
 	wg.Wait()
@@ -381,24 +381,26 @@ func TestConcurrentInsertRelease(t *testing.T) {
 func TestQuickAccounting(t *testing.T) {
 	f := func(ops []uint8) bool {
 		q := New()
-		live := make(map[uint64]*Entry)
+		live := make(map[uint64]Entry)
 		next := uint64(16)
 		for _, op := range ops {
 			switch op % 4 {
 			case 0: // insert
-				e := &Entry{Base: next, Size: uint64(op)*8 + 8}
+				e := Entry{Base: next, Size: uint64(op)*8 + 8}
 				next += 1 << 12
 				if q.Insert(e) {
 					live[e.Base] = e
 				}
 			case 1: // fail one
-				for _, e := range live {
-					q.NoteFailed(e)
+				for b, e := range live {
+					q.NoteFailed(&e)
+					live[b] = e
 					break
 				}
 			case 2: // unmap one
-				for _, e := range live {
-					q.NoteUnmapped(e)
+				for b, e := range live {
+					q.NoteUnmapped(&e)
+					live[b] = e
 					break
 				}
 			case 3: // release one
@@ -432,7 +434,7 @@ func TestQuickAccounting(t *testing.T) {
 func BenchmarkInsertRelease(b *testing.B) {
 	q := New()
 	for i := 0; i < b.N; i++ {
-		e := &Entry{Base: uint64(i+1) * 16, Size: 64}
+		e := Entry{Base: uint64(i+1) * 16, Size: 64}
 		q.Insert(e)
 		q.Release(e)
 	}

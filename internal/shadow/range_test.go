@@ -51,8 +51,8 @@ func TestAnyInRangeAcrossChunkBoundary(t *testing.T) {
 func TestAnyInRangeTouchingBaseAndLimit(t *testing.T) {
 	b := newTestBitmap(t)
 	g := b.GranuleSize()
-	b.Mark(mem.HeapBase)       // very first granule
-	b.Mark(mem.HeapLimit - g)  // very last granule
+	b.Mark(mem.HeapBase)      // very first granule
+	b.Mark(mem.HeapLimit - g) // very last granule
 
 	if !b.AnyInRange(mem.HeapBase, mem.HeapBase+g) {
 		t.Error("range at base missed the first granule")
