@@ -222,14 +222,7 @@ func governedFactory(scheme, budgetStr, policyName string) (schemes.Factory, err
 		return schemes.Factory{}, err
 	}
 
-	cfg := core.DefaultConfig()
-	base := control.Knobs{
-		SweepThreshold:    cfg.SweepThreshold,
-		UnmappedFactor:    cfg.UnmappedFactor,
-		PauseThreshold:    cfg.PauseThreshold,
-		Helpers:           cfg.Helpers,
-		RescanBudgetPages: cfg.RescanBudgetPages,
-	}
+	base := core.DefaultConfig().Knobs()
 	rails := control.DefaultRails(base)
 	if policyName == "" {
 		policyName = "aimd"

@@ -174,10 +174,23 @@ type Config struct {
 	// its effective knobs (sweep threshold, unmapped factor, pause brake,
 	// helper count) instead of the frozen config fields above, and feeds an
 	// observation back after every sweep. The plane's base knobs should
-	// match this config's values; a Static-policy plane then behaves
+	// be this config's Knobs(); a Static-policy plane then behaves
 	// bit-for-bit like a nil one. Nil means ungoverned (the seed
 	// behaviour).
 	Control *control.Plane
+}
+
+// Knobs returns the control-plane knobs this configuration runs with: what an
+// ungoverned heap reads, and the base a governing plane should start from
+// and relax back to.
+func (c Config) Knobs() control.Knobs {
+	return control.Knobs{
+		SweepThreshold:    c.SweepThreshold,
+		UnmappedFactor:    c.UnmappedFactor,
+		PauseThreshold:    c.PauseThreshold,
+		Helpers:           c.Helpers,
+		RescanBudgetPages: c.RescanBudgetPages,
+	}
 }
 
 // DefaultConfig returns the paper's default configuration: fully concurrent,
@@ -285,13 +298,8 @@ type Heap struct {
 	sub   alloc.Substrate
 	space *mem.AddressSpace
 	marks *shadow.Bitmap
-	// unmappedPages mirrors which heap pages MineSweeper decommitted in
-	// quarantine — the paper's "small shadow bitmap" from §4.5. Sweeps
-	// skip those pages via residency; the bitmap exists for accounting
-	// and for restoring protections on commit.
-	unmappedPages *shadow.Bitmap
-	q             *quarantine.Quarantine
-	sw            *sweep.Sweeper
+	q     *quarantine.Quarantine
+	sw    *sweep.Sweeper
 	// ctl is the adaptive control plane (nil = ungoverned). Written once at
 	// construction; its knobs are read through one atomic load on the
 	// amortised trigger/pause paths and at sweep boundaries.
@@ -342,14 +350,14 @@ type Heap struct {
 var _ alloc.Allocator = (*Heap)(nil)
 
 // New builds a MineSweeper heap over space with a jemalloc substrate created
-// internally and MineSweeper's extent hooks installed — the paper's default
-// pairing.
+// internally from jcfg — the paper's default pairing. jcfg.Hooks see every
+// extent commit and decommit; a decommitted page's residency lives in mem,
+// where sweeps and CheckInvariants read it.
 func New(space *mem.AddressSpace, cfg Config, jcfg jemalloc.Config) (*Heap, error) {
 	h, err := newHeap(space, cfg)
 	if err != nil {
 		return nil, err
 	}
-	jcfg.Hooks = &msHooks{h: h, inner: jcfg.Hooks}
 	return h.attach(jemalloc.New(space, jcfg)), nil
 }
 
@@ -372,19 +380,14 @@ func newHeap(space *mem.AddressSpace, cfg Config) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	unmapped, err := shadow.New(mem.HeapBase, mem.HeapLimit, mem.PageShift)
-	if err != nil {
-		return nil, err
-	}
 	h := &Heap{
-		cfg:           cfg,
-		space:         space,
-		marks:         marks,
-		unmappedPages: unmapped,
-		q:             quarantine.New(),
-		ctl:           cfg.Control,
-		sweepReq:      make(chan struct{}, 1),
-		stop:          make(chan struct{}),
+		cfg:      cfg,
+		space:    space,
+		marks:    marks,
+		q:        quarantine.New(),
+		ctl:      cfg.Control,
+		sweepReq: make(chan struct{}, 1),
+		stop:     make(chan struct{}),
 	}
 	h.genCond = sync.NewCond(&h.genMu)
 	return h, nil
@@ -545,46 +548,6 @@ func (h *Heap) tripFlight(cause events.TripCause) {
 	}
 }
 
-// msHooks wraps the default extent hooks with MineSweeper's unmapped-page
-// bookkeeping (§4.5): decommit marks pages in the shadow bitmap and commit
-// clears them and restores access.
-type msHooks struct {
-	h     *Heap
-	inner jemalloc.ExtentHooks
-}
-
-func (m *msHooks) hooks() jemalloc.ExtentHooks {
-	if m.inner != nil {
-		return m.inner
-	}
-	return jemalloc.DefaultHooks{}
-}
-
-// Commit implements jemalloc.ExtentHooks.
-func (m *msHooks) Commit(space *mem.AddressSpace, base, size uint64) error {
-	if err := m.hooks().Commit(space, base, size); err != nil {
-		return err
-	}
-	m.h.unmappedPages.ClearRange(base, base+size)
-	return nil
-}
-
-// Decommit implements jemalloc.ExtentHooks.
-func (m *msHooks) Decommit(space *mem.AddressSpace, base, size uint64) error {
-	if err := m.hooks().Decommit(space, base, size); err != nil {
-		return err
-	}
-	// An extent's pages are consecutive granules of the page-granular
-	// bitmap, so a write-combining Marker turns up to 64 per-page atomics
-	// into one.
-	mk := m.h.unmappedPages.NewMarker()
-	for p := base; p < base+size; p += mem.PageSize {
-		mk.Mark(p)
-	}
-	mk.Flush()
-	return nil
-}
-
 // String returns the scheme name.
 func (h *Heap) String() string {
 	if h.cfg.Mode == MostlyConcurrent {
@@ -605,13 +568,7 @@ func (h *Heap) knobs() control.Knobs {
 	if h.ctl != nil {
 		return h.ctl.Knobs()
 	}
-	return control.Knobs{
-		SweepThreshold:    h.cfg.SweepThreshold,
-		UnmappedFactor:    h.cfg.UnmappedFactor,
-		PauseThreshold:    h.cfg.PauseThreshold,
-		Helpers:           h.cfg.Helpers,
-		RescanBudgetPages: h.cfg.RescanBudgetPages,
-	}
+	return h.cfg.Knobs()
 }
 
 // budget returns the governed memory budget, or 0 (unbounded).
@@ -853,7 +810,6 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) (uint64, e
 			if err := h.sub.DecommitExtent(a.Base); err == nil {
 				// Immediately remap, as the partial version does.
 				_ = h.space.Commit(a.Base, a.Size, mem.ProtRW)
-				h.unmappedPages.ClearRange(a.Base, a.Base+a.Size)
 			}
 		} else if h.cfg.Zeroing && a.Large {
 			_ = h.space.Zero(a.Base, a.Size)
@@ -1604,7 +1560,7 @@ func (h *Heap) Stats() alloc.Stats {
 	}
 	st.Quarantined = h.q.Bytes() + h.q.UnmappedBytes()
 	st.QuarantinedUnmapped = h.q.UnmappedBytes()
-	st.MetaBytes += h.q.MetaBytes() + h.marks.FootprintBytes() + h.unmappedPages.FootprintBytes()
+	st.MetaBytes += h.q.MetaBytes() + h.marks.FootprintBytes()
 	st.Sweeps = h.sweeps.Load()
 	st.FailedFrees = h.failedFrees.Load()
 	st.ReleasedFrees = h.releasedFrees.Load()

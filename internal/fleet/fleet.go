@@ -202,13 +202,7 @@ func (h *Host) buildTenant(id int, cl Class) (*Tenant, error) {
 	ccfg.SweepFloorBytes = 4 << 10
 	ccfg.BufferCap = 16
 	plane := control.NewPlane(control.Config{
-		Base: control.Knobs{
-			SweepThreshold:    ccfg.SweepThreshold,
-			UnmappedFactor:    ccfg.UnmappedFactor,
-			PauseThreshold:    ccfg.PauseThreshold,
-			Helpers:           ccfg.Helpers,
-			RescanBudgetPages: ccfg.RescanBudgetPages,
-		},
+		Base:   ccfg.Knobs(),
 		Budget: cl.Floor, // re-granted immediately by the caller
 		Policy: control.NewAIMD(),
 	})

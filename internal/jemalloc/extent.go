@@ -9,10 +9,12 @@ import (
 
 // ExtentHooks is the allocator's interface to physical-memory management,
 // mirroring jemalloc's extent_hooks_t. The default hooks commit and decommit
-// pages directly; MineSweeper installs hooks that additionally maintain its
-// unmapped-page shadow bitmap and access protections (§4.5: "we hook onto
+// pages directly, and the MineSweeper layer keeps them: a decommit clears the
+// pages' resident bits and access in mem, which is where sweeps and the
+// quarantine's unmapped accounting read residency (§4.5: "we hook onto
 // JeMalloc's extent management via the extent hook API ... instead of a purge
 // call and demand-allocation, we use a pair of calls: decommit and commit").
+// Callers may install their own hooks to observe or time those calls.
 type ExtentHooks interface {
 	// Commit makes [base, base+size) resident and accessible.
 	Commit(space *mem.AddressSpace, base, size uint64) error

@@ -720,10 +720,6 @@ func (r *Region) clearSoftDirty() {
 	}
 }
 
-// DirtySummaryWords returns the length of the dirty summary bitmap: one
-// uint64 per 64 pages, rounded up.
-func (r *Region) DirtySummaryWords() int { return len(r.dirtySum) }
-
 // DirtySummaryWord loads summary word w — a conservative view: a set bit
 // means the page MAY be dirty (re-check PageDirty), a clear bit means no
 // completed store has dirtied it since the word was last cleared.
@@ -778,10 +774,6 @@ func (r *Region) PageKnownZero(i int) bool {
 func (r *Region) PagePtrFree(i int) bool {
 	return r.pages[i].Load()&pagePtrFree != 0
 }
-
-// KnownZeroSummaryWords returns the length of the skip summary bitmap: one
-// uint64 per 64 pages, rounded up (same geometry as the dirty summary).
-func (r *Region) KnownZeroSummaryWords() int { return len(r.zeroSum) }
 
 // KnownZeroSummaryWord loads skip summary word w, which covers the
 // known-zero and pointer-free bits. Both polarities are hints — a set bit

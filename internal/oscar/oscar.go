@@ -194,10 +194,6 @@ func (h *Heap) UsableSize(addr uint64) uint64 {
 // Tick implements alloc.Allocator.
 func (h *Heap) Tick(uint64) {}
 
-// VAPages returns total virtual pages consumed — Oscar's page-table-size
-// pressure.
-func (h *Heap) VAPages() uint64 { return h.vaPages.Load() }
-
 // Stats implements alloc.Allocator.
 func (h *Heap) Stats() alloc.Stats {
 	h.mu.Lock()

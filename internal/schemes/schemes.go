@@ -63,6 +63,21 @@ const (
 	numKinds
 )
 
+// Valid reports whether k names a scheme.
+func (k Kind) Valid() bool { return k >= 0 && k < numKinds }
+
+// IsMineSweeper reports whether the scheme is the MineSweeper layer over
+// some substrate (a core.Heap): the schemes whose core configuration,
+// budget and governor Options reach, and whose knobs a control plane
+// steers.
+func (k Kind) IsMineSweeper() bool {
+	switch k {
+	case MineSweeper, MineSweeperMostly, Scudo, MineSweeperDlmalloc:
+		return true
+	}
+	return false
+}
+
 // String returns the scheme's display name.
 func (k Kind) String() string {
 	switch k {
@@ -124,73 +139,126 @@ type Factory struct {
 	Build func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error)
 }
 
+// Options are the overrides a caller layers over a scheme's standard
+// construction. The zero value builds every scheme as the paper configures
+// it.
+type Options struct {
+	// Core replaces core.DefaultConfig() as the MineSweeper schemes' layer
+	// configuration (nil = default). Each Build works on its own copy, and
+	// fills in its World when Core has none. The scheme still sets what
+	// is its own: MineSweeperMostly runs MostlyConcurrent, and
+	// MineSweeperDlmalloc never unmaps.
+	Core *core.Config
+	// SweepThreshold overrides MarkUs's marking trigger and pSweeper's
+	// wake threshold (0 = the scheme's default). The MineSweeper schemes
+	// take theirs from Core.
+	SweepThreshold float64
+	// Synchronous runs sweeps on the freeing thread: core.Synchronous mode
+	// for the MineSweeper schemes, and MarkUs's and pSweeper's synchronous
+	// modes.
+	Synchronous bool
+	// Budget and Policy govern a MineSweeper heap with a control plane,
+	// fresh per Build, whose base knobs are the core configuration's
+	// (core.Config.Knobs). Budget is the resident-memory budget in bytes
+	// (0 = unbounded: pressure then comes only from quarantine age). A nil
+	// Policy with a Budget governs with AIMD; with neither, the heap is
+	// ungoverned. Ignored by the other schemes.
+	Budget uint64
+	Policy control.Policy
+}
+
 // New returns the standard factory for a scheme kind.
-func New(kind Kind) Factory {
+func New(kind Kind) Factory { return NewWith(kind, Options{}) }
+
+// NewWith returns the factory for a scheme kind with opts layered over its
+// standard construction: the one place a scheme becomes a heap. The Build
+// of an unknown kind returns an error.
+func NewWith(kind Kind, opts Options) Factory {
+	return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
+		return build(kind, opts, space, world)
+	}}
+}
+
+func build(kind Kind, opts Options, space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
 	switch kind {
 	case Baseline:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return jemalloc.New(space, jemalloc.DefaultConfig()), nil
-		}}
-	case MineSweeper:
-		return Custom(kind.String(), core.DefaultConfig())
-	case MineSweeperMostly:
-		cfg := core.DefaultConfig()
-		cfg.Mode = core.MostlyConcurrent
-		return Custom(kind.String(), cfg)
-	case MarkUs:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-			cfg := markus.DefaultConfig()
-			if world != nil {
-				cfg.World = world
-			}
-			return markus.New(space, cfg, jemalloc.DefaultConfig()), nil
-		}}
-	case FFMalloc:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return ffmalloc.New(space), nil
-		}}
+		return jemalloc.New(space, jemalloc.DefaultConfig()), nil
+	case MineSweeper, MineSweeperMostly:
+		return core.New(space, opts.coreConfig(kind, world), jemalloc.DefaultConfig())
 	case Scudo:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-			cfg := scudo.DefaultConfig()
-			if world != nil {
-				cfg.World = world
-			}
-			return scudo.New(space, cfg)
-		}}
-	case Oscar:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return oscar.New(space), nil
-		}}
-	case DangSan:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return dangsan.New(space, jemalloc.DefaultConfig()), nil
-		}}
-	case PSweeper:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return psweeper.New(space, psweeper.DefaultConfig(), jemalloc.DefaultConfig()), nil
-		}}
-	case CRCount:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return crcount.New(space, jemalloc.DefaultConfig()), nil
-		}}
-	case Dlmalloc:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return dlmalloc.New(space), nil
-		}}
+		cfg := opts.coreConfig(kind, world)
+		scfg := scudo.DefaultConfig()
+		scfg.Core = &cfg
+		return scudo.New(space, scfg)
 	case MineSweeperDlmalloc:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-			cfg := core.DefaultConfig()
-			if world != nil {
-				cfg.World = world
-			}
-			// In-band chunks share pages with neighbours: page release
-			// is unavailable on this substrate.
-			cfg.Unmapping = false
-			return core.NewWithSubstrate(space, cfg, dlmalloc.New(space))
-		}}
-	default:
-		panic(fmt.Sprintf("schemes: unknown kind %d", kind))
+		return core.NewWithSubstrate(space, opts.coreConfig(kind, world), dlmalloc.New(space))
+	case MarkUs:
+		cfg := markus.DefaultConfig()
+		if world != nil {
+			cfg.World = world
+		}
+		if opts.SweepThreshold > 0 {
+			cfg.SweepThreshold = opts.SweepThreshold
+		}
+		cfg.Synchronous = opts.Synchronous
+		return markus.New(space, cfg, jemalloc.DefaultConfig()), nil
+	case FFMalloc:
+		return ffmalloc.New(space), nil
+	case Oscar:
+		return oscar.New(space), nil
+	case DangSan:
+		return dangsan.New(space, jemalloc.DefaultConfig()), nil
+	case PSweeper:
+		cfg := psweeper.DefaultConfig()
+		if opts.SweepThreshold > 0 {
+			cfg.WakeThreshold = opts.SweepThreshold
+		}
+		cfg.Synchronous = opts.Synchronous
+		return psweeper.New(space, cfg, jemalloc.DefaultConfig()), nil
+	case CRCount:
+		return crcount.New(space, jemalloc.DefaultConfig()), nil
+	case Dlmalloc:
+		return dlmalloc.New(space), nil
 	}
+	return nil, fmt.Errorf("schemes: unknown scheme %v", kind)
+}
+
+// coreConfig resolves the MineSweeper layer configuration of one Build of
+// kind.
+func (o Options) coreConfig(kind Kind, world *sim.World) core.Config {
+	cfg := core.DefaultConfig()
+	if o.Core != nil {
+		cfg = *o.Core
+	}
+	if world != nil && cfg.World == nil {
+		cfg.World = world
+	}
+	if kind == MineSweeperMostly {
+		cfg.Mode = core.MostlyConcurrent
+	}
+	if o.Synchronous {
+		cfg.Mode = core.Synchronous
+	}
+	if kind == MineSweeperDlmalloc {
+		// In-band chunks share pages with neighbours: page release is
+		// unavailable on this substrate.
+		cfg.Unmapping = false
+	}
+	if o.Budget > 0 || o.Policy != nil {
+		pol := o.Policy
+		if pol == nil {
+			pol = control.NewAIMD()
+		}
+		// The plane's base knobs are the resolved core values, so a Static
+		// policy reproduces the ungoverned behaviour exactly and an
+		// adaptive one relaxes back to precisely the configured state.
+		cfg.Control = control.NewPlane(control.Config{
+			Base:   cfg.Knobs(),
+			Budget: o.Budget,
+			Policy: pol,
+		})
+	}
+	return cfg
 }
 
 // Custom returns a MineSweeper factory with an explicit core configuration —
@@ -198,28 +266,26 @@ func New(kind Kind) Factory {
 // optimisations off. Each Build works on its own copy of cfg, so a heap
 // built for one run stops that run's World, never an earlier run's.
 func Custom(name string, cfg core.Config) Factory {
-	return Factory{Name: name, Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-		c := cfg
-		if world != nil && c.World == nil {
-			c.World = world
-		}
-		return core.New(space, c, jemalloc.DefaultConfig())
-	}}
+	f := NewWith(MineSweeper, Options{Core: &cfg})
+	f.Name = name
+	return f
 }
 
 // GovernedByName resolves a scheme name and policy name (the CLI flag forms)
-// into a governed factory. Only the sweeping MineSweeper schemes can be
-// governed — the knobs the plane steers do not exist elsewhere — so any other
-// scheme name is an error, as is an unknown policy. An empty policy name
-// selects AIMD, the policy that actually closes the loop.
+// into a governed factory. Only the MineSweeper schemes can be governed —
+// the knobs the plane steers do not exist elsewhere — so any other scheme
+// name is an error, as is an unknown policy. An empty policy name selects
+// AIMD, the policy that actually closes the loop.
 func GovernedByName(scheme string, budget uint64, policyName string) (Factory, error) {
-	cfg := core.DefaultConfig()
-	switch scheme {
-	case "minesweeper":
-	case "minesweeper-mostly":
-		cfg.Mode = core.MostlyConcurrent
-	default:
-		return Factory{}, fmt.Errorf("schemes: a governor requires a sweeping scheme (minesweeper or minesweeper-mostly), not %q", scheme)
+	k := numKinds
+	for c := range numKinds {
+		if c.String() == scheme {
+			k = c
+		}
+	}
+	if !k.IsMineSweeper() {
+		return Factory{}, fmt.Errorf("schemes: a governor requires a MineSweeper scheme (%v, %v, %v or %v), not %q",
+			MineSweeper, MineSweeperMostly, Scudo, MineSweeperDlmalloc, scheme)
 	}
 	var pol control.Policy
 	switch policyName {
@@ -230,7 +296,9 @@ func GovernedByName(scheme string, budget uint64, policyName string) (Factory, e
 	default:
 		return Factory{}, fmt.Errorf("schemes: unknown governor policy %q (want aimd or static)", policyName)
 	}
-	return Governed(scheme+"-governed", cfg, budget, pol), nil
+	f := NewWith(k, Options{Budget: budget, Policy: pol})
+	f.Name = scheme + "-governed"
+	return f, nil
 }
 
 // Governed returns a MineSweeper factory whose heap is steered by an adaptive
@@ -240,22 +308,10 @@ func GovernedByName(scheme string, budget uint64, policyName string) (Factory, e
 // default). Each Build constructs a fresh plane, so repeated runs do not
 // share governor state or a World.
 func Governed(name string, cfg core.Config, budget uint64, policy control.Policy) Factory {
-	return Factory{Name: name, Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-		c := cfg
-		if world != nil && c.World == nil {
-			c.World = world
-		}
-		c.Control = control.NewPlane(control.Config{
-			Base: control.Knobs{
-				SweepThreshold:    c.SweepThreshold,
-				UnmappedFactor:    c.UnmappedFactor,
-				PauseThreshold:    c.PauseThreshold,
-				Helpers:           c.Helpers,
-				RescanBudgetPages: c.RescanBudgetPages,
-			},
-			Budget: budget,
-			Policy: policy,
-		})
-		return core.New(space, c, jemalloc.DefaultConfig())
-	}}
+	if policy == nil {
+		policy = control.Static{}
+	}
+	f := NewWith(MineSweeper, Options{Core: &cfg, Budget: budget, Policy: policy})
+	f.Name = name
+	return f
 }

@@ -138,3 +138,49 @@ func TestKindStrings(t *testing.T) {
 		t.Error("ByName accepted an unknown name")
 	}
 }
+
+// TestGovernedByName checks the CLI -governor path: the four MineSweeper
+// schemes build a governed core heap under either policy name, the other
+// eight schemes and unknown names or policies are refused.
+func TestGovernedByName(t *testing.T) {
+	for k := range numKinds {
+		f, err := GovernedByName(k.String(), 64<<20, "static")
+		if !k.IsMineSweeper() {
+			if err == nil {
+				t.Errorf("GovernedByName(%q) accepted a scheme without MineSweeper sweeps", k)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("GovernedByName(%q): %v", k, err)
+			continue
+		}
+		if want := k.String() + "-governed"; f.Name != want {
+			t.Errorf("factory name %q, want %q", f.Name, want)
+		}
+		a, err := f.Build(mem.NewAddressSpace(), sim.NewWorld())
+		if err != nil {
+			t.Fatalf("%v: Build: %v", k, err)
+		}
+		h, ok := a.(*core.Heap)
+		if !ok || h.Control() == nil {
+			t.Errorf("%v: built %T without a control plane", k, a)
+		} else if h.Control().PolicyName() != "static" || h.Control().Budget() != 64<<20 {
+			t.Errorf("%v: plane %s with budget %d, want static with %d",
+				k, h.Control().PolicyName(), h.Control().Budget(), 64<<20)
+		}
+		a.Shutdown()
+	}
+	if _, err := GovernedByName("minesweeper", 0, "no-such-policy"); err == nil {
+		t.Error("GovernedByName accepted an unknown policy")
+	}
+	if _, err := GovernedByName("no-such-scheme", 0, ""); err == nil {
+		t.Error("GovernedByName accepted an unknown scheme")
+	}
+}
+
+func TestUnknownKindBuildFails(t *testing.T) {
+	if _, err := New(numKinds).Build(mem.NewAddressSpace(), nil); err == nil {
+		t.Error("Build of an unknown kind succeeded")
+	}
+}

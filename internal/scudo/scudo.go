@@ -25,7 +25,6 @@ import (
 	"minesweeper/internal/core"
 	"minesweeper/internal/jemalloc"
 	"minesweeper/internal/mem"
-	"minesweeper/internal/sweep"
 )
 
 // Primary class regions start small and double as a class proves hot, so a
@@ -38,9 +37,8 @@ const (
 
 // Config controls the Scudo+MineSweeper pairing.
 type Config struct {
-	// World is the stop-the-world facility for the core layer.
-	World sweep.StopTheWorld
-	// Core overrides the MineSweeper layer configuration (nil = default).
+	// Core overrides the MineSweeper layer configuration (nil = default),
+	// its World included.
 	Core *core.Config
 	// Seed seeds the free-list randomisation.
 	Seed uint64
@@ -55,9 +53,6 @@ func New(space *mem.AddressSpace, cfg Config) (*core.Heap, error) {
 	ccfg := core.DefaultConfig()
 	if cfg.Core != nil {
 		ccfg = *cfg.Core
-	}
-	if ccfg.World == nil {
-		ccfg.World = cfg.World
 	}
 	return core.NewWithSubstrate(space, ccfg, sub)
 }

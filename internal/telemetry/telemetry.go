@@ -71,14 +71,6 @@ type gauge struct {
 	fn   GaugeFunc
 }
 
-// SweepObserver receives one record per completed sweep. The core layer
-// holds an observer (possibly nil) and calls it at the end of runSweep;
-// Registry implements it by pushing into the ring buffer and feeding the
-// sweep-duration histogram.
-type SweepObserver interface {
-	ObserveSweep(rec SweepRecord)
-}
-
 // Registry is one process's telemetry state: the sweep ring, the standard
 // latency histograms, and any registered gauges. A nil *Registry is the
 // disabled state; all methods on a non-nil Registry are safe for concurrent
@@ -108,8 +100,6 @@ type Registry struct {
 	extra  []*Histogram // caller-registered histograms
 	gauges []gauge
 }
-
-var _ SweepObserver = (*Registry)(nil)
 
 // NewRegistry returns a registry retaining the last ringCap sweeps
 // (DefaultRingCap if <= 0).
@@ -142,7 +132,8 @@ func (r *Registry) SetSamplePeriod(n uint64) {
 // SamplePeriod returns the current 1-in-n malloc/free sampling rate.
 func (r *Registry) SamplePeriod() uint64 { return r.samplePeriod.Load() }
 
-// ObserveSweep implements SweepObserver: the record enters the ring and the
+// ObserveSweep takes one completed sweep's record (the core layer calls it
+// at the end of every sweep): the record enters the ring and the
 // sweep-duration histogram.
 func (r *Registry) ObserveSweep(rec SweepRecord) {
 	r.ring.Push(rec)

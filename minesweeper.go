@@ -37,78 +37,49 @@ import (
 
 	"minesweeper/internal/alloc"
 	"minesweeper/internal/control"
+	"minesweeper/internal/schemes"
 )
 
 // Addr is a virtual address in the simulated process.
 type Addr = uint64
 
-// Scheme selects the memory-management scheme protecting a Process.
-type Scheme int
+// Scheme selects the memory-management scheme protecting a Process. It is
+// internal/schemes' Kind, so a Process is built by the same scheme table as
+// the CLIs, the figures and the workload runner.
+type Scheme = schemes.Kind
 
 // Available schemes.
 const (
 	// SchemeBaseline is unprotected jemalloc (the evaluation baseline).
-	SchemeBaseline Scheme = iota
+	SchemeBaseline = schemes.Baseline
 	// SchemeMineSweeper is the paper's default: fully concurrent sweeps.
-	SchemeMineSweeper
+	SchemeMineSweeper = schemes.MineSweeper
 	// SchemeMineSweeperMostlyConcurrent adds the stop-the-world re-scan
 	// of modified pages (§4.3, §5.3).
-	SchemeMineSweeperMostlyConcurrent
+	SchemeMineSweeperMostlyConcurrent = schemes.MineSweeperMostly
 	// SchemeMarkUs is the transitive-marking comparison system.
-	SchemeMarkUs
+	SchemeMarkUs = schemes.MarkUs
 	// SchemeFFMalloc is the one-time-allocator comparison system.
-	SchemeFFMalloc
+	SchemeFFMalloc = schemes.FFMalloc
 	// SchemeScudoMineSweeper pairs MineSweeper with a Scudo-style
 	// hardened allocator (§7).
-	SchemeScudoMineSweeper
+	SchemeScudoMineSweeper = schemes.Scudo
 	// SchemeOscar is the page-permissions comparator (§6.3).
-	SchemeOscar
+	SchemeOscar = schemes.Oscar
 	// SchemeDangSan is the pointer-tracking nullification comparator
 	// (§6.4).
-	SchemeDangSan
+	SchemeDangSan = schemes.DangSan
 	// SchemePSweeper is the concurrent pointer-sweeping comparator (§6.4).
-	SchemePSweeper
+	SchemePSweeper = schemes.PSweeper
 	// SchemeCRCount is the reference-counting comparator (§6.6).
-	SchemeCRCount
+	SchemeCRCount = schemes.CRCount
 	// SchemeDlmalloc is an unprotected GNU-malloc-style allocator with
 	// in-band metadata (the §2 footnote's corruptible baseline).
-	SchemeDlmalloc
+	SchemeDlmalloc = schemes.Dlmalloc
 	// SchemeMineSweeperDlmalloc drops MineSweeper onto the dlmalloc
 	// substrate — a second any-allocator integration (§7).
-	SchemeMineSweeperDlmalloc
+	SchemeMineSweeperDlmalloc = schemes.MineSweeperDlmalloc
 )
-
-// String returns the scheme's name.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeBaseline:
-		return "baseline"
-	case SchemeMineSweeper:
-		return "minesweeper"
-	case SchemeMineSweeperMostlyConcurrent:
-		return "minesweeper-mostly"
-	case SchemeMarkUs:
-		return "markus"
-	case SchemeFFMalloc:
-		return "ffmalloc"
-	case SchemeScudoMineSweeper:
-		return "scudo-minesweeper"
-	case SchemeOscar:
-		return "oscar"
-	case SchemeDangSan:
-		return "dangsan"
-	case SchemePSweeper:
-		return "psweeper"
-	case SchemeCRCount:
-		return "crcount"
-	case SchemeDlmalloc:
-		return "dlmalloc"
-	case SchemeMineSweeperDlmalloc:
-		return "minesweeper-dlmalloc"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
 
 // Allocation errors, matched with errors.Is.
 var (
@@ -176,8 +147,8 @@ type Config struct {
 	// the control plane treats it as the 100% pressure mark, sweeps are
 	// additionally triggered when RSS crosses it, and allocation briefly
 	// pauses while RSS sits above it with sweepable quarantine to reclaim.
-	// Only meaningful for schemes with sweeps (the MineSweeper variants);
-	// Validate rejects it elsewhere.
+	// Only meaningful for the four MineSweeper schemes
+	// (Scheme.IsMineSweeper); Validate rejects it elsewhere.
 	MemoryBudget uint64
 	// Controller selects the policy governing the runtime knobs (sweep
 	// threshold, unmapped factor, pause brake, helper count). Nil with a
@@ -209,32 +180,24 @@ func AIMDPolicy() Policy { return control.NewAIMD() }
 // ErrBadConfig reports an invalid Config, matched with errors.Is.
 var ErrBadConfig = errors.New("minesweeper: invalid config")
 
-// schemeHasSweeps reports whether the scheme runs MineSweeper sweeps (the
-// core-based schemes, for which budget/controller/knob overrides are
-// meaningful).
-func (s Scheme) schemeHasSweeps() bool {
-	switch s {
-	case SchemeMineSweeper, SchemeMineSweeperMostlyConcurrent,
-		SchemeScudoMineSweeper, SchemeMineSweeperDlmalloc:
-		return true
-	}
-	return false
-}
-
 // Validate checks the configuration for nonsense values and returns an error
 // wrapping ErrBadConfig describing the first problem found. NewProcess calls
 // it; callers constructing configs programmatically can call it early.
 //
-// Zero values mean "use the default" and always validate. Explicit values
-// must make sense: SweepThreshold is a fraction in (0, 1] (the quarantine
-// can never exceed the heap that contains it, so a larger value would
-// silently disable sweeping — ask for that explicitly with 1), Helpers and
-// BufferCap cannot be negative, UnmappedFactor below 1 would re-sweep
-// permanently (the paper uses 9), and MemoryBudget/Controller require a
-// scheme that sweeps at all. The float knobs must be finite: every
-// comparison with NaN is false, so a NaN threshold would silently switch its
-// trigger off, and so would an infinite UnmappedFactor or PauseThreshold.
+// Scheme must be one of the Scheme constants. Zero values mean "use the
+// default" and always validate. Explicit values must make sense:
+// SweepThreshold is a fraction in (0, 1] (the quarantine can never exceed
+// the heap that contains it, so a larger value would silently disable
+// sweeping — ask for that explicitly with 1), Helpers and BufferCap cannot
+// be negative, UnmappedFactor below 1 would re-sweep permanently (the paper
+// uses 9), and MemoryBudget/Controller require one of the four MineSweeper
+// schemes. The float knobs must be finite: every comparison with NaN is
+// false, so a NaN threshold would silently switch its trigger off, and so
+// would an infinite UnmappedFactor or PauseThreshold.
 func (c Config) Validate() error {
+	if !c.Scheme.Valid() {
+		return fmt.Errorf("%w: unknown Scheme %v", ErrBadConfig, c.Scheme)
+	}
 	if math.IsNaN(c.SweepThreshold) || c.SweepThreshold < 0 || c.SweepThreshold > 1 {
 		return fmt.Errorf("%w: SweepThreshold %v outside (0, 1] (0 = default 0.15)",
 			ErrBadConfig, c.SweepThreshold)
@@ -258,11 +221,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: PauseThreshold %v not finite (0 = default, negative disables)",
 			ErrBadConfig, c.PauseThreshold)
 	}
-	if c.MemoryBudget > 0 && !c.Scheme.schemeHasSweeps() {
+	if c.MemoryBudget > 0 && !c.Scheme.IsMineSweeper() {
 		return fmt.Errorf("%w: MemoryBudget set but scheme %v has no sweeps to govern",
 			ErrBadConfig, c.Scheme)
 	}
-	if c.Controller != nil && !c.Scheme.schemeHasSweeps() {
+	if c.Controller != nil && !c.Scheme.IsMineSweeper() {
 		return fmt.Errorf("%w: Controller set but scheme %v has no sweeps to govern",
 			ErrBadConfig, c.Scheme)
 	}

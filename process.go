@@ -1,22 +1,14 @@
 package minesweeper
 
 import (
-	"fmt"
-
 	"minesweeper/internal/alloc"
 	"minesweeper/internal/control"
 	"minesweeper/internal/core"
-	"minesweeper/internal/crcount"
-	"minesweeper/internal/dangsan"
-	"minesweeper/internal/dlmalloc"
 	"minesweeper/internal/events"
-	"minesweeper/internal/ffmalloc"
-	"minesweeper/internal/jemalloc"
 	"minesweeper/internal/markus"
 	"minesweeper/internal/mem"
-	"minesweeper/internal/oscar"
 	"minesweeper/internal/psweeper"
-	"minesweeper/internal/scudo"
+	"minesweeper/internal/schemes"
 	"minesweeper/internal/sim"
 	"minesweeper/internal/telemetry"
 )
@@ -43,7 +35,7 @@ func NewProcess(cfg Config) (*Process, error) {
 	space := mem.NewAddressSpace()
 	world := sim.NewWorld()
 
-	heap, err := buildHeap(cfg, space, world)
+	heap, err := cfg.factory().Build(space, world)
 	if err != nil {
 		return nil, err
 	}
@@ -72,109 +64,42 @@ func NewProcess(cfg Config) (*Process, error) {
 	return p, nil
 }
 
-func coreConfig(cfg Config, world *sim.World) core.Config {
+// factory maps the Config onto its scheme's builder in internal/schemes. The
+// core overrides reach the four MineSweeper schemes; SweepThreshold and
+// Synchronous also reach MarkUs and pSweeper; a MemoryBudget or Controller
+// governs the heap with a plane whose base knobs are the resolved core
+// values.
+func (c Config) factory() schemes.Factory {
 	ccfg := core.DefaultConfig()
-	ccfg.World = world
-	if cfg.Scheme == SchemeMineSweeperMostlyConcurrent {
-		ccfg.Mode = core.MostlyConcurrent
+	if c.SweepThreshold > 0 {
+		ccfg.SweepThreshold = c.SweepThreshold
 	}
-	if cfg.Synchronous {
-		ccfg.Mode = core.Synchronous
+	if c.Helpers > 0 {
+		ccfg.Helpers = c.Helpers
 	}
-	if cfg.SweepThreshold > 0 {
-		ccfg.SweepThreshold = cfg.SweepThreshold
+	if c.PauseThreshold != 0 {
+		ccfg.PauseThreshold = max(c.PauseThreshold, 0) // negative disables pausing
 	}
-	if cfg.Helpers > 0 {
-		ccfg.Helpers = cfg.Helpers
+	if c.UnmappedFactor > 0 {
+		ccfg.UnmappedFactor = c.UnmappedFactor
 	}
-	if cfg.PauseThreshold != 0 {
-		ccfg.PauseThreshold = cfg.PauseThreshold
-		if cfg.PauseThreshold < 0 {
-			ccfg.PauseThreshold = 0
-		}
+	if c.BufferCap > 0 {
+		ccfg.BufferCap = c.BufferCap
 	}
-	if cfg.UnmappedFactor > 0 {
-		ccfg.UnmappedFactor = cfg.UnmappedFactor
+	if c.RescanBudgetPages != 0 {
+		ccfg.RescanBudgetPages = max(c.RescanBudgetPages, 0) // negative disables pre-cleaning
 	}
-	if cfg.BufferCap > 0 {
-		ccfg.BufferCap = cfg.BufferCap
-	}
-	if cfg.RescanBudgetPages != 0 {
-		ccfg.RescanBudgetPages = cfg.RescanBudgetPages
-		if cfg.RescanBudgetPages < 0 {
-			ccfg.RescanBudgetPages = 0
-		}
-	}
-	ccfg.Zeroing = !cfg.DisableZeroing
-	ccfg.Unmapping = !cfg.DisableUnmapping
-	ccfg.Purging = !cfg.DisablePurging
-	ccfg.DebugDoubleFree = cfg.DebugDoubleFree
-	if cfg.MemoryBudget > 0 || cfg.Controller != nil {
-		pol := cfg.Controller
-		if pol == nil {
-			pol = control.NewAIMD()
-		}
-		// The plane's base knobs are the resolved core values, so a Static
-		// policy reproduces the ungoverned behaviour exactly and an
-		// adaptive one relaxes back to precisely the configured state.
-		ccfg.Control = control.NewPlane(control.Config{
-			Base: control.Knobs{
-				SweepThreshold:    ccfg.SweepThreshold,
-				UnmappedFactor:    ccfg.UnmappedFactor,
-				PauseThreshold:    ccfg.PauseThreshold,
-				Helpers:           ccfg.Helpers,
-				RescanBudgetPages: ccfg.RescanBudgetPages,
-			},
-			Budget: cfg.MemoryBudget,
-			Policy: pol,
-		})
-	}
-	return ccfg
-}
-
-func buildHeap(cfg Config, space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-	switch cfg.Scheme {
-	case SchemeBaseline:
-		return jemalloc.New(space, jemalloc.DefaultConfig()), nil
-	case SchemeMineSweeper, SchemeMineSweeperMostlyConcurrent:
-		return core.New(space, coreConfig(cfg, world), jemalloc.DefaultConfig())
-	case SchemeMarkUs:
-		mcfg := markus.DefaultConfig()
-		mcfg.World = world
-		if cfg.SweepThreshold > 0 {
-			mcfg.SweepThreshold = cfg.SweepThreshold
-		}
-		mcfg.Synchronous = cfg.Synchronous
-		return markus.New(space, mcfg, jemalloc.DefaultConfig()), nil
-	case SchemeFFMalloc:
-		return ffmalloc.New(space), nil
-	case SchemeScudoMineSweeper:
-		scfg := scudo.DefaultConfig()
-		ccfg := coreConfig(cfg, world)
-		scfg.Core = &ccfg
-		return scudo.New(space, scfg)
-	case SchemeOscar:
-		return oscar.New(space), nil
-	case SchemeDangSan:
-		return dangsan.New(space, jemalloc.DefaultConfig()), nil
-	case SchemePSweeper:
-		pcfg := psweeper.DefaultConfig()
-		pcfg.Synchronous = cfg.Synchronous
-		if cfg.SweepThreshold > 0 {
-			pcfg.WakeThreshold = cfg.SweepThreshold
-		}
-		return psweeper.New(space, pcfg, jemalloc.DefaultConfig()), nil
-	case SchemeCRCount:
-		return crcount.New(space, jemalloc.DefaultConfig()), nil
-	case SchemeDlmalloc:
-		return dlmalloc.New(space), nil
-	case SchemeMineSweeperDlmalloc:
-		ccfg := coreConfig(cfg, world)
-		ccfg.Unmapping = false // in-band chunks share pages with neighbours
-		return core.NewWithSubstrate(space, ccfg, dlmalloc.New(space))
-	default:
-		return nil, fmt.Errorf("minesweeper: unknown scheme %v", cfg.Scheme)
-	}
+	ccfg.Zeroing = !c.DisableZeroing
+	ccfg.Unmapping = !c.DisableUnmapping
+	ccfg.Purging = !c.DisablePurging
+	ccfg.DebugDoubleFree = c.DebugDoubleFree
+	return schemes.NewWith(c.Scheme, schemes.Options{
+		Core:           &ccfg,
+		SweepThreshold: c.SweepThreshold,
+		Synchronous:    c.Synchronous,
+		Budget:         c.MemoryBudget,
+		Policy:         c.Controller,
+	})
 }
 
 // NewThread registers a mutator thread with a deterministic seed.

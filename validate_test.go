@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"minesweeper/internal/control"
+	"minesweeper/internal/core"
 )
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
@@ -29,6 +32,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"pause threshold infinite", Config{Scheme: SchemeMineSweeper, PauseThreshold: math.Inf(1)}, "PauseThreshold"},
 		{"unmapped factor NaN", Config{Scheme: SchemeMineSweeper, UnmappedFactor: math.NaN()}, "UnmappedFactor"},
 		{"unmapped factor infinite", Config{Scheme: SchemeMineSweeper, UnmappedFactor: math.Inf(1)}, "UnmappedFactor"},
+		{"unknown scheme", Config{Scheme: 99}, "Scheme"},
+		{"negative scheme", Config{Scheme: -1}, "Scheme"},
+		{"scheme past the last", Config{Scheme: SchemeMineSweeperDlmalloc + 1}, "Scheme"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,5 +106,54 @@ func TestGovernedProcessExposesGovernor(t *testing.T) {
 	defer u.Close()
 	if u.Governor() != nil {
 		t.Fatal("ungoverned process returned a Governor")
+	}
+}
+
+// TestGovernorBaseCarriesOverrides checks that every knob override reaches
+// the governed heap of each MineSweeper scheme, Scudo and dlmalloc
+// substrates included: under StaticPolicy the plane's base knobs are the
+// resolved core values. A negative PauseThreshold or RescanBudgetPages
+// disables pausing or pre-cleaning, which the core config spells 0.
+func TestGovernorBaseCarriesOverrides(t *testing.T) {
+	def := core.DefaultConfig().Knobs()
+	cases := []struct {
+		name string
+		cfg  Config
+		want control.Knobs
+	}{
+		{"overrides",
+			Config{SweepThreshold: 0.3, UnmappedFactor: 4, PauseThreshold: 1.5, Helpers: 3, RescanBudgetPages: 128},
+			control.Knobs{SweepThreshold: 0.3, UnmappedFactor: 4, PauseThreshold: 1.5, Helpers: 3, RescanBudgetPages: 128}},
+		{"negative disables",
+			Config{PauseThreshold: -1, RescanBudgetPages: -1},
+			control.Knobs{SweepThreshold: def.SweepThreshold, UnmappedFactor: def.UnmappedFactor, Helpers: def.Helpers}},
+		{"defaults", Config{}, def},
+	}
+	for _, s := range []Scheme{
+		SchemeMineSweeper, SchemeMineSweeperMostlyConcurrent,
+		SchemeScudoMineSweeper, SchemeMineSweeperDlmalloc,
+	} {
+		for _, tc := range cases {
+			t.Run(s.String()+"/"+tc.name, func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Scheme = s
+				cfg.Controller = StaticPolicy()
+				p, err := NewProcess(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				g := p.Governor()
+				if g == nil {
+					t.Fatal("governed process returned nil Governor")
+				}
+				if g.Policy != "static" {
+					t.Errorf("policy %q, want static", g.Policy)
+				}
+				if g.Base != tc.want {
+					t.Errorf("governor base %+v, want %+v", g.Base, tc.want)
+				}
+			})
+		}
 	}
 }
