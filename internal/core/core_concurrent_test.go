@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -170,6 +171,9 @@ func TestShardedChurnWithConcurrentSweeps(t *testing.T) {
 func TestPauseOnOverwhelm(t *testing.T) {
 	// An extreme allocation rate with a tiny pause threshold must engage
 	// the §5.7 pausing mechanism instead of growing memory unboundedly.
+	// One P starves the sweeper of CPU while the mutator runs, so the
+	// sweeper is overwhelmed however fast a sweep of this small heap is.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := DefaultConfig()
 	cfg.PauseThreshold = 0.5
 	cfg.BufferCap = 1

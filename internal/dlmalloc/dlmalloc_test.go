@@ -237,3 +237,43 @@ func TestChurnStaysSound(t *testing.T) {
 		t.Errorf("AllocatedBytes = %d at end", h.AllocatedBytes())
 	}
 }
+
+// TestLookupSurvivesConcurrentReuse frees chunks on one goroutine, as a
+// MineSweeper sweep releases them, while another mallocs from the same
+// class and keeps every other chunk. A chunk the freer pushes can be popped
+// and re-registered at once, so every kept chunk must still resolve through
+// Lookup: the drop-in layer resolves a free through it, and a missing entry
+// rejects the free of a live allocation as invalid.
+func TestLookupSurvivesConcurrentReuse(t *testing.T) {
+	h := New(mem.NewAddressSpace())
+	const n = 20000
+	toFree := make(chan uint64, 64)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for a := range toFree {
+			if err := h.Free(0, a); err != nil {
+				t.Errorf("Free(%#x): %v", a, err)
+			}
+		}
+	}()
+	kept := make([]uint64, 0, n/2)
+	for i := 0; i < n; i++ {
+		a, err := h.Malloc(0, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			toFree <- a
+		} else {
+			kept = append(kept, a)
+		}
+	}
+	close(toFree)
+	<-done
+	for _, a := range kept {
+		if _, ok := h.Lookup(a); !ok {
+			t.Fatalf("live chunk %#x missing from Lookup", a)
+		}
+	}
+}

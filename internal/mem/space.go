@@ -46,18 +46,29 @@ type Stats struct {
 }
 
 // Radix page-table geometry: lookups resolve a page number (addr >> 12) in
-// two steps, L1 indexed by addr bits [47:28] (256 MiB granules) and L2 by
-// bits [27:12]. This makes Lookup O(1) like hardware address translation —
-// essential because quarantining schemes can pin thousands of extents, and a
-// per-access cost that grew with extent count would be a simulator artifact,
-// not a property of the schemes under study.
+// three steps, like a multi-level hardware page table. The top table, indexed
+// by addr bits [46:37] (128 GiB each), is 1,024 slots (8 KiB) and stays in
+// cache; each mid table, indexed by bits [36:24] (16 MiB each), holds 8,192
+// leaf pointers (64 KiB); each leaf maps the 4,096 pages of one 16 MiB
+// granule by bits [23:12] (32 KiB). Mid tables and leaves are installed on
+// the first Map in their range, so an address space costs only its top table
+// until it maps something, and a small tenant's globals, heap and stack cost
+// a mid table and a leaf each. This makes Lookup O(1) like hardware address
+// translation — essential because quarantining schemes can pin thousands of
+// extents, and a per-access cost that grew with extent count would be a
+// simulator artifact, not a property of the schemes under study.
 const (
-	radixL1Shift = 28
-	radixL1Size  = 1 << (47 - radixL1Shift) // covers the 47-bit layout
-	radixL2Size  = 1 << (radixL1Shift - PageShift)
+	radixMidShift  = 37
+	radixLeafShift = 24
+	radixTopSize   = 1 << (47 - radixMidShift) // covers the 47-bit layout
+	radixMidSize   = 1 << (radixMidShift - radixLeafShift)
+	radixLeafSize  = 1 << (radixLeafShift - PageShift)
 )
 
-type radixLeaf [radixL2Size]atomic.Pointer[Region]
+type (
+	radixLeaf [radixLeafSize]atomic.Pointer[Region]
+	radixMid  [radixMidSize]atomic.Pointer[radixLeaf]
+)
 
 // AddressSpace is a sparse simulated 64-bit virtual address space. Mapping
 // changes take a mutex; address lookups are lock-free constant-time radix
@@ -67,7 +78,7 @@ type AddressSpace struct {
 	set      map[uint64]*Region        // live regions by base
 	snapshot atomic.Pointer[[]*Region] // sorted by base; rebuilt lazily
 	stale    atomic.Bool               // snapshot needs rebuilding
-	radix    [radixL1Size]atomic.Pointer[radixLeaf]
+	radix    [radixTopSize]atomic.Pointer[radixMid]
 	nextHeap uint64
 	nextStk  uint64
 	nextGbl  uint64
@@ -180,36 +191,51 @@ func (as *AddressSpace) regions() []*Region {
 
 // Lookup returns the region containing addr, or nil.
 func (as *AddressSpace) Lookup(addr uint64) *Region {
-	l1 := addr >> radixL1Shift
-	if l1 >= radixL1Size {
+	top := addr >> radixMidShift
+	if top >= radixTopSize {
 		return nil
 	}
-	leaf := as.radix[l1].Load()
+	mid := as.radix[top].Load()
+	if mid == nil {
+		return nil
+	}
+	leaf := mid[(addr>>radixLeafShift)&(radixMidSize-1)].Load()
 	if leaf == nil {
 		return nil
 	}
-	return leaf[(addr>>PageShift)&(radixL2Size-1)].Load()
+	return leaf[(addr>>PageShift)&(radixLeafSize-1)].Load()
 }
 
-// radixInsert points every page of r at r. Caller holds as.mu.
+// radixInsert points every page of r at r, installing mid tables and leaves
+// on first use. Caller holds as.mu.
 func (as *AddressSpace) radixInsert(r *Region) {
 	for addr := r.base; addr < r.base+r.size; addr += PageSize {
-		l1 := addr >> radixL1Shift
-		leaf := as.radix[l1].Load()
+		top := &as.radix[addr>>radixMidShift]
+		mid := top.Load()
+		if mid == nil {
+			mid = new(radixMid)
+			top.Store(mid)
+		}
+		slot := &mid[(addr>>radixLeafShift)&(radixMidSize-1)]
+		leaf := slot.Load()
 		if leaf == nil {
 			leaf = new(radixLeaf)
-			as.radix[l1].Store(leaf)
+			slot.Store(leaf)
 		}
-		leaf[(addr>>PageShift)&(radixL2Size-1)].Store(r)
+		leaf[(addr>>PageShift)&(radixLeafSize-1)].Store(r)
 	}
 }
 
-// radixRemove clears every page of r. Caller holds as.mu.
+// radixRemove clears every page of r. Tables stay installed for the next
+// mapping in their range. Caller holds as.mu.
 func (as *AddressSpace) radixRemove(r *Region) {
 	for addr := r.base; addr < r.base+r.size; addr += PageSize {
-		leaf := as.radix[addr>>radixL1Shift].Load()
-		if leaf != nil {
-			leaf[(addr>>PageShift)&(radixL2Size-1)].Store(nil)
+		mid := as.radix[addr>>radixMidShift].Load()
+		if mid == nil {
+			continue
+		}
+		if leaf := mid[(addr>>radixLeafShift)&(radixMidSize-1)].Load(); leaf != nil {
+			leaf[(addr>>PageShift)&(radixLeafSize-1)].Store(nil)
 		}
 	}
 }

@@ -7,12 +7,12 @@ import "sync/atomic"
 // of a live data structure mostly points into a handful of nearby allocation
 // pools — so consecutive Mark calls usually land in the same chunk, and often
 // in the same 64-bit shadow word. A plain Bitmap.Mark pays the chunk lookup
-// (atomic pointer load) and an atomic load(+or) per call; a Marker tracks the
-// byte window covered by the current shadow word and accumulates bits
-// destined for it in a local register, publishing them with a single atomic
-// OR when the window moves (or on Flush). N clustered marks collapse to ~1
-// atomic, and the in-window fast path is a subtract, a compare and a shift —
-// small enough to inline into the sweep's scan loop.
+// (two atomic pointer loads) and an atomic load(+or) per call; a Marker
+// tracks the byte window covered by the current shadow word and accumulates
+// bits destined for it in a local register, publishing them with a single
+// atomic OR when the window moves (or on Flush). N clustered marks collapse
+// to ~1 atomic, and the in-window fast path is a subtract, a compare and a
+// shift — small enough to inline into the sweep's scan loop.
 //
 // Each sweep worker owns one Marker; the underlying Bitmap remains safe for
 // concurrent marking because publication is still atomic OR. Pending bits are

@@ -11,15 +11,20 @@ import (
 func chunkCover(b *Bitmap) uint64 { return uint64(1) << (bitsPerChunkShift + b.granuleShift) }
 
 // requireIdentical fails unless a and b have bit-identical contents,
-// comparing raw chunk words (an absent chunk equals an all-zero one).
+// comparing raw chunk words over every chunk slot of the directory (an
+// absent chunk, or a chunk under an absent leaf, equals an all-zero one).
 func requireIdentical(t *testing.T, a, b *Bitmap) {
 	t.Helper()
 	if a.base != b.base || a.limit != b.limit || a.granuleShift != b.granuleShift {
 		t.Fatal("bitmaps have different geometry")
 	}
 	var zero chunk
-	for i := range a.chunks {
-		ca, cb := a.chunks[i].Load(), b.chunks[i].Load()
+	for i := uint64(0); i < uint64(len(a.root))*leafChunks; i++ {
+		g := i << bitsPerChunkShift
+		ca, cb := a.getChunk(g), b.getChunk(g)
+		if ca == nil && cb == nil {
+			continue
+		}
 		if ca == nil {
 			ca = &zero
 		}

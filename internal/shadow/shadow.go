@@ -8,10 +8,15 @@
 // tested, and any set bit keeps the allocation in quarantine.
 //
 // A flat bitmap over the full reservable heap area would be gigabytes, so the
-// map is chunked and chunks are allocated lazily on first mark — the same
-// effect as the paper's demand-paged flat shadow space (untouched shadow
-// pages cost nothing). All operations are atomic so parallel sweeper threads
-// mark concurrently without locks.
+// map is chunked and chunks are allocated lazily on first mark. The chunk
+// directory is itself sparse, the way a multi-level page table keeps the
+// paper's demand-paged shadow space cheap: a small root of leaf pointers,
+// each leaf holding the chunk pointers of one slice of the range, with a leaf
+// installed only when a mark first lands in its slice. Building a bitmap
+// costs one small root, and clearing or counting it visits only installed
+// leaves, so untouched parts of the 1 TiB heap range cost nothing. All
+// operations are atomic so parallel sweeper threads mark concurrently
+// without locks.
 package shadow
 
 import (
@@ -29,7 +34,18 @@ const (
 	wordsPerChunk = bitsPerChunk / 64
 )
 
+// leafShift fixes each directory leaf at 2^10 chunk pointers (8 KiB). At
+// MineSweeper's 16-byte granule a chunk covers 4 MiB and a leaf 4 GiB, so
+// the 1 TiB heap range needs a root of 256 leaf pointers (2 KiB).
+const leafShift = 10
+
+const leafChunks = 1 << leafShift
+
 type chunk [wordsPerChunk]uint64
+
+// leaf is one directory page: the chunk pointers of leafChunks consecutive
+// chunks.
+type leaf [leafChunks]atomic.Pointer[chunk]
 
 // Bitmap is a sparse atomic bitmap over the address range [base, limit), with
 // one bit per 2^granuleShift bytes.
@@ -37,8 +53,8 @@ type Bitmap struct {
 	base         uint64
 	limit        uint64
 	granuleShift uint
-	chunks       []atomic.Pointer[chunk]
-	allocated    atomic.Int64 // number of live chunks, for overhead accounting
+	root         []atomic.Pointer[leaf] // leaf i holds chunks [i<<leafShift, (i+1)<<leafShift)
+	allocated    atomic.Int64           // number of live chunks, for overhead accounting
 }
 
 // New returns a bitmap covering [base, limit) at one bit per 2^granuleShift
@@ -56,7 +72,7 @@ func New(base, limit uint64, granuleShift uint) (*Bitmap, error) {
 		base:         base,
 		limit:        limit,
 		granuleShift: granuleShift,
-		chunks:       make([]atomic.Pointer[chunk], n),
+		root:         make([]atomic.Pointer[leaf], (n+leafChunks-1)/leafChunks),
 	}, nil
 }
 
@@ -67,11 +83,29 @@ func (b *Bitmap) Covers(addr uint64) bool { return addr >= b.base && addr < b.li
 func (b *Bitmap) granule(addr uint64) uint64 { return (addr - b.base) >> b.granuleShift }
 
 // getChunk returns the chunk holding granule g, or nil if never marked.
-func (b *Bitmap) getChunk(g uint64) *chunk { return b.chunks[g>>bitsPerChunkShift].Load() }
+func (b *Bitmap) getChunk(g uint64) *chunk {
+	ci := g >> bitsPerChunkShift
+	l := b.root[ci>>leafShift].Load()
+	if l == nil {
+		return nil
+	}
+	return l[ci&(leafChunks-1)].Load()
+}
 
-// ensureChunk returns the chunk holding granule g, allocating it if needed.
+// ensureChunk returns the chunk holding granule g, installing its leaf and
+// allocating the chunk if needed. Both installs are CASes, so concurrent
+// first marks agree on one leaf and one chunk.
 func (b *Bitmap) ensureChunk(g uint64) *chunk {
-	slot := &b.chunks[g>>bitsPerChunkShift]
+	ci := g >> bitsPerChunkShift
+	lslot := &b.root[ci>>leafShift]
+	l := lslot.Load()
+	if l == nil {
+		l = new(leaf)
+		if !lslot.CompareAndSwap(nil, l) {
+			l = lslot.Load()
+		}
+	}
+	slot := &l[ci&(leafChunks-1)]
 	if c := slot.Load(); c != nil {
 		return c
 	}
@@ -201,27 +235,41 @@ func (b *Bitmap) ClearRange(lo, hi uint64) {
 	}
 }
 
-// ClearAll drops every chunk, resetting the bitmap to empty in O(chunks).
-// MineSweeper clears the whole shadow space between sweeps.
+// ClearAll drops every chunk, resetting the bitmap to empty in O(installed
+// leaves). MineSweeper clears the whole shadow space between sweeps. Leaves
+// stay installed, as page tables do: the next sweep marks the same ranges.
 func (b *Bitmap) ClearAll() {
-	for i := range b.chunks {
-		if b.chunks[i].Load() != nil {
-			b.chunks[i].Store(nil)
-			b.allocated.Add(-1)
+	for i := range b.root {
+		l := b.root[i].Load()
+		if l == nil {
+			continue
+		}
+		for j := range l {
+			if l[j].Load() != nil {
+				l[j].Store(nil)
+				b.allocated.Add(-1)
+			}
 		}
 	}
 }
 
-// PopCount returns the number of set bits (diagnostic; O(allocated chunks)).
+// PopCount returns the number of set bits (diagnostic; O(installed leaves +
+// allocated chunks)).
 func (b *Bitmap) PopCount() uint64 {
 	var n uint64
-	for i := range b.chunks {
-		c := b.chunks[i].Load()
-		if c == nil {
+	for i := range b.root {
+		l := b.root[i].Load()
+		if l == nil {
 			continue
 		}
-		for w := range c {
-			n += uint64(bits.OnesCount64(atomic.LoadUint64(&c[w])))
+		for j := range l {
+			c := l[j].Load()
+			if c == nil {
+				continue
+			}
+			for w := range c {
+				n += uint64(bits.OnesCount64(atomic.LoadUint64(&c[w])))
+			}
 		}
 	}
 	return n
@@ -229,7 +277,8 @@ func (b *Bitmap) PopCount() uint64 {
 
 // FootprintBytes returns the memory consumed by allocated chunks — the
 // shadow map's contribution to memory overhead (the paper reports it at
-// "less than 1%").
+// "less than 1%"). The directory is not counted: like the page tables of
+// the paper's shadow space, it is a few KiB per installed leaf.
 func (b *Bitmap) FootprintBytes() uint64 {
 	return uint64(b.allocated.Load()) * wordsPerChunk * 8
 }

@@ -146,7 +146,8 @@ func TestClearAll(t *testing.T) {
 }
 
 func TestPageGranularity(t *testing.T) {
-	// The unmapped-pages bitmap uses page granularity (shift 12).
+	// One bit per page (shift 12): a chunk then covers 1 GiB and a leaf
+	// 1 TiB, so the whole heap range is a root of one leaf.
 	b, err := New(mem.HeapBase, mem.HeapLimit, 12)
 	if err != nil {
 		t.Fatalf("New: %v", err)
