@@ -14,7 +14,7 @@ help:
 	@echo "  check      go vet + gofmt + go test (root and bench/) + race-hot + events-overhead + flightrec-smoke + fleet-gate"
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
-	@echo "  race-hot   race detector on the facade (every scheme via NewProcess) and the sweep, quarantine, allocator, telemetry, UAF and scheme packages"
+	@echo "  race-hot   race detector on the facade (every scheme via NewProcess) and the sweep, quarantine, allocator, telemetry, UAF, scheme and MarkUs packages"
 	@echo "  bench      sweep hot-path benchmarks (bulk scan, steady-state skip, markers, page scan)"
 	@echo "  bench-free malloc/free hot-path benchmarks (fixed-iteration protocol)"
 	@echo "  bench-json bench-free + sweep-release + fleet runs -> BENCH_free.json, BENCH_sweep.json, BENCH_fleet.json"
@@ -48,11 +48,12 @@ race:
 # Race-detector pass over the facade (whose tests build every scheme through
 # NewProcess and the one scheme table), the concurrent hot-path packages
 # (sweeper workers, shadow markers, page scanning, the core sweep loop), the
-# UAF comparators that pin the sweep's safety, and the scheme factories that
-# build one heap per run — much faster than a full `make race` and the first thing to run
-# after touching the sweep path.
+# UAF comparators that pin the sweep's safety, the scheme factories that
+# build one heap per run, and MarkUs, whose frees share one mutex-guarded
+# admission ring — much faster than a full `make race` and the first thing to
+# run after touching the sweep path.
 race-hot:
-	$(GO) test -race . ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/ring ./internal/workload ./internal/fleet ./internal/uaf ./internal/schemes
+	$(GO) test -race . ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/ring ./internal/workload ./internal/fleet ./internal/uaf ./internal/schemes ./internal/markus
 
 # The pre-merge gate: static checks, a vet and test pass over the benchmark
 # (bench/ is its own module, so `./...` never compiles it, yet it builds

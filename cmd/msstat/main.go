@@ -1,14 +1,12 @@
 // Command msstat is a one-shot telemetry reporter, the simulated analogue of
-// pointing a stats tool at a process's /debug/vars. It either renders a
-// snapshot previously captured with msrun -telemetry-json, or runs a profile
-// itself with telemetry attached and reports what the run recorded.
+// pointing a stats tool at a process's /debug/vars. It runs nothing itself:
+// it renders what msrun recorded — a telemetry snapshot saved with
+// msrun -telemetry-json, a flight dump, or a live msrun -events-addr server.
 //
 // Usage:
 //
 //	msstat -in snap.json            # render a captured snapshot
 //	msstat -in snap.json -json      # normalise/validate: re-emit as JSON
-//	msstat -bench espresso -scheme minesweeper [-scale 8]   # capture + report
-//	msstat -bench pressure -budget 64M [-governor aimd]     # governed capture
 //	msstat -diff old.json new.json  # delta between two snapshots of one run
 //	msstat -events flight.msev [-chrome trace.json]   # render a flight dump
 //	msstat -watch -addr :8844 [-interval 500ms] [-count 10]  # live view
@@ -26,19 +24,12 @@ import (
 
 	"minesweeper/internal/events"
 	"minesweeper/internal/metrics"
-	"minesweeper/internal/schemes"
 	"minesweeper/internal/telemetry"
-	"minesweeper/internal/workload"
 )
 
 func main() {
-	in := flag.String("in", "", "read a telemetry snapshot JSON file instead of running")
-	bench := flag.String("bench", "", "benchmark profile to run with telemetry attached")
-	scheme := flag.String("scheme", "minesweeper", "scheme to run the profile under")
-	scale := flag.Int("scale", 1, "divide the op budget by this factor")
+	in := flag.String("in", "", "render a telemetry snapshot JSON file (msrun -telemetry-json)")
 	asJSON := flag.Bool("json", false, "emit the snapshot as JSON instead of text")
-	budgetFlag := flag.String("budget", "", "resident-memory budget for the adaptive governor, e.g. 64M (minesweeper schemes only)")
-	governor := flag.String("governor", "", "governor policy: aimd or static (defaults to aimd when -budget is set)")
 	diff := flag.String("diff", "", "diff two telemetry snapshots: -diff old.json new.json (the second file is the positional argument)")
 	eventsIn := flag.String("events", "", "render a flight-recorder dump (.msev) as a text timeline")
 	chromeOut := flag.String("chrome", "", "with -events: also convert the dump to Chrome trace-event JSON at this path (chrome://tracing, Perfetto)")
@@ -68,56 +59,15 @@ func main() {
 		return
 	}
 
-	if *in != "" && (*budgetFlag != "" || *governor != "") {
-		fatal(fmt.Errorf("-budget/-governor only apply when running a profile with -bench, not with -in"))
-	}
-
-	var snap telemetry.Snapshot
-	switch {
-	case *in != "":
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		snap, err = telemetry.ReadSnapshot(f)
-		f.Close()
-		if err != nil {
-			fatal(fmt.Errorf("reading %s: %w", *in, err))
-		}
-	case *bench != "":
-		prof, ok := workload.FindProfile(*bench)
-		if !ok {
-			fatal(fmt.Errorf("unknown benchmark %q", *bench))
-		}
-		factory, err := schemes.ByName(*scheme)
-		if err != nil {
-			fatal(err)
-		}
-		if *budgetFlag != "" || *governor != "" {
-			budget, err := metrics.ParseSize(*budgetFlag)
-			if err != nil {
-				fatal(fmt.Errorf("-budget: %w", err))
-			}
-			factory, err = schemes.GovernedByName(*scheme, budget, *governor)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		reg := telemetry.NewRegistry(telemetry.DefaultRingCap)
-		if _, err := workload.Run(prof, factory, workload.Options{
-			ScaleDiv:  *scale,
-			Telemetry: reg,
-		}); err != nil {
-			fatal(err)
-		}
-		snap = reg.Snapshot()
-	default:
-		fmt.Fprintln(os.Stderr, "msstat: one of -in or -bench is required")
+	if *in == "" {
+		fmt.Fprintln(os.Stderr, "msstat: one of -in, -diff, -events or -watch is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	var err error
+	snap, err := readSnapshotFile(*in)
+	if err != nil {
+		fatal(err)
+	}
 	if *asJSON {
 		err = snap.WriteJSON(os.Stdout)
 	} else {

@@ -161,14 +161,10 @@ type Config struct {
 	// Purging triggers a full allocator purge after every sweep (§4.5).
 	Purging bool
 	// DebugDoubleFree reports double frees as errors instead of absorbing
-	// them silently (the paper's debug mode, §3).
+	// them silently (the paper's debug mode, §3). Each thread then gets a
+	// one-entry ring that drains on every free, so the duplicate is known
+	// before free returns; BufferCap is ignored.
 	DebugDoubleFree bool
-
-	// Telemetry, when non-nil, receives per-sweep records, malloc/free/
-	// pause latency samples, and quarantine/arena gauges. Nil disables all
-	// instrumentation at the cost of one pointer load per operation; it can
-	// also be attached after construction with Heap.SetTelemetry.
-	Telemetry *telemetry.Registry
 
 	// Control, when non-nil, is the adaptive control plane: the heap reads
 	// its effective knobs (sweep threshold, unmapped factor, pause brake,
@@ -265,6 +261,7 @@ const sweepCheckInterval = 16
 // threadState is MineSweeper's per-mutator-thread state.
 type threadState struct {
 	tbuf   *quarantine.ThreadBuffer
+	tid    alloc.ThreadID // the ID RegisterThread returned
 	subTid alloc.ThreadID // the substrate's ID for this thread
 	// drainMu serialises ring drains. The ring is otherwise owner-thread-only,
 	// but the mostly-concurrent sweeper drains every ring inside its
@@ -412,10 +409,6 @@ func (h *Heap) attach(sub alloc.Substrate) *Heap {
 
 	empty := make([]*threadState, 0)
 	h.threads.Store(&empty)
-
-	if cfg.Telemetry != nil {
-		h.SetTelemetry(cfg.Telemetry)
-	}
 
 	if cfg.Mode != Synchronous {
 		h.wg.Add(1)
@@ -590,8 +583,13 @@ func (h *Heap) RegisterThread() alloc.ThreadID {
 	old := *h.threads.Load()
 	nw := make([]*threadState, len(old)+1)
 	copy(nw, old)
+	ringCap := h.cfg.BufferCap
+	if h.cfg.DebugDoubleFree {
+		ringCap = 1
+	}
 	ts := &threadState{
-		tbuf:   quarantine.NewThreadBuffer(h.q, h.cfg.BufferCap),
+		tbuf:   quarantine.NewThreadBuffer(h.q, ringCap),
+		tid:    alloc.ThreadID(len(old)),
 		subTid: subTid,
 	}
 	if rec := h.evt.Load(); rec != nil {
@@ -599,7 +597,7 @@ func (h *Heap) RegisterThread() alloc.ThreadID {
 	}
 	nw[len(old)] = ts
 	h.threads.Store(&nw)
-	return alloc.ThreadID(len(old))
+	return ts.tid
 }
 
 // UnregisterThread implements alloc.Allocator. The dead thread's state is
@@ -612,7 +610,7 @@ func (h *Heap) UnregisterThread(tid alloc.ThreadID) {
 	if ts == nil {
 		return
 	}
-	h.drain(tid, ts)
+	h.drain(ts)
 	h.sub.UnregisterThread(ts.subTid)
 	h.threadMu.Lock()
 	defer h.threadMu.Unlock()
@@ -625,13 +623,9 @@ func (h *Heap) UnregisterThread(tid alloc.ThreadID) {
 	}
 }
 
-// subTidFor maps a mutator ThreadID to the substrate's ThreadID space.
-func (h *Heap) subTidFor(tid alloc.ThreadID) alloc.ThreadID {
-	if ts := h.threadState(tid); ts != nil {
-		return ts.subTid
-	}
-	return 0
-}
+// errUnregistered is the error of a Malloc or Free on a thread ID that
+// RegisterThread did not return or that has been unregistered.
+var errUnregistered = errors.New("core: thread not registered")
 
 func (h *Heap) threadState(tid alloc.ThreadID) *threadState {
 	ts := *h.threads.Load()
@@ -651,29 +645,30 @@ func (h *Heap) threadState(tid alloc.ThreadID) *threadState {
 // latency — including any §5.7 pause — lands in the malloc histogram on the
 // thread's stripe and, with events attached, as a KindAlloc on the thread's
 // ring. Detached, the only cost is the pointer load and branch in sample.
+//
+// tid must be an ID RegisterThread returned and UnregisterThread has not
+// retired; any other ID is an error.
 func (h *Heap) Malloc(tid alloc.ThreadID, size uint64) (uint64, error) {
 	ts := h.threadState(tid)
-	if ts == nil || !h.sample(&ts.telMallocs) {
-		return h.malloc(tid, ts, size)
+	if ts == nil {
+		return 0, fmt.Errorf("%w: malloc on thread %d", errUnregistered, tid)
 	}
-	r := h.threadRecorder(tid, ts)
+	if !h.sample(&ts.telMallocs) {
+		return h.malloc(ts, size)
+	}
+	r := h.threadRecorder(ts)
 	start := r.now()
-	a, err := h.malloc(tid, ts, size)
+	a, err := h.malloc(ts, size)
 	r.end(start, events.KindAlloc, size, 0)
 	return a, err
 }
 
-func (h *Heap) malloc(tid alloc.ThreadID, ts *threadState, size uint64) (uint64, error) {
-	if ts == nil {
-		h.maybePause(tid)
-	} else if ts.mallocsSincePause++; ts.mallocsSincePause >= sweepCheckInterval {
+func (h *Heap) malloc(ts *threadState, size uint64) (uint64, error) {
+	if ts.mallocsSincePause++; ts.mallocsSincePause >= sweepCheckInterval {
 		ts.mallocsSincePause = 0
-		h.maybePause(tid)
+		h.maybePause(ts)
 	}
-	if ts != nil {
-		return h.sub.Malloc(ts.subTid, size)
-	}
-	return h.sub.Malloc(h.subTidFor(tid), size)
+	return h.sub.Malloc(ts.subTid, size)
 }
 
 // pauseFloorBytes is the minimum quarantine size for the §5.7 pause to
@@ -685,7 +680,7 @@ const pauseFloorBytes = 1 << 20
 // large relative to the heap (§5.7) or, on a governed heap, while resident
 // memory sits over the configured budget with sweepable quarantine to
 // reclaim — either way letting the sweeper catch up.
-func (h *Heap) maybePause(tid alloc.ThreadID) {
+func (h *Heap) maybePause(ts *threadState) {
 	if h.cfg.Mode == Synchronous || !h.cfg.Quarantine {
 		return
 	}
@@ -728,11 +723,8 @@ func (h *Heap) maybePause(tid alloc.ThreadID) {
 		// Flush our buffer so our frees are sweepable, then wait for a
 		// sweep to finish. While waiting, the thread is quiescent: it
 		// must not block a mostly-concurrent stop-the-world.
-		ts := h.threadState(tid)
-		if ts != nil {
-			h.drain(tid, ts)
-		}
-		r := h.threadRecorder(tid, ts)
+		h.drain(ts)
+		r := h.threadRecorder(ts)
 		start := time.Now()
 		r.emit(start, events.KindPauseBegin, uint64(reason), 0)
 		qz, _ := h.cfg.World.(quiescer)
@@ -773,23 +765,27 @@ func (h *Heap) takeTrigger() telemetry.TriggerReason {
 // allocation is resolved through the substrate exactly once — the returned
 // ref rides in the quarantine entry so the sweep's recycle phase can free
 // without a second page-map lookup. Sampling is Malloc's: one call in
-// SamplePeriod is a KindFree timed event carrying the freed size.
+// SamplePeriod is a KindFree timed event carrying the freed size. tid must
+// be registered, as for Malloc.
 func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 	ts := h.threadState(tid)
-	if ts == nil || !h.sample(&ts.telFrees) {
-		_, err := h.free(tid, ts, addr)
+	if ts == nil {
+		return fmt.Errorf("%w: free on thread %d", errUnregistered, tid)
+	}
+	if !h.sample(&ts.telFrees) {
+		_, err := h.free(ts, addr)
 		return err
 	}
-	r := h.threadRecorder(tid, ts)
+	r := h.threadRecorder(ts)
 	start := r.now()
-	size, err := h.free(tid, ts, addr)
+	size, err := h.free(ts, addr)
 	r.end(start, events.KindFree, size, 0)
 	return err
 }
 
 // free frees addr and returns its allocation's size (0 when addr is not an
 // allocation's base).
-func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) (uint64, error) {
+func (h *Heap) free(ts *threadState, addr uint64) (uint64, error) {
 	a, ref, ok := h.sub.Resolve(addr)
 	if !ok || a.Base != addr {
 		if h.q.Contains(addr) {
@@ -814,37 +810,14 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) (uint64, e
 		} else if h.cfg.Zeroing && a.Large {
 			_ = h.space.Zero(a.Base, a.Size)
 		}
-		return a.Size, h.sub.FreeResolved(h.subTidFor(tid), ref, addr)
+		return a.Size, h.sub.FreeResolved(ts.subTid, ref, addr)
 	}
 
-	// Unregistered callers and debug mode take the eager path: membership
-	// insert (and therefore double-free detection) on the spot, per-entry
-	// pending append. Registered threads take the ring path below, where
-	// free() touches only thread-local state and everything shared is
-	// deferred to bulk drains.
+	// Every quarantined free goes through the thread's ring: free() touches
+	// only thread-local state and everything shared is deferred to bulk
+	// drains. In debug mode the ring holds one entry, so the drain below
+	// runs on every free and reports whether this free was a duplicate.
 	e := quarantine.Entry{Base: a.Base, Size: a.Size, Ref: ref}
-	if ts == nil || h.cfg.DebugDoubleFree {
-		if !h.q.Insert(e) {
-			return a.Size, h.doubleFree(addr)
-		}
-		// Large allocations that will be unmapped need no explicit
-		// zeroing: the decommit discards their contents (and any pointers
-		// within).
-		unmapped := false
-		if h.cfg.Unmapping && a.Large && a.Size >= unmapMinBytes {
-			if err := h.sub.DecommitExtent(a.Base); err == nil {
-				h.q.NoteUnmapped(&e)
-				unmapped = true
-			}
-		}
-		if h.cfg.Zeroing && !unmapped {
-			_ = h.space.Zero(a.Base, a.Size)
-		}
-		h.q.Append([]quarantine.Entry{e})
-		h.maybeTriggerSweep(tid)
-		return a.Size, nil
-	}
-
 	// Large allocations that will be unmapped need no explicit zeroing: the
 	// decommit discards their contents (and any pointers within). A double
 	// free still waiting in a ring re-decommits harmlessly (DecommitExtent
@@ -871,12 +844,16 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) (uint64, e
 	// always happens immediately.
 	if full || unmapped || ts.freesSinceCheck >= sweepCheckInterval {
 		ts.freesSinceCheck = 0
+		dups := 0
 		if full || unmapped || ts.tbuf.NeedsDrain() {
-			h.drain(tid, ts)
+			dups = h.drain(ts)
 		} else {
 			ts.tbuf.PublishOccupancy()
 		}
-		h.maybeTriggerSweep(tid)
+		h.maybeTriggerSweep(ts)
+		if dups > 0 {
+			return a.Size, h.doubleFree(addr)
+		}
 	}
 	return a.Size, nil
 }
@@ -886,19 +863,20 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) (uint64, e
 // event — KindDrain (entries, ns) on the thread's ring and one
 // quarantine_drain_ns sample — recorded by whichever goroutine drains: the
 // owner at its tick or a quiesce point, or the sweeper inside its
-// stop-the-world (the rings tolerate that foreign writer).
-func (h *Heap) drain(tid alloc.ThreadID, ts *threadState) {
+// stop-the-world (the rings tolerate that foreign writer). It returns how
+// many ring entries the drain rejected as double frees.
+func (h *Heap) drain(ts *threadState) int {
 	ts.drainMu.Lock()
 	defer ts.drainMu.Unlock()
 	n := uint64(ts.tbuf.Len())
 	if n == 0 {
-		ts.tbuf.Drain()
-		return
+		return ts.tbuf.Drain()
 	}
-	r := h.threadRecorder(tid, ts)
+	r := h.threadRecorder(ts)
 	start := r.now()
-	ts.tbuf.Drain()
+	dups := ts.tbuf.Drain()
 	r.end(start, events.KindDrain, n, 0)
+	return dups
 }
 
 // doubleFree accounts an absorbed double free, or reports it in debug mode.
@@ -914,7 +892,7 @@ func (h *Heap) doubleFree(addr uint64) error {
 // fires. Governed heaps read the effective (steered) thresholds here; the
 // check is already amortised to every sweepCheckInterval frees, so the extra
 // atomic load is off the per-operation path.
-func (h *Heap) maybeTriggerSweep(tid alloc.ThreadID) {
+func (h *Heap) maybeTriggerSweep(ts *threadState) {
 	k := h.knobs()
 	qb := h.q.Bytes()
 	fb := h.q.FailedBytes()
@@ -957,9 +935,7 @@ func (h *Heap) maybeTriggerSweep(tid alloc.ThreadID) {
 	if h.cfg.Mode == Synchronous {
 		// The sweep runs inline right now: our buffered frees must be in
 		// the global list to be swept.
-		if ts := h.threadState(tid); ts != nil {
-			h.drain(tid, ts)
-		}
+		h.drain(ts)
 		h.runSweep()
 		return
 	}
@@ -1004,9 +980,9 @@ func (h *Heap) stopWorld() {
 		return
 	}
 	h.cfg.World.Stop()
-	for i, ts := range *h.threads.Load() {
+	for _, ts := range *h.threads.Load() {
 		if ts != nil {
-			h.drain(alloc.ThreadID(i), ts)
+			h.drain(ts)
 		}
 	}
 }
@@ -1047,13 +1023,14 @@ func (h *Heap) sweepRecorder() recorder {
 }
 
 // threadRecorder returns the recorder of one mutator-side event of thread
-// tid, writing to its ring (none when ts is nil: an unregistered caller).
-func (h *Heap) threadRecorder(tid alloc.ThreadID, ts *threadState) recorder {
-	r := recorder{tel: h.tel.Load(), drain: h.drainHist.Load(), shard: int(tid)}
-	if ts != nil {
-		r.er = ts.evRing.Load()
+// ts, writing to its ring.
+func (h *Heap) threadRecorder(ts *threadState) recorder {
+	return recorder{
+		tel:   h.tel.Load(),
+		drain: h.drainHist.Load(),
+		er:    ts.evRing.Load(),
+		shard: int(ts.tid),
 	}
-	return r
 }
 
 // sample is the countdown sampler of the malloc/free fast path: a live tick
@@ -1532,7 +1509,7 @@ func (h *Heap) Sweep() { h.runSweep() }
 // FlushThread publishes tid's buffered frees to the global quarantine.
 func (h *Heap) FlushThread(tid alloc.ThreadID) {
 	if ts := h.threadState(tid); ts != nil {
-		h.drain(tid, ts)
+		h.drain(ts)
 	}
 }
 
@@ -1577,9 +1554,9 @@ func (h *Heap) Stats() alloc.Stats {
 // expect a quiesced heap's Stats to reflect every Free issued) and stops the
 // sweeper thread.
 func (h *Heap) Shutdown() {
-	for i, ts := range *h.threads.Load() {
+	for _, ts := range *h.threads.Load() {
 		if ts != nil {
-			h.drain(alloc.ThreadID(i), ts)
+			h.drain(ts)
 		}
 	}
 	if h.cfg.Mode != Synchronous {
@@ -1601,8 +1578,9 @@ func (h *Heap) Shutdown() {
 //  4. unmapped entries really have no resident pages;
 //  5. the pending list and the membership set hold the same entries: every
 //     pending entry is quarantined, none is pending twice, and the pending
-//     count equals the quarantined count. This needs no free in flight —
-//     an unregistered thread's free inserts before it appends.
+//     count equals the quarantined count. A ring drain inserts into the
+//     membership set before it appends to the pending list, under no lock
+//     this check takes, so the check needs no drain in flight.
 func (h *Heap) CheckInvariants() error {
 	h.sweepMu.Lock()
 	defer h.sweepMu.Unlock()

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -265,6 +267,38 @@ func TestDoubleFreeDebugMode(t *testing.T) {
 	_ = h.Free(tid, a)
 	if err := h.Free(tid, a); !errors.Is(err, alloc.ErrDoubleFree) {
 		t.Errorf("debug double free = %v, want ErrDoubleFree", err)
+	}
+}
+
+// TestUnregisteredThreadRejected: Malloc and Free on a thread ID that
+// RegisterThread never returned, or that UnregisterThread retired, return an
+// error naming the ID, and such a Free quarantines nothing.
+func TestUnregisteredThreadRejected(t *testing.T) {
+	h, tid := newTestHeap(t, testConfig())
+	a, err := h.Malloc(tid, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := h.RegisterThread()
+	h.UnregisterThread(retired)
+	for _, bad := range []alloc.ThreadID{retired, retired + 1, 99, -1} {
+		name := fmt.Sprintf("thread %d", bad)
+		if _, err := h.Malloc(bad, 64); !errors.Is(err, errUnregistered) || !strings.Contains(err.Error(), name) {
+			t.Errorf("Malloc(%d) = %v, want an unregistered-thread error naming %q", bad, err, name)
+		}
+		if err := h.Free(bad, a); !errors.Is(err, errUnregistered) || !strings.Contains(err.Error(), name) {
+			t.Errorf("Free(%d) = %v, want an unregistered-thread error naming %q", bad, err, name)
+		}
+	}
+	h.FlushThread(tid)
+	if h.q.Contains(a) || h.Stats().Quarantined != 0 {
+		t.Fatalf("a Free on an unregistered thread quarantined %#x", a)
+	}
+	if err := h.Free(tid, a); err != nil {
+		t.Fatalf("Free on the registered thread: %v", err)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -640,7 +674,8 @@ func TestCheckInvariantsUnderChurn(t *testing.T) {
 }
 
 // TestCheckInvariantsPendingNotMember: an entry on the pending list that the
-// membership set does not hold (appended without Insert) breaks invariant 5.
+// membership set does not hold (put there by Requeue, which appends without
+// inserting) breaks invariant 5.
 func TestCheckInvariantsPendingNotMember(t *testing.T) {
 	h, tid := newTestHeap(t, testConfig())
 	a, err := h.Malloc(tid, 64)
@@ -650,15 +685,15 @@ func TestCheckInvariantsPendingNotMember(t *testing.T) {
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatalf("clean heap: %v", err)
 	}
-	h.q.Append([]quarantine.Entry{{Base: a, Size: 64}})
+	h.q.Requeue([]quarantine.Entry{{Base: a, Size: 64}})
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a pending entry missing from the membership set")
 	}
 }
 
 // TestCheckInvariantsMemberNotPending: a base the membership set holds with
-// no pending entry (inserted without Append) breaks invariant 5, although the
-// check walks only the pending list.
+// no pending entry (its drain's append taken by a LockIn no sweep followed)
+// breaks invariant 5, although the check walks only the pending list.
 func TestCheckInvariantsMemberNotPending(t *testing.T) {
 	h, tid := newTestHeap(t, testConfig())
 	a, err := h.Malloc(tid, 64)
@@ -668,8 +703,12 @@ func TestCheckInvariantsMemberNotPending(t *testing.T) {
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatalf("clean heap: %v", err)
 	}
-	if !h.q.Insert(quarantine.Entry{Base: a, Size: 64}) {
-		t.Fatal("Insert rejected a fresh base")
+	if err := h.Free(tid, a); err != nil {
+		t.Fatal(err)
+	}
+	h.FlushThread(tid)
+	if got := h.q.LockIn(); len(got) != 1 || !h.q.Contains(a) {
+		t.Fatalf("LockIn took %d entries, member %v; want 1, true", len(got), h.q.Contains(a))
 	}
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a quarantined base missing from the pending list")

@@ -16,10 +16,10 @@ import (
 // exporter's consumers rely on) with the expected begin/end payloads, and
 // the mutator ring saw its drains and sampled ops.
 func TestEventsRealSweepNests(t *testing.T) {
-	cfg := testConfig()
-	cfg.Telemetry = telemetry.NewRegistry(16)
-	cfg.Telemetry.SetSamplePeriod(1) // sample every op: alloc/free events for all
-	h, tid := newTestHeap(t, cfg)
+	h, tid := newTestHeap(t, testConfig())
+	reg := telemetry.NewRegistry(16)
+	reg.SetSamplePeriod(1) // sample every op: alloc/free events for all
+	h.SetTelemetry(reg)
 
 	rec := events.NewRecorder(256, time.Minute)
 	h.SetEvents(rec)
@@ -184,9 +184,9 @@ func TestRecordMatchesSpans(t *testing.T) {
 			cfg.RescanBudgetPages = 1
 			w := &dirtyOnStopWorld{pages: 4}
 			cfg.World = w
-			reg := telemetry.NewRegistry(16)
-			cfg.Telemetry = reg
 			h, tid := newTestHeap(t, cfg)
+			reg := telemetry.NewRegistry(16)
+			h.SetTelemetry(reg)
 			w.space = h.space
 			rec := events.NewRecorder(1024, time.Minute)
 			h.SetEvents(rec)
@@ -282,14 +282,14 @@ func TestHistogramsProjectEvents(t *testing.T) {
 	cfg.PauseThreshold = 0.5
 	cfg.SweepThreshold = 1e18 // only the pause brake requests sweeps
 	cfg.UnmappedFactor = 0
-	reg := telemetry.NewRegistry(64)
-	reg.SetSamplePeriod(1)
-	cfg.Telemetry = reg
 	h, err := New(mem.NewAddressSpace(), cfg, jemalloc.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Shutdown()
+	reg := telemetry.NewRegistry(64)
+	reg.SetSamplePeriod(1)
+	h.SetTelemetry(reg)
 	rec := events.NewRecorder(1<<14, time.Minute)
 	h.SetEvents(rec)
 	id := h.RegisterThread()

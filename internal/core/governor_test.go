@@ -86,9 +86,9 @@ func TestGovernedBudgetTriggersSweep(t *testing.T) {
 
 func TestGovernedBudgetTriggerReason(t *testing.T) {
 	cfg := governedConfig(1, control.NewAIMD())
-	reg := telemetry.NewRegistry(16)
-	cfg.Telemetry = reg
 	h, tid := newTestHeap(t, cfg)
+	reg := telemetry.NewRegistry(16)
+	h.SetTelemetry(reg)
 	var addrs []uint64
 	for i := 0; i < 600; i++ {
 		a, err := h.Malloc(tid, 4096)

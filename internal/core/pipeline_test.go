@@ -101,13 +101,13 @@ func TestThresholdSweepTakesWholeQuarantine(t *testing.T) {
 	// floor, the large one crosses it.
 	cfg.SweepFloorBytes = 4 << 10
 	cfg.Unmapping = false // keep both frees on the mapped (threshold) account
-	reg := telemetry.NewRegistry(16)
-	cfg.Telemetry = reg
 	h, err := New(mem.NewAddressSpace(), cfg, jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Shutdown)
+	reg := telemetry.NewRegistry(16)
+	h.SetTelemetry(reg)
 	big, small := h.RegisterThread(), h.RegisterThread()
 	a, err := h.Malloc(big, 10<<10)
 	if err != nil {
@@ -180,11 +180,11 @@ func TestDirtyRescanSeesWindowWrite(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = MostlyConcurrent
 	cfg.RescanBudgetPages = DefaultRescanBudgetPages
-	reg := telemetry.NewRegistry(64)
-	cfg.Telemetry = reg
 	w := &writeOnStopWorld{}
 	cfg.World = w
 	h, tid := newTestHeap(t, cfg)
+	reg := telemetry.NewRegistry(64)
+	h.SetTelemetry(reg)
 	w.space = h.space
 
 	keep, err := h.Malloc(tid, 64)

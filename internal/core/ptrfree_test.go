@@ -93,9 +93,9 @@ func TestPtrFreePageStoreKeepsTargetQuarantined(t *testing.T) {
 // and a third reads exactly the pages stored to since. Disabling the skip
 // (SetKnownZeroSkip(false)) reads every page again.
 func TestPtrFreeSteadySweepReadsOnlyStoredPages(t *testing.T) {
-	cfg := testConfig()
-	cfg.Telemetry = telemetry.NewRegistry(16)
-	h, tid := newTestHeap(t, cfg)
+	h, tid := newTestHeap(t, testConfig())
+	reg := telemetry.NewRegistry(16)
+	h.SetTelemetry(reg)
 
 	// 64 objects of 1 KiB each carry a payload word: 16 pages, none
 	// known-zero, none holding a pointer. Keep one object per page.
@@ -112,13 +112,13 @@ func TestPtrFreeSteadySweepReadsOnlyStoredPages(t *testing.T) {
 	}
 
 	sweepOne(t, h, tid)
-	first := lastSweep(t, cfg.Telemetry)
+	first := lastSweep(t, reg)
 	if first.PagesScanned < uint64(len(perPage)) {
 		t.Fatalf("first sweep read %d pages, want >= %d", first.PagesScanned, len(perPage))
 	}
 
 	sweepOne(t, h, tid)
-	second := lastSweep(t, cfg.Telemetry)
+	second := lastSweep(t, reg)
 	if second.PagesScanned != 0 {
 		t.Errorf("second sweep over an unchanged pointer-free heap read %d pages, want 0", second.PagesScanned)
 	}
@@ -137,21 +137,21 @@ func TestPtrFreeSteadySweepReadsOnlyStoredPages(t *testing.T) {
 		stored++
 	}
 	sweepOne(t, h, tid)
-	third := lastSweep(t, cfg.Telemetry)
+	third := lastSweep(t, reg)
 	if third.PagesScanned != uint64(stored) {
 		t.Errorf("third sweep read %d pages, want the %d stored to", third.PagesScanned, stored)
 	}
 
 	h.sw.SetKnownZeroSkip(false)
 	sweepOne(t, h, tid)
-	off := lastSweep(t, cfg.Telemetry)
+	off := lastSweep(t, reg)
 	if off.PagesPtrFree != 0 || off.PagesScanned < first.PagesScanned {
 		t.Errorf("skip disabled: read %d pages, skipped %d as pointer-free; want >= %d and 0",
 			off.PagesScanned, off.PagesPtrFree, first.PagesScanned)
 	}
 
 	var gauge uint64
-	for _, g := range cfg.Telemetry.Snapshot().Gauges {
+	for _, g := range reg.Snapshot().Gauges {
 		if g.Name == "sweep_ptr_free_pages_total" {
 			gauge = g.Value
 		}

@@ -13,11 +13,10 @@ import (
 // TestTelemetrySweepRecord checks that a forced sweep with telemetry attached
 // emits one SweepRecord whose work figures match what the sweep actually did.
 func TestTelemetrySweepRecord(t *testing.T) {
-	cfg := testConfig()
-	cfg.Telemetry = telemetry.NewRegistry(16)
-	cfg.Telemetry.SetSamplePeriod(1) // exact counts for the assertions below
-	h, tid := newTestHeap(t, cfg)
-	reg := cfg.Telemetry
+	h, tid := newTestHeap(t, testConfig())
+	reg := telemetry.NewRegistry(16)
+	reg.SetSamplePeriod(1) // exact counts for the assertions below
+	h.SetTelemetry(reg)
 
 	var addrs []uint64
 	for i := 0; i < 50; i++ {
@@ -102,10 +101,11 @@ func TestTelemetrySweepRecord(t *testing.T) {
 func TestTelemetryTriggerThreshold(t *testing.T) {
 	cfg := testConfig()
 	cfg.SweepThreshold = 0.05
-	cfg.Telemetry = telemetry.NewRegistry(16)
 	h, tid := newTestHeap(t, cfg)
+	reg := telemetry.NewRegistry(16)
+	h.SetTelemetry(reg)
 	keep, _ := h.Malloc(tid, 4096)
-	for i := 0; i < 200 && cfg.Telemetry.Ring().Total() == 0; i++ {
+	for i := 0; i < 200 && reg.Ring().Total() == 0; i++ {
 		a, err := h.Malloc(tid, 4096)
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +115,7 @@ func TestTelemetryTriggerThreshold(t *testing.T) {
 		}
 	}
 	_ = keep
-	recs := cfg.Telemetry.Ring().Snapshot()
+	recs := reg.Ring().Snapshot()
 	if len(recs) == 0 {
 		t.Fatal("threshold sweep never fired")
 	}
@@ -127,9 +127,9 @@ func TestTelemetryTriggerThreshold(t *testing.T) {
 // TestTelemetryDetachedIsInert checks SetTelemetry(nil) detaches cleanly: no
 // records accumulate afterwards and the hot paths keep working.
 func TestTelemetryDetachedIsInert(t *testing.T) {
-	cfg := testConfig()
-	cfg.Telemetry = telemetry.NewRegistry(16)
-	h, tid := newTestHeap(t, cfg)
+	h, tid := newTestHeap(t, testConfig())
+	reg := telemetry.NewRegistry(16)
+	h.SetTelemetry(reg)
 	h.SetTelemetry(nil)
 	a, err := h.Malloc(tid, 64)
 	if err != nil {
@@ -139,10 +139,10 @@ func TestTelemetryDetachedIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Sweep()
-	if n := cfg.Telemetry.Ring().Total(); n != 0 {
+	if n := reg.Ring().Total(); n != 0 {
 		t.Errorf("detached registry recorded %d sweeps, want 0", n)
 	}
-	if c := cfg.Telemetry.Malloc.Snapshot().Count; c != 0 {
+	if c := reg.Malloc.Snapshot().Count; c != 0 {
 		t.Errorf("detached registry recorded %d mallocs, want 0", c)
 	}
 }
@@ -155,13 +155,13 @@ func TestTelemetryPauseAttribution(t *testing.T) {
 	cfg.SweepThreshold = 1e18 // only the pause brake may trigger
 	cfg.UnmappedFactor = 0
 	cfg.BufferCap = 1
-	reg := telemetry.NewRegistry(64)
-	cfg.Telemetry = reg
 	h, err := New(mem.NewAddressSpace(), cfg, jemalloc.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Shutdown()
+	reg := telemetry.NewRegistry(64)
+	h.SetTelemetry(reg)
 	id := h.RegisterThread()
 	keep, _ := h.Malloc(id, 4096)
 	for i := 0; i < 3000; i++ {
@@ -256,9 +256,6 @@ func TestPausePastFloorStalls(t *testing.T) {
 func TestTelemetrySnapshotDuringChurn(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BufferCap = 8
-	reg := telemetry.NewRegistry(32)
-	reg.SetSamplePeriod(1) // time every op: maximum write pressure for -race
-	cfg.Telemetry = reg
 	jcfg := jemalloc.DefaultConfig()
 	jcfg.Arenas = 2
 	h, err := New(mem.NewAddressSpace(), cfg, jcfg)
@@ -266,6 +263,9 @@ func TestTelemetrySnapshotDuringChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Shutdown()
+	reg := telemetry.NewRegistry(32)
+	reg.SetSamplePeriod(1) // time every op: maximum write pressure for -race
+	h.SetTelemetry(reg)
 	done := make(chan struct{})
 	var readers sync.WaitGroup
 	readers.Add(1)

@@ -10,7 +10,7 @@ import (
 
 // TestPaperClaimsQualitative is the reproduction's CI check: the paper's
 // qualitative claims must hold at full workload scale (single rep, three
-// benchmarks). Quantitative comparisons live in EXPERIMENTS.md; this test
+// benchmarks; claim 3's absolute bound reads a median of three). Quantitative comparisons live in EXPERIMENTS.md; this test
 // guards the orderings that constitute the paper's contribution.
 func TestPaperClaimsQualitative(t *testing.T) {
 	if testing.Short() {
@@ -56,9 +56,17 @@ func TestPaperClaimsQualitative(t *testing.T) {
 	// Claim 3 (§5.2): compute-bound benchmarks see ~zero overhead under
 	// MineSweeper (absolute bound), and for every scheme the compute-bound
 	// benchmark costs less than the allocation-heavy worst case (ordering;
-	// robust to short-run noise).
-	if got := res["lbm"]["minesweeper"].slow; got > 1.35 {
-		t.Errorf("claim 3: minesweeper slows lbm by %0.3f (> 1.35)", got)
+	// robust to short-run noise). The absolute bound reads one lbm run per
+	// side, which `go test ./...` shares the CPU with other packages: its
+	// ratio is taken over the median of three runs per side, so one
+	// slowed run cannot decide it.
+	lbm, _ := workload.FindProfile("lbm")
+	c, err := NewRunner(workload.Options{ScaleDiv: 1}, 3).ratios(lbm, schemes.New(schemes.MineSweeper))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Slowdown; got > 1.35 {
+		t.Errorf("claim 3: minesweeper slows lbm by %0.3f (> 1.35, median of 3)", got)
 	}
 	if lb, xa := res["lbm"]["markus"].slow, res["xalancbmk"]["markus"].slow; lb > xa {
 		t.Errorf("claim 3: markus lbm (%0.3f) costs more than xalancbmk (%0.3f)", lb, xa)

@@ -73,24 +73,7 @@ func (r *Runner) ratios(prof workload.Profile, f schemes.Factory) (workload.Comp
 	if err != nil {
 		return workload.Comparison{}, err
 	}
-	gw := float64(workload.AdjustedWall(got, prof.Threads))
-	bw := float64(workload.AdjustedWall(base, prof.Threads))
-	return workload.Comparison{
-		Profile:  prof.Name,
-		Scheme:   f.Name,
-		Slowdown: safeDiv(gw, bw),
-		AvgMem:   safeDiv(float64(got.AvgRSS), float64(base.AvgRSS)),
-		PeakMem:  safeDiv(float64(got.PeakRSS), float64(base.PeakRSS)),
-		CPUUtil:  1 + float64(got.Stats.SweeperCycles)/(gw+1),
-		Result:   got,
-	}, nil
-}
-
-func safeDiv(a, b float64) float64 {
-	if b == 0 {
-		return 1
-	}
-	return a / b
+	return workload.Ratios(prof, f.Name, base, got), nil
 }
 
 // msVariant builds a MineSweeper factory with a tweaked core config.

@@ -60,6 +60,10 @@ type Heap struct {
 	je    *jemalloc.Heap
 	space *mem.AddressSpace
 	q     *quarantine.Quarantine
+	// admit is the one-entry ring every free enters the quarantine through;
+	// admitMu serialises the frees of all threads on it.
+	admitMu sync.Mutex
+	admit   *quarantine.ThreadBuffer
 
 	markReq chan struct{}
 	stop    chan struct{}
@@ -87,6 +91,7 @@ func New(space *mem.AddressSpace, cfg Config, jcfg jemalloc.Config) *Heap {
 		markReq: make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 	}
+	h.admit = quarantine.NewThreadBuffer(h.q, 1)
 	h.je = jemalloc.New(space, jcfg)
 	h.collectorTid = h.je.RegisterThread()
 	if !cfg.Synchronous {
@@ -121,16 +126,21 @@ func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 		}
 		return fmt.Errorf("%w: %#x", alloc.ErrInvalidFree, addr)
 	}
+	// A double free of a quarantined allocation decommits again, which is
+	// a no-op, and the drain rejects it.
 	e := quarantine.Entry{Base: a.Base, Size: a.Size}
-	if !h.q.Insert(e) {
-		return nil
-	}
 	if h.cfg.Unmapping && a.Large {
 		if err := h.je.DecommitExtent(a.Base); err == nil {
-			h.q.NoteUnmapped(&e)
+			e.Unmapped = true
 		}
 	}
-	h.q.Append([]quarantine.Entry{e})
+	h.admitMu.Lock()
+	h.admit.Push(e)
+	dups := h.admit.Drain()
+	h.admitMu.Unlock()
+	if dups > 0 {
+		return nil // absorbed double free
+	}
 
 	qb := h.q.Bytes()
 	heapB := h.je.AllocatedBytes()
@@ -188,7 +198,10 @@ func (h *Heap) Collect() {
 	}
 	h.stwNanos.Add(int64(stw))
 
+	// Unreachable entries are compacted to the front of locked and leave the
+	// membership set as one batch before any of them is freed.
 	var fails []quarantine.Entry
+	n := 0
 	for i := range locked {
 		e := &locked[i]
 		if _, reachable := visited[e.Base]; reachable {
@@ -197,8 +210,14 @@ func (h *Heap) Collect() {
 			fails = append(fails, *e)
 			continue
 		}
-		h.q.Release(*e)
-		h.releasedFrees.Add(1)
+		locked[n] = *e
+		n++
+	}
+	rel := h.q.NewReleaser()
+	rel.ReleaseBatch(locked[:n])
+	rel.Flush()
+	h.releasedFrees.Add(uint64(n))
+	for _, e := range locked[:n] {
 		if err := h.je.Free(h.collectorTid, e.Base); err != nil {
 			// Late double free (see core.filterAndRecycle): the
 			// substrate rejected it; absorb.

@@ -2,11 +2,14 @@ package markus
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"minesweeper/internal/alloc"
 	"minesweeper/internal/jemalloc"
 	"minesweeper/internal/mem"
+	"minesweeper/internal/quarantine"
 )
 
 func testConfig() Config {
@@ -221,5 +224,134 @@ func BenchmarkCollect(b *testing.B) {
 		}
 		b.StartTimer()
 		h.Collect()
+	}
+}
+
+// TestConcurrentFreeCollect races four freeing threads, double frees
+// included, against a collector calling Collect in a loop. Every thread
+// double-frees each third allocation while a global root still points at it,
+// so the duplicate always meets a quarantined allocation. Afterwards the
+// counters must match what the threads did, and the byte accounts must equal
+// the sums over the pending list.
+func TestConcurrentFreeCollect(t *testing.T) {
+	h, _ := newHeap(t, testConfig())
+	const threads = 4
+	const perThread = 300
+	roots, err := h.space.Map(mem.KindGlobals, mem.PageSize, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	collected := make(chan struct{})
+	go func() {
+		defer close(collected)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Collect()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, threads)
+	for g := 0; g < threads; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			tid := h.RegisterThread()
+			root := roots.Base() + uint64(g)*8
+			for i := 0; i < perThread; i++ {
+				size := uint64(48)
+				if i%10 == 0 {
+					size = 32 << 10 // large: unmapped while quarantined
+				}
+				a, err := h.Malloc(tid, size)
+				if err != nil {
+					errs <- err
+					return
+				}
+				double := i%3 == 0
+				if double {
+					if err := h.space.Store64(root, a); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if err := h.Free(tid, a); err != nil {
+					errs <- err
+					return
+				}
+				if double {
+					if err := h.Free(tid, a); err != nil {
+						errs <- fmt.Errorf("double free of %#x: %w", a, err)
+						return
+					}
+					if err := h.space.Store64(root, 0); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-collected
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	doubles := uint64(threads * ((perThread + 2) / 3))
+	st := h.Stats()
+	if st.DoubleFrees != doubles {
+		t.Errorf("DoubleFrees = %d, want %d", st.DoubleFrees, doubles)
+	}
+	if got := st.ReleasedFrees + h.q.Entries(); got != threads*perThread {
+		t.Errorf("released %d + quarantined %d = %d, want %d frees",
+			st.ReleasedFrees, h.q.Entries(), got, threads*perThread)
+	}
+	checkPendingSums(t, h)
+	h.Collect()
+	checkPendingSums(t, h)
+	if st := h.Stats(); st.Quarantined != 0 || st.ReleasedFrees != threads*perThread {
+		t.Errorf("after the last collect: Quarantined/Released = %d/%d, want 0/%d",
+			st.Quarantined, st.ReleasedFrees, threads*perThread)
+	}
+}
+
+// checkPendingSums is core.CheckInvariants' accounting check for a quiescent
+// MarkUs heap: every pending entry is a member, none is pending twice, and
+// the entry count and the mapped, unmapped and failed byte accounts equal
+// the sums over the pending list.
+func checkPendingSums(t *testing.T, h *Heap) {
+	t.Helper()
+	var mapped, unmapped, failed uint64
+	seen := map[uint64]bool{}
+	h.q.ForEachPending(func(e quarantine.Entry) {
+		if seen[e.Base] {
+			t.Errorf("entry %#x pending twice", e.Base)
+		}
+		seen[e.Base] = true
+		if !h.q.Contains(e.Base) {
+			t.Errorf("pending entry %#x not quarantined", e.Base)
+		}
+		if e.Unmapped {
+			unmapped += e.Size
+		} else {
+			mapped += e.Size
+		}
+		if e.Failed {
+			failed += e.Size
+		}
+	})
+	if got := h.q.Entries(); got != uint64(len(seen)) {
+		t.Errorf("%d pending entries != %d quarantined", len(seen), got)
+	}
+	if h.q.Bytes() != mapped || h.q.UnmappedBytes() != unmapped || h.q.FailedBytes() != failed {
+		t.Errorf("accounts mapped/unmapped/failed = %d/%d/%d, sums over pending = %d/%d/%d",
+			h.q.Bytes(), h.q.UnmappedBytes(), h.q.FailedBytes(), mapped, unmapped, failed)
 	}
 }

@@ -10,7 +10,13 @@
 //     the sweep waits for the next one (§4.3);
 //   - thread-private quarantine rings that make free()'s enqueue entirely
 //     thread-local and publish membership, accounting, and pending-list
-//     appends in bulk drains (contribution (c) in §1.1);
+//     appends in bulk drains (contribution (c) in §1.1). A ring is the one
+//     way in: ThreadBuffer.Push, then Drain. A one-entry ring is the eager
+//     case, where every free drains at once and the caller learns from
+//     Drain whether it was a duplicate (the paper's debug mode);
+//   - batched release: a Releaser is the one way out. It removes a batch
+//     from the membership set before the substrate frees it and publishes
+//     the byte accounting once per worker;
 //   - byte accounting with the paper's two adjustments: failed frees are
 //     subtracted from both sides of the sweep trigger (§3.2), and unmapped
 //     allocations do not count towards the standard threshold (§4.2).
@@ -31,8 +37,8 @@ type Entry struct {
 	// Size is the allocation's usable size in bytes.
 	Size uint64
 	// Epoch is the sweep epoch in which the entry joined the global pending
-	// list (stamped by Append, under the pending lock, so it is always
-	// consistent with the epoch advance in LockIn).
+	// list (stamped by appendPending, under the pending lock, so it is
+	// always consistent with the epoch advance in LockIn).
 	Epoch uint64
 	// Ref is the substrate's opaque container reference (alloc.Ref),
 	// captured when free() resolved the allocation. The sweep's recycle
@@ -63,13 +69,14 @@ const (
 
 // shard is one slice of the membership set: an open-addressing hash table
 // with linear probing and backward-shift deletion, keyed by Entry.Base.
-// free() pays one Insert and the sweep one Release per allocation, so the
-// table avoids the runtime map's hashing and bucket machinery — on the
-// malloc/free microbenchmark the generic map was ~20% of total CPU.
+// Every free pays one insert (in its ring's drain) and the sweep one remove
+// per allocation, so the table avoids the runtime map's hashing and bucket
+// machinery — on the malloc/free microbenchmark the generic map was ~20% of
+// total CPU.
 //
 // The set holds keys only, in one pointer-free array, so a probe chain walks
 // one cache line of uint64s; the entries themselves live on the pending list.
-// Max load is 50%, keeping unsuccessful probes (what every Insert of a fresh
+// Max load is 50%, keeping unsuccessful probes (what every insert of a fresh
 // base pays) near two slots.
 type shard struct {
 	mu   sync.Mutex
@@ -169,8 +176,8 @@ type Quarantine struct {
 	shards [setShards]shard
 
 	// The pending side: one list, locked in whole by every sweep. pendMu
-	// also orders every Append's epoch stamp against LockIn's epoch
-	// advance (see Append).
+	// also orders every appendPending's epoch stamp against LockIn's
+	// epoch advance (see appendPending).
 	pendMu  sync.Mutex
 	pending []Entry
 	// oldest is the epoch of the oldest pending entry (meaningful only
@@ -204,23 +211,6 @@ func (q *Quarantine) shardFor(base uint64) *shard {
 	return &q.shards[shardIdx(base)]
 }
 
-// Insert registers a freed allocation in the membership set and the byte
-// accounts; the caller then hands e to Append. It returns false — and counts
-// a de-duplicated double free — if the base is already quarantined.
-func (q *Quarantine) Insert(e Entry) bool {
-	s := q.shardFor(e.Base)
-	s.mu.Lock()
-	if !s.insert(e.Base) {
-		s.mu.Unlock()
-		q.doubleFrees.Add(1)
-		return false
-	}
-	s.mu.Unlock()
-	q.bytes.Add(int64(e.Size))
-	q.entries.Add(1)
-	return true
-}
-
 // Contains reports whether base is currently quarantined.
 func (q *Quarantine) Contains(base uint64) bool {
 	s := q.shardFor(base)
@@ -234,17 +224,17 @@ func (q *Quarantine) Contains(base uint64) bool {
 	return ok
 }
 
-// Append adds entries (already Inserted) to the pending list for the next
-// lock-in, stamping each with the current epoch. The stamp happens under the
-// pending lock — the same lock LockIn advances the epoch under — so a batch
-// appended concurrently with a lock-in is stamped consistently with the side
-// of the swap it landed on: entries the sweep took carry the pre-advance
-// epoch, entries that missed it carry the post-advance epoch. (An earlier
-// revision stamped at Insert time and advanced the epoch outside the lock,
+// appendPending adds a drain's membership winners to the pending list for
+// the next lock-in, stamping each with the current epoch. The stamp happens
+// under the pending lock — the same lock LockIn advances the epoch under — so
+// a batch appended concurrently with a lock-in is stamped consistently with
+// the side of the swap it landed on: entries the sweep took carry the
+// pre-advance epoch, entries that missed it carry the post-advance epoch. (An earlier
+// revision stamped at insert time and advanced the epoch outside the lock,
 // so a flush racing the advance could publish entries whose recorded epoch
 // was already released — the age gauge then under-reported forever and a
 // governor steering on it never escalated.)
-func (q *Quarantine) Append(batch []Entry) {
+func (q *Quarantine) appendPending(batch []Entry) {
 	if len(batch) == 0 {
 		return
 	}
@@ -264,8 +254,8 @@ func (q *Quarantine) Append(batch []Entry) {
 // LockIn atomically takes the whole pending list and starts a new epoch. The
 // returned entries are the sweep's candidate set; entries quarantined after
 // LockIn go to the next sweep. The swap and the epoch advance happen under
-// one critical section so no Append can interleave between them (see
-// Append).
+// one critical section so no appendPending can interleave between them (see
+// appendPending).
 func (q *Quarantine) LockIn() []Entry {
 	q.pendMu.Lock()
 	locked := q.pending
@@ -293,9 +283,9 @@ func (q *Quarantine) Reclaim(buf []Entry) {
 }
 
 // Requeue returns failed entries to the pending list so future sweeps retry
-// them. Unlike Append it preserves each entry's original epoch — the age of a
-// stubborn failed free is measured from when it first went pending — and
-// lowers the oldest-epoch watermark accordingly.
+// them. Unlike appendPending it preserves each entry's original epoch — the
+// age of a stubborn failed free is measured from when it first went pending —
+// and lowers the oldest-epoch watermark accordingly.
 func (q *Quarantine) Requeue(failed []Entry) {
 	if len(failed) == 0 {
 		return
@@ -310,19 +300,6 @@ func (q *Quarantine) Requeue(failed []Entry) {
 	q.pendMu.Unlock()
 }
 
-// NoteUnmapped moves an entry's bytes from the standard quarantine account to
-// the unmapped account (§4.2: unmapped allocations "do not count towards
-// standard memory usage or quarantine-size sweep thresholds"). e is the
-// caller's copy; the flag it sets travels with it to Append.
-func (q *Quarantine) NoteUnmapped(e *Entry) {
-	if e.Unmapped {
-		return
-	}
-	e.Unmapped = true
-	q.bytes.Add(-int64(e.Size))
-	q.unmappedBytes.Add(int64(e.Size))
-}
-
 // NoteFailed accounts an entry's first failed free (§3.2: failed frees are
 // subtracted from both sides of the trigger comparison). e is the sweep's
 // locked-in copy; the flag it sets travels with it to Requeue.
@@ -334,29 +311,11 @@ func (q *Quarantine) NoteFailed(e *Entry) {
 	q.failedBytes.Add(int64(e.Size))
 }
 
-// Release removes a released entry from the membership set and all byte
-// accounts. It must be called exactly once per entry, after the sweep has
-// proven it safe and before the underlying free.
-func (q *Quarantine) Release(e Entry) {
-	s := q.shardFor(e.Base)
-	s.mu.Lock()
-	s.remove(e.Base)
-	s.mu.Unlock()
-	if e.Unmapped {
-		q.unmappedBytes.Add(-int64(e.Size))
-	} else {
-		q.bytes.Add(-int64(e.Size))
-	}
-	if e.Failed {
-		q.failedBytes.Add(-int64(e.Size))
-	}
-	q.entries.Add(-1)
-}
-
-// Releaser batches one sweep worker's releases. Membership removal happens
-// per batch (membership must be exact before the substrate free), but the
-// byte/entry accounting is deferred to Flush, turning up to three atomic adds
-// per release into one set per worker.
+// Releaser batches one sweep worker's (or one MarkUs collection's)
+// releases. Membership removal happens per batch (membership must be exact
+// before the substrate free), but the byte/entry accounting is deferred to
+// Flush, turning up to three atomic adds per release into one set per
+// worker.
 type Releaser struct {
 	q                                 *Quarantine
 	bytes, unmappedBytes, failedBytes int64
@@ -499,7 +458,9 @@ func clamp(v int64) uint64 {
 // Contains, from the byte accounts, and from double-free de-duplication
 // (a duplicate waits in the ring and is detected — counted and dropped —
 // when the drain's membership insert loses). The lag is bounded by the ring
-// capacity; a capacity of 1 restores the fully eager behaviour.
+// capacity. A capacity of 1 is the eager case: the owner drains after every
+// Push, so the entry is visible at once and Drain's duplicate count belongs
+// to that one free.
 //
 // Not safe for concurrent use; each thread owns one.
 type ThreadBuffer struct {
@@ -510,7 +471,7 @@ type ThreadBuffer struct {
 	occ  atomic.Int32 // occupancy published at drains/ticks for gauges (stale in between)
 
 	// Drain scratch, reused across drains.
-	batch  []Entry          // membership winners, handed to Append
+	batch  []Entry          // membership winners, handed to appendPending
 	groups [setShards][]int // ring indices grouped by shard
 }
 
@@ -564,13 +525,14 @@ func (b *ThreadBuffer) PublishOccupancy() { b.occ.Store(int32(len(b.ring))) }
 // Drain publishes the whole ring: membership inserts grouped by shard,
 // double-free losers counted in one add and dropped, byte/entry accounting
 // published as one set of atomic adds, and the winners appended to the
-// pending list in a single Append. Accounting is published before the
+// pending list in a single append. Accounting is published before the
 // pending append so a sweep that locks the batch in can never release an
-// entry whose bytes were not yet counted.
-func (b *ThreadBuffer) Drain() {
+// entry whose bytes were not yet counted. It returns how many entries it
+// rejected as duplicates.
+func (b *ThreadBuffer) Drain() int {
 	if len(b.ring) == 0 {
 		b.occ.Store(0)
-		return
+		return 0
 	}
 	q := b.q
 	for i := range b.groups {
@@ -617,11 +579,12 @@ func (b *ThreadBuffer) Drain() {
 	if dups != 0 {
 		q.doubleFrees.Add(uint64(dups))
 	}
-	q.Append(winners)
+	q.appendPending(winners)
 	// Both scratch slices drop their copies so no ref outlives its entry.
 	clear(winners)
 	b.batch = winners[:0]
 	clear(b.ring)
 	b.ring = b.ring[:0]
 	b.occ.Store(0)
+	return dups
 }

@@ -6,11 +6,27 @@ import (
 	"testing/quick"
 )
 
+// admit quarantines e the one way a free does: a one-entry ring's Push and
+// Drain. It reports whether the drain accepted e (false for a duplicate).
+func admit(q *Quarantine, e Entry) bool {
+	tb := NewThreadBuffer(q, 1)
+	tb.Push(e)
+	return tb.Drain() == 0
+}
+
+// release takes e out of the quarantine the one way a sweep does: a
+// Releaser's batch, then its flush.
+func release(q *Quarantine, e Entry) {
+	r := q.NewReleaser()
+	r.ReleaseBatch([]Entry{e})
+	r.Flush()
+}
+
 func TestInsertRelease(t *testing.T) {
 	q := New()
 	e := Entry{Base: 0x1000, Size: 64}
-	if !q.Insert(e) {
-		t.Fatal("Insert returned false")
+	if !admit(q, e) {
+		t.Fatal("admit returned false")
 	}
 	if !q.Contains(0x1000) {
 		t.Error("Contains = false after insert")
@@ -18,7 +34,7 @@ func TestInsertRelease(t *testing.T) {
 	if q.Bytes() != 64 || q.Entries() != 1 {
 		t.Errorf("Bytes/Entries = %d/%d, want 64/1", q.Bytes(), q.Entries())
 	}
-	q.Release(e)
+	release(q, e)
 	if q.Contains(0x1000) {
 		t.Error("Contains = true after release")
 	}
@@ -29,10 +45,10 @@ func TestInsertRelease(t *testing.T) {
 
 func TestDoubleFreeDeduplicated(t *testing.T) {
 	q := New()
-	if !q.Insert(Entry{Base: 0x2000, Size: 32}) {
+	if !admit(q, Entry{Base: 0x2000, Size: 32}) {
 		t.Fatal("first insert failed")
 	}
-	if q.Insert(Entry{Base: 0x2000, Size: 32}) {
+	if admit(q, Entry{Base: 0x2000, Size: 32}) {
 		t.Fatal("duplicate insert succeeded")
 	}
 	if q.DoubleFrees() != 1 {
@@ -48,9 +64,9 @@ func TestReinsertAfterRelease(t *testing.T) {
 	// freed again — the quarantine must accept it.
 	q := New()
 	e := Entry{Base: 0x3000, Size: 16}
-	q.Insert(e)
-	q.Release(e)
-	if !q.Insert(Entry{Base: 0x3000, Size: 16}) {
+	admit(q, e)
+	release(q, e)
+	if !admit(q, Entry{Base: 0x3000, Size: 16}) {
 		t.Error("reinsert after release failed")
 	}
 }
@@ -59,9 +75,10 @@ func TestLockInEpochs(t *testing.T) {
 	q := New()
 	a := Entry{Base: 0x1000, Size: 8}
 	b := Entry{Base: 0x2000, Size: 8}
-	q.Insert(a)
-	q.Insert(b)
-	q.Append([]Entry{a, b})
+	tb := NewThreadBuffer(q, 2)
+	tb.Push(a)
+	tb.Push(b)
+	tb.Drain()
 
 	locked := q.LockIn()
 	if len(locked) != 2 {
@@ -69,8 +86,7 @@ func TestLockInEpochs(t *testing.T) {
 	}
 	// New frees during the sweep go to the next epoch.
 	c := Entry{Base: 0x3000, Size: 8}
-	q.Insert(c)
-	q.Append([]Entry{c})
+	admit(q, c)
 	if got := q.LockIn(); len(got) != 1 || got[0].Base != c.Base {
 		t.Errorf("second LockIn = %v, want [c]", got)
 	}
@@ -82,31 +98,32 @@ func TestLockInEpochs(t *testing.T) {
 func TestFailedAccounting(t *testing.T) {
 	q := New()
 	e := Entry{Base: 0x1000, Size: 100}
-	q.Insert(e)
+	admit(q, e)
 	q.NoteFailed(&e)
 	q.NoteFailed(&e) // idempotent
 	if q.FailedBytes() != 100 {
 		t.Errorf("FailedBytes = %d, want 100", q.FailedBytes())
 	}
-	q.Release(e)
+	release(q, e)
 	if q.FailedBytes() != 0 {
 		t.Errorf("FailedBytes after release = %d, want 0", q.FailedBytes())
 	}
 }
 
+// TestUnmappedAccounting: an entry whose pages were released before it was
+// admitted (free() decommits before the push) counts in the unmapped account
+// only, on admission and on release.
 func TestUnmappedAccounting(t *testing.T) {
 	q := New()
-	e := Entry{Base: 0x1000, Size: 8192}
-	q.Insert(e)
-	q.NoteUnmapped(&e)
-	q.NoteUnmapped(&e) // idempotent
+	e := Entry{Base: 0x1000, Size: 8192, Unmapped: true}
+	admit(q, e)
 	if q.Bytes() != 0 {
 		t.Errorf("Bytes = %d, want 0 (unmapped excluded)", q.Bytes())
 	}
 	if q.UnmappedBytes() != 8192 {
 		t.Errorf("UnmappedBytes = %d, want 8192", q.UnmappedBytes())
 	}
-	q.Release(e)
+	release(q, e)
 	if q.UnmappedBytes() != 0 {
 		t.Errorf("UnmappedBytes after release = %d, want 0", q.UnmappedBytes())
 	}
@@ -180,6 +197,40 @@ func TestThreadBufferDrainDeduplicates(t *testing.T) {
 	}
 }
 
+// TestDrainReturnsDuplicateCount: Drain reports how many ring entries lost
+// the membership insert — duplicates within the ring and against entries an
+// earlier drain published — and an empty drain reports none.
+func TestDrainReturnsDuplicateCount(t *testing.T) {
+	q := New()
+	tb := NewThreadBuffer(q, 8)
+	if got := tb.Drain(); got != 0 {
+		t.Errorf("empty Drain = %d, want 0", got)
+	}
+	tb.Push(Entry{Base: 0x1000, Size: 32})
+	tb.Push(Entry{Base: 0x2000, Size: 32})
+	if got := tb.Drain(); got != 0 {
+		t.Errorf("Drain of fresh bases = %d, want 0", got)
+	}
+	tb.Push(Entry{Base: 0x1000, Size: 32}) // against a published entry
+	tb.Push(Entry{Base: 0x3000, Size: 32})
+	tb.Push(Entry{Base: 0x3000, Size: 32}) // within the ring
+	tb.Push(Entry{Base: 0x2000, Size: 32}) // against a published entry
+	if got := tb.Drain(); got != 3 {
+		t.Errorf("Drain = %d, want 3 duplicates", got)
+	}
+	if q.DoubleFrees() != 3 || q.Entries() != 3 {
+		t.Errorf("DoubleFrees/Entries = %d/%d, want 3/3", q.DoubleFrees(), q.Entries())
+	}
+	// A one-entry ring attributes the count to the one free it holds.
+	one := NewThreadBuffer(q, 1)
+	if !one.Push(Entry{Base: 0x3000, Size: 32}) {
+		t.Fatal("one-entry ring not full after one Push")
+	}
+	if got := one.Drain(); got != 1 {
+		t.Errorf("one-entry Drain of a duplicate = %d, want 1", got)
+	}
+}
+
 func TestThreadBufferDrainUnmappedAccounting(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 4)
@@ -193,7 +244,7 @@ func TestThreadBufferDrainUnmappedAccounting(t *testing.T) {
 	if q.UnmappedBytes() != 8192 {
 		t.Errorf("UnmappedBytes = %d, want 8192", q.UnmappedBytes())
 	}
-	q.Release(e)
+	release(q, e)
 	if q.UnmappedBytes() != 0 {
 		t.Errorf("UnmappedBytes after release = %d, want 0", q.UnmappedBytes())
 	}
@@ -226,7 +277,7 @@ func TestThreadBufferWatermark(t *testing.T) {
 }
 
 // TestAppendEpochLockInRace is the regression test for the flush/epoch-advance
-// race: Append must stamp entries under the same critical section LockIn
+// race: appendPending must stamp entries under the same critical section LockIn
 // advances the epoch in, so a drain racing a lock-in can never publish an
 // entry stamped with an epoch the sweep has already released. Run under -race
 // this also exercises the pendMu discipline itself.
@@ -289,13 +340,11 @@ func TestAppendEpochLockInRace(t *testing.T) {
 func TestRequeueLowersOldestPendingEpoch(t *testing.T) {
 	q := New()
 	a := Entry{Base: 0x1000, Size: 8}
-	q.Insert(a)
-	q.Append([]Entry{a})
+	admit(q, a)
 	locked := q.LockIn() // epoch 0 -> 1; a carries epoch 0
 	// New free lands at epoch 1, then the failed entry is requeued behind it.
 	b := Entry{Base: 0x2000, Size: 8}
-	q.Insert(b)
-	q.Append([]Entry{b})
+	admit(q, b)
 	q.Requeue(locked)
 	if got := q.OldestPendingEpoch(); got != 0 {
 		t.Errorf("OldestPendingEpoch = %d, want 0 (requeued entry is oldest)", got)
@@ -313,16 +362,14 @@ func TestRequeueLowersOldestPendingEpoch(t *testing.T) {
 func TestRequeuePerShardWatermark(t *testing.T) {
 	q := New()
 	e := Entry{Base: 0x1000, Size: 64}
-	q.Insert(e)
-	q.Append([]Entry{e})
+	admit(q, e)
 	locked := q.LockIn() // e carries epoch 0
 	// Age the world a few epochs, then fail the entry back in behind a
 	// fresh append.
 	q.LockIn()
 	q.LockIn()
 	f := Entry{Base: 0x2000, Size: 64}
-	q.Insert(f)
-	q.Append([]Entry{f})
+	admit(q, f)
 	q.Requeue(locked)
 	if locked[0].Epoch != 0 {
 		t.Fatalf("requeued entry epoch = %d, want 0 (its original append)", e.Epoch)
@@ -367,17 +414,23 @@ func TestConcurrentInsertRelease(t *testing.T) {
 	if len(locked) != threads*n {
 		t.Fatalf("LockIn = %d, want %d", len(locked), threads*n)
 	}
+	rel := q.NewReleaser()
+	rel.ReleaseBatch(locked)
+	rel.Flush()
 	for _, e := range locked {
-		q.Release(e)
+		if q.Contains(e.Base) {
+			t.Fatalf("%#x still a member after release", e.Base)
+		}
 	}
 	if q.Entries() != 0 || q.Bytes() != 0 {
 		t.Errorf("Entries/Bytes = %d/%d after release all", q.Entries(), q.Bytes())
 	}
 }
 
-// Property: for any interleaving of insert/fail/unmap/release on distinct
-// bases, Bytes + UnmappedBytes equals the sum of live entry sizes, and
-// FailedBytes <= that sum.
+// Property: for any interleaving of admitting mapped and unmapped entries,
+// failing them and releasing them, on distinct bases, Bytes + UnmappedBytes
+// equals the sum of live entry sizes, and FailedBytes the sum over failed
+// ones.
 func TestQuickAccounting(t *testing.T) {
 	f := func(ops []uint8) bool {
 		q := New()
@@ -385,10 +438,10 @@ func TestQuickAccounting(t *testing.T) {
 		next := uint64(16)
 		for _, op := range ops {
 			switch op % 4 {
-			case 0: // insert
-				e := Entry{Base: next, Size: uint64(op)*8 + 8}
+			case 0, 2: // admit a mapped (0) or an unmapped (2) entry
+				e := Entry{Base: next, Size: uint64(op)*8 + 8, Unmapped: op%4 == 2}
 				next += 1 << 12
-				if q.Insert(e) {
+				if admit(q, e) {
 					live[e.Base] = e
 				}
 			case 1: // fail one
@@ -397,15 +450,9 @@ func TestQuickAccounting(t *testing.T) {
 					live[b] = e
 					break
 				}
-			case 2: // unmap one
-				for b, e := range live {
-					q.NoteUnmapped(&e)
-					live[b] = e
-					break
-				}
 			case 3: // release one
 				for b, e := range live {
-					q.Release(e)
+					release(q, e)
 					delete(live, b)
 					break
 				}
@@ -433,9 +480,15 @@ func TestQuickAccounting(t *testing.T) {
 
 func BenchmarkInsertRelease(b *testing.B) {
 	q := New()
+	tb := NewThreadBuffer(q, 1)
+	rel := q.NewReleaser()
+	batch := make([]Entry, 1)
 	for i := 0; i < b.N; i++ {
 		e := Entry{Base: uint64(i+1) * 16, Size: 64}
-		q.Insert(e)
-		q.Release(e)
+		tb.Push(e)
+		tb.Drain()
+		batch[0] = e
+		rel.ReleaseBatch(batch)
 	}
+	rel.Flush()
 }

@@ -13,8 +13,8 @@
 //     per-stripe atomics for the malloc/free hot paths, plus pull-based
 //     gauges sampled at snapshot time;
 //   - a snapshot/export pipeline: Registry.Snapshot() produces a stable
-//     struct that renders to JSON, aligned text (metrics.Table), or an
-//     expvar variable.
+//     struct that renders to JSON or aligned text (metrics.Table). Live
+//     export runs through the flight recorder's events.Server.
 //
 // Cost discipline: a disabled registry is a nil pointer — instrumented code
 // does one pointer load and branch. An enabled registry samples malloc/free

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"math/bits"
 	"reflect"
 	"strings"
@@ -258,32 +257,5 @@ func TestRegisterHistogramAppearsInSnapshot(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("custom histogram missing from snapshot: %+v", s.Histograms)
-	}
-}
-
-func TestPublishExpvar(t *testing.T) {
-	reg := NewRegistry(4)
-	reg.ObserveSweep(SweepRecord{Trigger: TriggerForced, TotalNanos: 10})
-	reg.PublishExpvar("minesweeper-test")
-	v := expvar.Get("minesweeper-test")
-	if v == nil {
-		t.Fatal("expvar variable not published")
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar output not a snapshot: %v", err)
-	}
-	if snap.SweepsTotal != 1 {
-		t.Fatalf("expvar SweepsTotal = %d, want 1", snap.SweepsTotal)
-	}
-	// Re-publishing rebinds rather than panicking.
-	reg2 := NewRegistry(4)
-	reg2.PublishExpvar("minesweeper-test")
-	var snap2 Snapshot
-	if err := json.Unmarshal([]byte(expvar.Get("minesweeper-test").String()), &snap2); err != nil {
-		t.Fatal(err)
-	}
-	if snap2.SweepsTotal != 0 {
-		t.Fatalf("rebound expvar SweepsTotal = %d, want 0", snap2.SweepsTotal)
 	}
 }

@@ -202,18 +202,24 @@ func Compare(prof Profile, f schemes.Factory, opts Options, reps int) (Compariso
 	if err != nil {
 		return Comparison{}, err
 	}
+	return Ratios(prof, f.Name, base, got), nil
+}
+
+// Ratios is the comparison arithmetic shared by Compare and the figures
+// runner: got (prof run under scheme) over base, by adjusted wall time,
+// average and peak RSS, plus got's sweeper CPU utilisation.
+func Ratios(prof Profile, scheme string, base, got Result) Comparison {
 	gotW := AdjustedWall(got, prof.Threads)
 	baseW := AdjustedWall(base, prof.Threads)
-	c := Comparison{
+	return Comparison{
 		Profile:  prof.Name,
-		Scheme:   f.Name,
+		Scheme:   scheme,
 		Slowdown: ratio(float64(gotW), float64(baseW)),
 		AvgMem:   ratio(float64(got.AvgRSS), float64(base.AvgRSS)),
 		PeakMem:  ratio(float64(got.PeakRSS), float64(base.PeakRSS)),
 		CPUUtil:  1 + float64(got.Stats.SweeperCycles)/float64(gotW+1),
 		Result:   got,
 	}
-	return c, nil
 }
 
 func runMedian(prof Profile, f schemes.Factory, opts Options, reps int) (Result, error) {

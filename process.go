@@ -173,8 +173,7 @@ func (p *Process) Stats() Stats {
 
 // Telemetry returns the process's telemetry registry, or nil when
 // Config.Telemetry was false or the scheme does not support attachment. The
-// registry is live: snapshot it at any time, or publish it with
-// PublishExpvar to serve it from /debug/vars.
+// registry is live: snapshot it at any time.
 func (p *Process) Telemetry() *telemetry.Registry { return p.tel }
 
 // Events returns the process's flight recorder, or nil when Config.Events
