@@ -229,9 +229,10 @@ type quiescer interface {
 
 // DefaultRescanBudgetPages is the default dirty-page budget for the
 // stop-the-world re-scan (Config.RescanBudgetPages). One dirty page costs the
-// re-scan a word-by-word scan of PageSize bytes; 512 pages keep the window
-// well under a millisecond on any plausible hardware while making pre-clean
-// rounds rare for ordinary write rates.
+// re-scan a word-by-word scan of PageSize bytes, measured at 1–3 µs per page
+// on a shared 2-CPU x86-64 host, where 512 pages admit re-scans of 0.5–1.5 ms.
+// The budget makes pre-clean rounds rare for ordinary write rates; it does
+// not by itself keep the window under a millisecond.
 const DefaultRescanBudgetPages = 512
 
 // maxPreCleanRounds caps the concurrent pre-clean passes per sweep. Each

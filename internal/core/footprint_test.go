@@ -12,12 +12,13 @@ import (
 // TestNewHeapAllocatesLittle pins the build cost of a protected heap. The
 // shadow map's chunk directory and the address space's page table are
 // sparse, so a build pays only their roots (2 KiB and 8 KiB) for them, not a
-// slot for every chunk or page-table leaf of the ranges they cover. The Go
-// collector is held off so TotalAlloc counts exactly the construction; the
-// minimum of a few builds discards allocations made meanwhile by goroutines
-// of other tests.
+// slot for every chunk or page-table leaf of the ranges they cover, and
+// jemalloc keeps no page map of its own: it finds extents through that page
+// table. The Go collector is held off so TotalAlloc counts exactly the
+// construction; the minimum of a few builds discards allocations made
+// meanwhile by goroutines of other tests.
 func TestNewHeapAllocatesLittle(t *testing.T) {
-	const limit = 256 << 10
+	const limit = 128 << 10
 	best := ^uint64(0)
 	for i := 0; i < 3; i++ {
 		var h *Heap

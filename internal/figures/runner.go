@@ -8,7 +8,6 @@ package figures
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"minesweeper/internal/core"
@@ -45,18 +44,10 @@ func (r *Runner) result(prof workload.Profile, f schemes.Factory) (workload.Resu
 	}
 	r.mu.Unlock()
 
-	best := workload.Result{}
-	var results []workload.Result
-	for i := 0; i < r.Reps; i++ {
-		res, err := workload.Run(prof, f, r.Opts)
-		if err != nil {
-			return best, err
-		}
-		results = append(results, res)
+	best, err := workload.RunMedian(prof, f, r.Opts, r.Reps)
+	if err != nil {
+		return best, err
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Wall < results[j].Wall })
-	best = results[len(results)/2]
-
 	r.mu.Lock()
 	r.cache[key] = best
 	r.mu.Unlock()

@@ -13,16 +13,16 @@ import (
 // decay — jemalloc's background aging of dirty memory — or by an explicit
 // PurgeAll, which is what MineSweeper triggers after every sweep (§4.5).
 //
-// The page map is shared by every arena of the heap (a page's extent must be
-// findable no matter which shard owns it); everything else — the mutex, the
-// dirty lists, the virtual clock — is per-shard, so extent churn on one shard
-// never serialises against another.
+// Every extent is one mem.Region whose owner is the extent, so a page's
+// extent is found through the address space's page table no matter which
+// shard owns it; everything else — the mutex, the dirty lists, the virtual
+// clock — is per-shard, so extent churn on one shard never serialises against
+// another.
 type arena struct {
 	mu    sync.Mutex
 	space *mem.AddressSpace
 	hooks ExtentHooks
-	pm    *rtree // shared across shards
-	shard int32  // index stamped onto every extent this arena creates
+	shard int32 // index stamped onto every extent this arena creates
 
 	// dirty holds free extents by page count. Purged (decommitted)
 	// extents stay listed: their VA is "retained" and can be recommitted,
@@ -34,14 +34,14 @@ type arena struct {
 	now         uint64 // last observed virtual time
 
 	nExtents int
+	nPages   int // pages of every extent ever mapped
 	purges   atomic.Uint64
 }
 
-func newArena(space *mem.AddressSpace, hooks ExtentHooks, pm *rtree, shard int32, decayCycles uint64) *arena {
+func newArena(space *mem.AddressSpace, hooks ExtentHooks, shard int32, decayCycles uint64) *arena {
 	return &arena{
 		space:       space,
 		hooks:       hooks,
-		pm:          pm,
 		shard:       shard,
 		dirty:       make(map[int][]*Extent),
 		decayCycles: decayCycles,
@@ -70,6 +70,7 @@ func (a *arena) allocExtent(pages int) (*Extent, error) {
 		return e, nil
 	}
 	a.nExtents++
+	a.nPages += pages
 	a.mu.Unlock()
 
 	r, err := a.space.Map(mem.KindHeap, uint64(pages)*mem.PageSize, true)
@@ -77,13 +78,12 @@ func (a *arena) allocExtent(pages int) (*Extent, error) {
 		return nil, err
 	}
 	e := &Extent{
-		region:    r,
 		base:      r.Base(),
 		size:      r.Size(),
 		shard:     a.shard,
 		committed: true,
 	}
-	a.pm.insert(e)
+	r.SetOwner(e) // publishes the fields above to lock-free lookups
 	return e, nil
 }
 
@@ -200,13 +200,20 @@ func (a *arena) PurgeAll() {
 	a.purgeExtents(batch)
 }
 
-// dirtyStats returns (committed dirty bytes, extent count) for stats.
-func (a *arena) dirtyStats() (uint64, int) {
+// arenaStats is an arena's extent accounting, or its sum over the shards.
+type arenaStats struct {
+	dirtyBytes   uint64 // committed bytes on dirty lists
+	dirtyExtents int
+	extents      int // extents ever mapped
+	pages        int // pages of those extents
+}
+
+func (a *arena) stats() arenaStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := 0
+	st := arenaStats{dirtyBytes: a.dirtyBytes, extents: a.nExtents, pages: a.nPages}
 	for _, list := range a.dirty {
-		n += len(list)
+		st.dirtyExtents += len(list)
 	}
-	return a.dirtyBytes, n
+	return st
 }

@@ -116,11 +116,8 @@ func TestFreeBatchOracle(t *testing.T) {
 		if !reflect.DeepEqual(da, db) {
 			t.Fatalf("seed %d: DetailedStats diverged:\nper-item: %+v\nbatch:    %+v", seed, da, db)
 		}
-		dba, na := ha.dirtyStats()
-		dbb, nb := hb.dirtyStats()
-		if dba != dbb || na != nb {
-			t.Fatalf("seed %d: dirty lists diverged: (%d bytes, %d) vs (%d bytes, %d)",
-				seed, dba, na, dbb, nb)
+		if aa, ab := ha.arenaStats(), hb.arenaStats(); aa != ab {
+			t.Fatalf("seed %d: arenas diverged: %+v vs %+v", seed, aa, ab)
 		}
 		// Liveness must agree address by address.
 		for _, a := range live {
@@ -209,7 +206,7 @@ func TestFreeBatchLargeDuplicate(t *testing.T) {
 	if !errors.Is(errs[1], alloc.ErrInvalidFree) {
 		t.Fatalf("duplicate large free = %v, want ErrInvalidFree", errs[1])
 	}
-	if _, n := h.dirtyStats(); n != 1 {
+	if n := h.arenaStats().dirtyExtents; n != 1 {
 		t.Fatalf("dirty extents = %d, want 1 (released exactly once)", n)
 	}
 	if got := h.Stats().Frees; got != 1 {
@@ -332,7 +329,7 @@ func TestSlowDecommitDoesNotBlockAlloc(t *testing.T) {
 	}
 	close(g.release)
 	<-purgeDone
-	if d, _ := h.dirtyStats(); d != 0 {
+	if d := h.arenaStats().dirtyBytes; d != 0 {
 		t.Fatalf("committed dirty bytes after purge = %d, want 0", d)
 	}
 }

@@ -56,16 +56,15 @@ const (
 // metadata lives out of line in Go memory, never in the simulated address
 // space — the property the paper relies on for metadata safety.
 //
-// The free() fast path reads extents through the lock-free page map, so the
+// The free() fast path reads extents through the lock-free page table, so the
 // fields that path touches — state, class, regSize and the two bitmaps — are
 // atomic. The bitmap slice headers are written once (first initSlab) and
 // never reallocated: they are sized for the smallest class the extent could
 // ever host, so every later initSlab fits in place and stale readers can
 // never index out of bounds.
 type Extent struct {
-	region *mem.Region
-	base   uint64
-	size   uint64 // bytes, page multiple; immutable after creation
+	base uint64
+	size uint64 // bytes, page multiple; immutable after creation
 	// shard is the index of the arena/bin shard that owns the extent. An
 	// extent never migrates between shards (it returns to its arena's dirty
 	// lists forever), so the field is immutable after creation and routes

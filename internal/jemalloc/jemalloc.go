@@ -45,7 +45,8 @@ func DefaultConfig() Config {
 
 // heapShard is one slice of the allocator's shared state: an arena (extent
 // lifecycle, dirty lists) plus a full bin set. Each shard has its own locks;
-// only the page map and the heap-wide statistic counters are shared.
+// only the address space's page table and the heap-wide statistic counters
+// are shared.
 type heapShard struct {
 	arena *arena
 	bins  []bin
@@ -57,7 +58,6 @@ type heapShard struct {
 type Heap struct {
 	space  *mem.AddressSpace
 	cfg    Config
-	pm     *rtree // page map, shared by all shards
 	shards []heapShard
 
 	tcMu     sync.Mutex
@@ -86,7 +86,9 @@ type counterStripe struct {
 
 var _ alloc.Substrate = (*Heap)(nil)
 
-// New returns a Heap over space.
+// New returns a Heap over space. The heap finds an address's extent through
+// space's page table (each extent is the owner of its own mem.Region), so an
+// address space hosts at most one jemalloc heap.
 func New(space *mem.AddressSpace, cfg Config) *Heap {
 	if cfg.Hooks == nil {
 		cfg.Hooks = DefaultHooks{}
@@ -105,13 +107,12 @@ func New(space *mem.AddressSpace, cfg Config) *Heap {
 	h := &Heap{
 		space:  space,
 		cfg:    cfg,
-		pm:     newRtree(),
 		shards: make([]heapShard, nshards),
 		ctrs:   make([]counterStripe, nstripes),
 	}
 	for s := range h.shards {
 		sh := &h.shards[s]
-		sh.arena = newArena(space, cfg.Hooks, h.pm, int32(s), cfg.DecayCycles)
+		sh.arena = newArena(space, cfg.Hooks, int32(s), cfg.DecayCycles)
 		sh.bins = make([]bin, NumClasses())
 		for c := range sh.bins {
 			sh.bins[c].class = c
@@ -278,9 +279,25 @@ func (h *Heap) smallSlow(sh *heapShard, tc *tcache, class int) (uint64, error) {
 	return addr, nil
 }
 
+// extentOf returns the extent owning addr's page, or nil: the address
+// space's page table finds the region, and the region's owner is the extent.
+// Words outside the heap area, which the sweepers probe by the million, miss
+// before the table walk. Lock-free; the free() fast path.
+func (h *Heap) extentOf(addr uint64) *Extent {
+	if !mem.IsHeapAddr(addr) {
+		return nil
+	}
+	r := h.space.Lookup(addr)
+	if r == nil {
+		return nil
+	}
+	e, _ := r.Owner().(*Extent)
+	return e
+}
+
 // Free implements alloc.Allocator.
 func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
-	e := h.pm.lookup(addr)
+	e := h.extentOf(addr)
 	if e == nil {
 		return fmt.Errorf("%w: %#x", alloc.ErrInvalidFree, addr)
 	}
@@ -288,9 +305,9 @@ func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 }
 
 // FreeResolved implements alloc.Substrate: free via a Resolve-obtained extent
-// reference, skipping the page-map lookup. The page map never unmaps a page
-// once an extent covers it, so a ref resolved while the allocation was live
-// names exactly the extent a fresh lookup would find.
+// reference, skipping the page-table lookup. An extent's region is never
+// unmapped and its owner never changes, so a ref resolved while the
+// allocation was live names exactly the extent a fresh lookup would find.
 func (h *Heap) FreeResolved(tid alloc.ThreadID, ref alloc.Ref, addr uint64) error {
 	e, _ := ref.(*Extent)
 	if e == nil {
@@ -433,7 +450,7 @@ func (h *Heap) FreeBatch(tid alloc.ThreadID, refs []alloc.Ref, addrs []uint64, e
 			e, _ = refs[i].(*Extent)
 		}
 		if e == nil {
-			e = h.pm.lookup(addr)
+			e = h.extentOf(addr)
 		}
 		if e == nil {
 			errs[i] = fmt.Errorf("%w: %#x", alloc.ErrInvalidFree, addr)
@@ -559,7 +576,7 @@ func (h *Heap) Lookup(addr uint64) (alloc.Allocation, bool) {
 // opaque ref, so the caller's eventual FreeResolved skips the second
 // page-map lookup the seed performed on every intercepted free().
 func (h *Heap) Resolve(addr uint64) (alloc.Allocation, alloc.Ref, bool) {
-	e := h.pm.lookup(addr)
+	e := h.extentOf(addr)
 	if e == nil {
 		return alloc.Allocation{}, nil, false
 	}
@@ -581,7 +598,7 @@ func (h *Heap) Resolve(addr uint64) (alloc.Allocation, alloc.Ref, bool) {
 // to unmap large quarantined allocations (§4.2); the extent is recommitted by
 // the hooks when the arena eventually reuses it.
 func (h *Heap) DecommitExtent(base uint64) error {
-	e := h.pm.lookup(base)
+	e := h.extentOf(base)
 	if e == nil || !e.isLarge() || e.base != base {
 		return fmt.Errorf("%w: %#x is not a live large allocation", alloc.ErrInvalidFree, base)
 	}
@@ -623,23 +640,24 @@ func (h *Heap) AllocatedBytes() uint64 {
 	return uint64(v)
 }
 
-// dirtyStats sums (committed dirty bytes, dirty extent count) over shards.
-func (h *Heap) dirtyStats() (uint64, int) {
-	var bytes uint64
-	var n int
+// arenaStats sums the arenas' extent accounting over the shards.
+func (h *Heap) arenaStats() arenaStats {
+	var sum arenaStats
 	for s := range h.shards {
-		b, c := h.shards[s].arena.dirtyStats()
-		bytes += b
-		n += c
+		st := h.shards[s].arena.stats()
+		sum.dirtyBytes += st.dirtyBytes
+		sum.dirtyExtents += st.dirtyExtents
+		sum.extents += st.extents
+		sum.pages += st.pages
 	}
-	return bytes, n
+	return sum
 }
 
 // Stats implements alloc.Allocator. Each counter update lands wholly on one
 // stripe and the per-stripe/per-shard figures are summed, so the snapshot
 // stays exact under striping and sharding.
 func (h *Heap) Stats() alloc.Stats {
-	dirtyBytes, ndirty := h.dirtyStats()
+	ast := h.arenaStats()
 	var purges uint64
 	for s := range h.shards {
 		purges += h.shards[s].arena.purges.Load()
@@ -649,11 +667,14 @@ func (h *Heap) Stats() alloc.Stats {
 		mallocs += h.ctrs[i].mallocs.Load()
 		frees += h.ctrs[i].frees.Load()
 	}
+	// The page map is charged at what jemalloc's dense radix-tree leaves would
+	// cost, 8 B per page of every extent mapped, plus 128 B per dirty
+	// extent descriptor.
 	return alloc.Stats{
 		Allocated:  h.AllocatedBytes(),
 		Active:     uint64(h.slabBytes.Load() + h.largeLive.Load()),
-		DirtyBytes: dirtyBytes,
-		MetaBytes:  h.pm.footprint() + uint64(ndirty)*128,
+		DirtyBytes: ast.dirtyBytes,
+		MetaBytes:  uint64(ast.pages)*8 + uint64(ast.dirtyExtents)*128,
 		Mallocs:    mallocs,
 		Frees:      frees,
 		Purges:     purges,

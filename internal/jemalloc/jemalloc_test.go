@@ -274,8 +274,7 @@ func TestSlabReleasedWhenEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, ndirty := h.dirtyStats()
-	if ndirty == 0 {
+	if h.arenaStats().dirtyExtents == 0 {
 		t.Error("no slabs released to arena after freeing everything")
 	}
 }
@@ -307,16 +306,16 @@ func TestDecayPurging(t *testing.T) {
 	if err := h.Free(tid, addr); err != nil {
 		t.Fatal(err)
 	}
-	dirtyBefore, _ := h.dirtyStats()
+	dirtyBefore := h.arenaStats().dirtyBytes
 	if dirtyBefore == 0 {
 		t.Fatal("no dirty bytes after large free")
 	}
 	h.Tick(50) // before deadline
-	if d, _ := h.dirtyStats(); d != dirtyBefore {
+	if d := h.arenaStats().dirtyBytes; d != dirtyBefore {
 		t.Error("decay purged too early")
 	}
 	h.Tick(200) // past deadline
-	if d, _ := h.dirtyStats(); d != 0 {
+	if d := h.arenaStats().dirtyBytes; d != 0 {
 		t.Errorf("dirty bytes after decay = %d, want 0", d)
 	}
 }

@@ -56,13 +56,8 @@ func (h *Heap) DetailedStats() DetailedStats {
 		LargeBytes: uint64(h.largeLive.Load()),
 		RSS:        h.space.RSS(),
 	}
-	d.DirtyBytes, d.DirtyExtents = h.dirtyStats()
-	for s := range h.shards {
-		a := h.shards[s].arena
-		a.mu.Lock()
-		d.Extents += a.nExtents
-		a.mu.Unlock()
-	}
+	ast := h.arenaStats()
+	d.DirtyBytes, d.DirtyExtents, d.Extents = ast.dirtyBytes, ast.dirtyExtents, ast.extents
 
 	// Per-class figures are summed over the shards' bin sets, so the
 	// snapshot is the same exact accounting a single shared bin set gave.

@@ -144,3 +144,23 @@ func TestNewAddressSpaceAllocatesLittle(t *testing.T) {
 		t.Fatalf("NewAddressSpace allocated %d bytes, want < %d", best, limit)
 	}
 }
+
+// TestRegionOwnerThroughLookup: a region's owner is nil until SetOwner, and
+// once published it is what a Lookup of any of the region's pages leads to.
+func TestRegionOwnerThroughLookup(t *testing.T) {
+	as := NewAddressSpace()
+	r, err := as.Map(KindHeap, 3*PageSize, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := as.Lookup(r.Base()).Owner(); got != nil {
+		t.Fatalf("Owner before SetOwner = %v, want nil", got)
+	}
+	owner := new(int)
+	r.SetOwner(owner)
+	for _, addr := range []uint64{r.Base(), r.Base() + PageSize + 8, r.End() - 1} {
+		if got := as.Lookup(addr).Owner(); got != owner {
+			t.Errorf("Lookup(%#x).Owner() = %v, want %p", addr, got, owner)
+		}
+	}
+}

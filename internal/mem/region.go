@@ -107,6 +107,11 @@ type Region struct {
 	// physical memory.
 	parent    *Region
 	parentOff uint64 // byte offset of the alias window within parent
+
+	// owner is the allocator container the region backs, published once
+	// by SetOwner right after Map (jemalloc stores the extent here); nil
+	// for every other region.
+	owner atomic.Value
 }
 
 // IsAlias reports whether the region is a virtual alias of another region's
@@ -127,6 +132,15 @@ func (r *Region) End() uint64 { return r.base + r.size }
 
 // Kind returns what the region is used for.
 func (r *Region) Kind() Kind { return r.kind }
+
+// SetOwner publishes the container that manages the region, so a Lookup of
+// any of its addresses leads there. It is called once, after Map and after
+// the owner's own fields are written: the atomic store orders those writes
+// before any reader that observes the owner.
+func (r *Region) SetOwner(v any) { r.owner.Store(v) }
+
+// Owner returns the value SetOwner published, or nil.
+func (r *Region) Owner() any { return r.owner.Load() }
 
 // PageCount returns the number of pages in the region.
 func (r *Region) PageCount() int { return len(r.pages) }

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -191,14 +193,11 @@ func AdjustedWall(r Result, threads int) time.Duration {
 // reps > 1 takes the median wall time of reps runs, as the paper's
 // methodology takes the median of three (§A.5).
 func Compare(prof Profile, f schemes.Factory, opts Options, reps int) (Comparison, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	base, err := runMedian(prof, schemes.New(schemes.Baseline), opts, reps)
+	base, err := RunMedian(prof, schemes.New(schemes.Baseline), opts, reps)
 	if err != nil {
 		return Comparison{}, err
 	}
-	got, err := runMedian(prof, f, opts, reps)
+	got, err := RunMedian(prof, f, opts, reps)
 	if err != nil {
 		return Comparison{}, err
 	}
@@ -222,7 +221,10 @@ func Ratios(prof Profile, scheme string, base, got Result) Comparison {
 	}
 }
 
-func runMedian(prof Profile, f schemes.Factory, opts Options, reps int) (Result, error) {
+// RunMedian runs prof under f reps times (at least once) and returns the run
+// with the median wall time, the paper's median-of-three protocol (§A.5).
+func RunMedian(prof Profile, f schemes.Factory, opts Options, reps int) (Result, error) {
+	reps = max(reps, 1)
 	results := make([]Result, 0, reps)
 	for i := 0; i < reps; i++ {
 		r, err := Run(prof, f, opts)
@@ -231,12 +233,7 @@ func runMedian(prof Profile, f schemes.Factory, opts Options, reps int) (Result,
 		}
 		results = append(results, r)
 	}
-	// Median by wall time.
-	for i := 1; i < len(results); i++ {
-		for j := i; j > 0 && results[j].Wall < results[j-1].Wall; j-- {
-			results[j], results[j-1] = results[j-1], results[j]
-		}
-	}
+	slices.SortStableFunc(results, func(a, b Result) int { return cmp.Compare(a.Wall, b.Wall) })
 	return results[len(results)/2], nil
 }
 
