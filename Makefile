@@ -14,9 +14,9 @@ help:
 	@echo "  check      go vet + gofmt + go test (root and bench/) + race-hot + events-overhead + flightrec-smoke + fleet-gate"
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
-	@echo "  race-hot   race detector on the facade (every scheme via NewProcess) and the sweep, quarantine, allocator, telemetry, UAF, scheme and MarkUs packages"
+	@echo "  race-hot   race detector on the facade (every scheme via NewProcess) and the sweep, quarantine, allocator (jemalloc, dlmalloc, Scudo), telemetry, UAF, scheme and MarkUs packages"
 	@echo "  bench      sweep hot-path benchmarks (bulk scan, steady-state skip, markers, page scan)"
-	@echo "  bench-free malloc/free and Resolve hot-path benchmarks (fixed-iteration protocol)"
+	@echo "  bench-free malloc/free and page-table Lookup hot-path benchmarks (fixed-iteration protocol)"
 	@echo "  bench-json bench-free + sweep-release + fleet runs -> BENCH_free.json, BENCH_sweep.json, BENCH_fleet.json"
 	@echo "  bench-gate gate: fresh MallocFree64 + SweepRelease medians within BENCH_GATE_RATIO of their BENCH_*.json"
 	@echo "  bench-all  every benchmark in the repository"
@@ -49,11 +49,12 @@ race:
 # NewProcess and the one scheme table), the concurrent hot-path packages
 # (sweeper workers, shadow markers, page scanning, the core sweep loop), the
 # UAF comparators that pin the sweep's safety, the scheme factories that
-# build one heap per run, and MarkUs, whose frees share one mutex-guarded
-# admission ring — much faster than a full `make race` and the first thing to
-# run after touching the sweep path.
+# build one heap per run, MarkUs, whose frees share one mutex-guarded
+# admission ring, and dlmalloc and Scudo, whose Free the parallel recycle
+# workers reach through FreeBatchSerial — much faster than a full
+# `make race` and the first thing to run after touching the sweep path.
 race-hot:
-	$(GO) test -race . ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/ring ./internal/workload ./internal/fleet ./internal/uaf ./internal/schemes ./internal/markus
+	$(GO) test -race . ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/ring ./internal/workload ./internal/fleet ./internal/uaf ./internal/schemes ./internal/markus ./internal/dlmalloc ./internal/scudo
 
 # The pre-merge gate: static checks, a vet and test pass over the benchmark
 # (bench/ is its own module, so `./...` never compiles it, yet it builds
@@ -83,13 +84,13 @@ bench:
 
 # Malloc/free hot-path benchmarks: the end-to-end MallocFree comparison
 # (single-threaded and 4-way parallel, baseline vs MineSweeper) plus the
-# page-table Resolve micro-benchmarks behind the free() fast path. The fixed
+# page-table Lookup micro-benchmarks behind the free() fast path. The fixed
 # iteration count matches the protocol recorded in EXPERIMENTS.md ("Free
 # fast-path optimisation"): adaptive benchtime would run long enough to
 # change quarantine pressure between variants.
 bench-free:
 	$(GO) test -run '^$$' -bench 'BenchmarkMallocFree64' -benchtime=300000x -benchmem -count=3 .
-	$(GO) test -run '^$$' -bench 'BenchmarkResolve' -benchmem -count=3 ./internal/jemalloc
+	$(GO) test -run '^$$' -bench 'BenchmarkLookup' -benchmem -count=3 ./internal/jemalloc
 
 # Machine-readable benchmark snapshots: the malloc/free comparison and the
 # post-sweep release path, 5 runs each, medians computed by cmd/benchjson.

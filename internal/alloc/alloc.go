@@ -87,15 +87,6 @@ type Allocation struct {
 	Large bool
 }
 
-// Ref is an opaque substrate-internal reference to the container backing an
-// allocation (a jemalloc extent, a Scudo chunk header). Resolve returns one;
-// FreeResolved accepts it back so the substrate can skip the address→container
-// lookup it already performed. A Ref stays valid for as long as the resolved
-// allocation remains live at the substrate — exactly the guarantee a
-// quarantine provides, since the quarantine owns the allocation until it
-// releases it. A nil Ref is always legal and simply means "re-resolve".
-type Ref any
-
 // Substrate is the allocator-side interface MineSweeper's drop-in layer
 // hooks into. The paper integrates with jemalloc's public API plus small
 // extensions (§3.2) and notes the approach ports to other allocators (§7's
@@ -106,25 +97,15 @@ type Substrate interface {
 	// Lookup returns the live allocation containing addr (for slab-style
 	// substrates) or exactly based at addr.
 	Lookup(addr uint64) (Allocation, bool)
-	// Resolve is Lookup plus an opaque reference that FreeResolved can use
-	// to deallocate without repeating the address→container resolution —
-	// the free() fast path performs exactly one page-map lookup per call.
-	Resolve(addr uint64) (Allocation, Ref, bool)
-	// FreeResolved frees the allocation based at addr using a Ref obtained
-	// from Resolve while the allocation was live. Substrates fall back to
-	// a plain Free when ref is nil.
-	FreeResolved(tid ThreadID, ref Ref, addr uint64) error
-	// FreeBatch frees a batch of resolved allocations: refs[i] and addrs[i]
-	// describe one free exactly as a FreeResolved call would, and errs[i]
-	// (which must have len(addrs) slots) receives that item's verdict — nil
-	// on success, or the error the equivalent FreeResolved would have
-	// returned, so per-item double-free detection survives batching.
+	// FreeBatch frees a batch of allocations by address: errs[i] (which
+	// must have len(addrs) slots) receives what Free(tid, addrs[i]) would
+	// have returned, so per-item double-free detection survives batching.
 	// Substrates with lock-protected internal structure amortise their
 	// locks across the batch (jemalloc groups the batch by arena shard and
 	// size class); others may simply loop, via FreeBatchSerial. The batch
 	// is a performance contract only: the end state must be what the same
 	// frees performed one at a time would have produced.
-	FreeBatch(tid ThreadID, refs []Ref, addrs []uint64, errs []error)
+	FreeBatch(tid ThreadID, addrs []uint64, errs []error)
 	// DecommitExtent releases the physical pages of a live large
 	// allocation, leaving it allocated (§4.2).
 	DecommitExtent(base uint64) error
@@ -160,16 +141,12 @@ type Allocator interface {
 	Shutdown()
 }
 
-// FreeBatchSerial implements the FreeBatch contract by looping FreeResolved —
-// the straightforward fallback for substrates whose free path has no batchable
+// FreeBatchSerial implements the FreeBatch contract by looping Free — the
+// straightforward fallback for substrates whose free path has no batchable
 // shared structure (dlmalloc's in-band headers, Scudo's per-chunk registry).
-func FreeBatchSerial(s Substrate, tid ThreadID, refs []Ref, addrs []uint64, errs []error) {
+func FreeBatchSerial(s Substrate, tid ThreadID, addrs []uint64, errs []error) {
 	for i, addr := range addrs {
-		var ref Ref
-		if i < len(refs) {
-			ref = refs[i]
-		}
-		errs[i] = s.FreeResolved(tid, ref, addr)
+		errs[i] = s.Free(tid, addr)
 	}
 }
 

@@ -763,11 +763,11 @@ func (h *Heap) takeTrigger() telemetry.TriggerReason {
 }
 
 // Free implements alloc.Allocator: the paper's free() interception. The
-// allocation is resolved through the substrate exactly once — the returned
-// ref rides in the quarantine entry so the sweep's recycle phase can free
-// without a second page-map lookup. Sampling is Malloc's: one call in
-// SamplePeriod is a KindFree timed event carrying the freed size. tid must
-// be registered, as for Malloc.
+// substrate's Lookup validates and sizes the allocation, and the quarantine
+// entry keeps only its base and size; the sweep's recycle phase frees by
+// address, as the paper's layer does through jemalloc's public API (§3.2).
+// Sampling is Malloc's: one call in SamplePeriod is a KindFree timed event
+// carrying the freed size. tid must be registered, as for Malloc.
 func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 	ts := h.threadState(tid)
 	if ts == nil {
@@ -787,7 +787,7 @@ func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 // free frees addr and returns its allocation's size (0 when addr is not an
 // allocation's base).
 func (h *Heap) free(ts *threadState, addr uint64) (uint64, error) {
-	a, ref, ok := h.sub.Resolve(addr)
+	a, ok := h.sub.Lookup(addr)
 	if !ok || a.Base != addr {
 		if h.q.Contains(addr) {
 			// Double free of a quarantined allocation whose lookup
@@ -811,14 +811,14 @@ func (h *Heap) free(ts *threadState, addr uint64) (uint64, error) {
 		} else if h.cfg.Zeroing && a.Large {
 			_ = h.space.Zero(a.Base, a.Size)
 		}
-		return a.Size, h.sub.FreeResolved(ts.subTid, ref, addr)
+		return a.Size, h.sub.Free(ts.subTid, addr)
 	}
 
 	// Every quarantined free goes through the thread's ring: free() touches
 	// only thread-local state and everything shared is deferred to bulk
 	// drains. In debug mode the ring holds one entry, so the drain below
 	// runs on every free and reports whether this free was a duplicate.
-	e := quarantine.Entry{Base: a.Base, Size: a.Size, Ref: ref}
+	e := quarantine.Entry{Base: a.Base, Size: a.Size}
 	// Large allocations that will be unmapped need no explicit zeroing: the
 	// decommit discards their contents (and any pointers within). A double
 	// free still waiting in a ring re-decommits harmlessly (DecommitExtent
@@ -1423,7 +1423,6 @@ func (h *Heap) filterAndRecycle(locked []quarantine.Entry) (released, retained u
 			tid := h.recycleTids[w]
 			rel := h.q.NewReleaser()
 			var fails []quarantine.Entry
-			refs := make([]alloc.Ref, 0, releaseBatchSize)
 			addrs := make([]uint64, 0, releaseBatchSize)
 			torel := make([]quarantine.Entry, 0, releaseBatchSize)
 			errs := make([]error, releaseBatchSize)
@@ -1438,7 +1437,7 @@ func (h *Heap) filterAndRecycle(locked []quarantine.Entry) (released, retained u
 				// removed under one shard-lock pass, then freed under the
 				// substrate's batched locks.
 				rel.ReleaseBatch(torel)
-				h.sub.FreeBatch(tid, refs, addrs, errs[:len(addrs)])
+				h.sub.FreeBatch(tid, addrs, errs[:len(addrs)])
 				for _, err := range errs[:len(addrs)] {
 					if err == nil {
 						continue
@@ -1456,7 +1455,7 @@ func (h *Heap) filterAndRecycle(locked []quarantine.Entry) (released, retained u
 					}
 					panic("core: substrate free failed: " + err.Error())
 				}
-				refs, addrs, torel = refs[:0], addrs[:0], torel[:0]
+				addrs, torel = addrs[:0], torel[:0]
 			}
 			part := locked[lo:hi]
 			for i := range part {
@@ -1475,7 +1474,6 @@ func (h *Heap) filterAndRecycle(locked []quarantine.Entry) (released, retained u
 					// Partial version: counted but freed anyway.
 					h.failedFrees.Add(1)
 				}
-				refs = append(refs, e.Ref)
 				addrs = append(addrs, e.Base)
 				torel = append(torel, *e)
 				released++
@@ -1576,7 +1574,7 @@ func (h *Heap) Shutdown() {
 //     substrate (the quarantine owns it — nothing may have freed it);
 //  2. entry sizes match the substrate's usable sizes;
 //  3. quarantine byte accounting equals the sum over entries;
-//  4. unmapped entries really have no resident pages;
+//  4. unmapped entries really have no resident pages, page by page;
 //  5. the pending list and the membership set hold the same entries: every
 //     pending entry is quarantined, none is pending twice, and the pending
 //     count equals the quarantined count. A ring drain inserts into the
@@ -1613,9 +1611,11 @@ func (h *Heap) CheckInvariants() error {
 		}
 		if e.Unmapped {
 			unmapped += e.Size
-			if r := h.space.Lookup(e.Base); r != nil && r.PageResident(r.PageIndex(e.Base)) {
-				err = fmt.Errorf("core: invariant: unmapped entry %#x has resident pages", e.Base)
-				return
+			for p := e.Base; p < e.Base+e.Size; p += mem.PageSize {
+				if r := h.space.Lookup(p); r != nil && r.PageResident(r.PageIndex(p)) {
+					err = fmt.Errorf("core: invariant: unmapped entry %#x has resident page %#x", e.Base, p)
+					return
+				}
 			}
 		} else {
 			mapped += e.Size

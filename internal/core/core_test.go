@@ -673,6 +673,32 @@ func TestCheckInvariantsUnderChurn(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsUnmappedEveryPage: invariant 4 holds for every page of
+// an unmapped entry, not only its first. A 64 KiB allocation is unmapped when
+// freed; re-committing its 5th page must be reported.
+func TestCheckInvariantsUnmappedEveryPage(t *testing.T) {
+	h, tid := newTestHeap(t, testConfig())
+	a, err := h.Malloc(tid, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Free(tid, a); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.q.UnmappedBytes(); got < 64<<10 {
+		t.Fatalf("UnmappedBytes = %d after freeing 64 KiB, want the allocation unmapped", got)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatalf("unmapped entry: %v", err)
+	}
+	if err := h.space.Commit(a+4*mem.PageSize, mem.PageSize, mem.ProtRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted an unmapped entry whose 5th page is resident")
+	}
+}
+
 // TestCheckInvariantsPendingNotMember: an entry on the pending list that the
 // membership set does not hold (put there by Requeue, which appends without
 // inserting) breaks invariant 5.

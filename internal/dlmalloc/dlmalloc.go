@@ -217,25 +217,11 @@ func (h *Heap) Lookup(addr uint64) (alloc.Allocation, bool) {
 	return alloc.Allocation{Base: addr, Size: size}, true
 }
 
-// Resolve implements alloc.Substrate. dlmalloc keeps its bookkeeping in-band
-// (the chunk header precedes the payload), so there is no out-of-line
-// container to hand back as a ref; Free re-reads the header either way.
-func (h *Heap) Resolve(addr uint64) (alloc.Allocation, alloc.Ref, bool) {
-	a, ok := h.Lookup(addr)
-	return a, nil, ok
-}
-
-// FreeResolved implements alloc.Substrate by forwarding to Free: with in-band
-// metadata the address is the reference.
-func (h *Heap) FreeResolved(tid alloc.ThreadID, _ alloc.Ref, addr uint64) error {
-	return h.Free(tid, addr)
-}
-
 // FreeBatch implements alloc.Substrate per-item: every free re-reads an
 // in-band header, so there is no shared structure to amortise across the
 // batch.
-func (h *Heap) FreeBatch(tid alloc.ThreadID, refs []alloc.Ref, addrs []uint64, errs []error) {
-	alloc.FreeBatchSerial(h, tid, refs, addrs, errs)
+func (h *Heap) FreeBatch(tid alloc.ThreadID, addrs []uint64, errs []error) {
+	alloc.FreeBatchSerial(h, tid, addrs, errs)
 }
 
 // DecommitExtent implements alloc.Substrate: in-band chunks share pages with

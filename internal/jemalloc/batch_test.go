@@ -81,22 +81,13 @@ func TestFreeBatchOracle(t *testing.T) {
 			}
 		}
 
-		// Resolve on each heap (identical extent geometry, separate refs).
-		refsA := make([]alloc.Ref, len(addrs))
-		refsB := make([]alloc.Ref, len(addrs))
-		for i, addr := range addrs {
-			_, ra, _ := ha.Resolve(addr)
-			_, rb, _ := hb.Resolve(addr)
-			refsA[i], refsB[i] = ra, rb
-		}
-
-		// Heap A: per-item replay. Heap B: one batch.
+		// Heap A: per-item Free. Heap B: one batch.
 		errsA := make([]error, len(addrs))
 		for i, addr := range addrs {
-			errsA[i] = ha.FreeResolved(tids[0], refsA[i], addr)
+			errsA[i] = ha.Free(tids[0], addr)
 		}
 		errsB := make([]error, len(addrs))
-		hb.FreeBatch(tids[0], refsB, addrs, errsB)
+		hb.FreeBatch(tids[0], addrs, errsB)
 
 		for i := range addrs {
 			if (errsA[i] == nil) != (errsB[i] == nil) {
@@ -155,31 +146,31 @@ func TestFreeBatchCachedRegionIsDoubleFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ref, ok := h.Resolve(addr)
-	if !ok {
-		t.Fatal("Resolve failed")
+	if _, ok := h.Lookup(addr); !ok {
+		t.Fatal("Lookup failed")
 	}
 	if err := h.Free(tid, addr); err != nil { // now tcache-resident
 		t.Fatal(err)
 	}
 	errs := make([]error, 1)
-	h.FreeBatch(tid, []alloc.Ref{ref}, []uint64{addr}, errs)
+	h.FreeBatch(tid, []uint64{addr}, errs)
 	if !errors.Is(errs[0], alloc.ErrDoubleFree) {
 		t.Fatalf("batch free of cached region = %v, want ErrDoubleFree", errs[0])
 	}
 }
 
-// TestFreeBatchNilRefs: nil refs fall back to the page map, as FreeResolved
-// does.
-func TestFreeBatchNilRefs(t *testing.T) {
+// TestFreeBatchByAddress: a batch finds each extent through the page table,
+// frees a small and a large allocation, and reports an address no
+// allocation covers as invalid.
+func TestFreeBatchByAddress(t *testing.T) {
 	h := New(mem.NewAddressSpace(), DefaultConfig())
 	tid := h.RegisterThread()
 	a1, _ := h.Malloc(tid, 64)
 	a2, _ := h.Malloc(tid, 1<<20)
 	errs := make([]error, 3)
-	h.FreeBatch(tid, nil, []uint64{a1, a2, mem.HeapBase + 555}, errs)
+	h.FreeBatch(tid, []uint64{a1, a2, mem.HeapBase + 555}, errs)
 	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("batch free with nil refs: %v, %v", errs[0], errs[1])
+		t.Fatalf("batch free: %v, %v", errs[0], errs[1])
 	}
 	if !errors.Is(errs[2], alloc.ErrInvalidFree) {
 		t.Fatalf("batch free of unmapped address = %v, want ErrInvalidFree", errs[2])
@@ -197,9 +188,8 @@ func TestFreeBatchLargeDuplicate(t *testing.T) {
 	h := New(mem.NewAddressSpace(), cfg)
 	tid := h.RegisterThread()
 	addr, _ := h.Malloc(tid, 1<<20)
-	_, ref, _ := h.Resolve(addr)
 	errs := make([]error, 2)
-	h.FreeBatch(tid, []alloc.Ref{ref, ref}, []uint64{addr, addr}, errs)
+	h.FreeBatch(tid, []uint64{addr, addr}, errs)
 	if errs[0] != nil {
 		t.Fatalf("first free = %v, want nil", errs[0])
 	}

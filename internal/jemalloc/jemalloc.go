@@ -282,7 +282,11 @@ func (h *Heap) smallSlow(sh *heapShard, tc *tcache, class int) (uint64, error) {
 // extentOf returns the extent owning addr's page, or nil: the address
 // space's page table finds the region, and the region's owner is the extent.
 // Words outside the heap area, which the sweepers probe by the million, miss
-// before the table walk. Lock-free; the free() fast path.
+// before the table walk. Lock-free. Its inline cost is over the compiler's
+// budget, so the two hot callers, Lookup (every intercepted free and every
+// pointer probe of the comparators) and FreeBatch (every released quarantine
+// entry), carry these lines themselves; TestLookupEveryPage and
+// TestLookupOutOfRange hold the copies to this one.
 func (h *Heap) extentOf(addr uint64) *Extent {
 	if !mem.IsHeapAddr(addr) {
 		return nil
@@ -301,23 +305,6 @@ func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 	if e == nil {
 		return fmt.Errorf("%w: %#x", alloc.ErrInvalidFree, addr)
 	}
-	return h.freeInExtent(tid, e, addr)
-}
-
-// FreeResolved implements alloc.Substrate: free via a Resolve-obtained extent
-// reference, skipping the page-table lookup. An extent's region is never
-// unmapped and its owner never changes, so a ref resolved while the
-// allocation was live names exactly the extent a fresh lookup would find.
-func (h *Heap) FreeResolved(tid alloc.ThreadID, ref alloc.Ref, addr uint64) error {
-	e, _ := ref.(*Extent)
-	if e == nil {
-		return h.Free(tid, addr)
-	}
-	return h.freeInExtent(tid, e, addr)
-}
-
-// freeInExtent frees addr, known to lie in extent e.
-func (h *Heap) freeInExtent(tid alloc.ThreadID, e *Extent, addr uint64) error {
 	if e.isSlab() {
 		return h.freeSmall(tid, e, addr)
 	}
@@ -427,15 +414,16 @@ func (sc *batchScratch) put() {
 	batchScratchPool.Put(sc)
 }
 
-// FreeBatch implements alloc.Substrate: free a batch of resolved allocations,
-// grouping the batch by owning shard and size class so all regions of one
-// class are freed under a single bin-lock acquisition (and all emptied slabs
-// and large extents return to each arena under a single arena-lock
-// acquisition). errs[i] records each item's verdict, preserving per-item
+// FreeBatch implements alloc.Substrate: free a batch of allocations by
+// address, each found through the page table, grouping the batch by owning
+// shard and size class so all regions of one class are freed under a single
+// bin-lock acquisition (and all emptied slabs and large extents return to
+// each arena under a single arena-lock acquisition). errs[i] records each
+// item's verdict, what Free would have returned, preserving per-item
 // double-free detection for the caller's accounting. This is the sweep
 // release path: per-item lock round-trips were the dominant cost of
 // recycling a large quarantine generation.
-func (h *Heap) FreeBatch(tid alloc.ThreadID, refs []alloc.Ref, addrs []uint64, errs []error) {
+func (h *Heap) FreeBatch(tid alloc.ThreadID, addrs []uint64, errs []error) {
 	n := len(addrs)
 	nclasses := NumClasses()
 	// One key per (shard, class) pair plus one large-extent key per shard.
@@ -445,12 +433,11 @@ func (h *Heap) FreeBatch(tid alloc.ThreadID, refs []alloc.Ref, addrs []uint64, e
 	exts, keys, counts := sc.exts[:n], sc.keys[:n], sc.counts[:nkeys]
 	valid := 0
 	for i, addr := range addrs {
-		var e *Extent
-		if i < len(refs) {
-			e, _ = refs[i].(*Extent)
-		}
-		if e == nil {
-			e = h.extentOf(addr)
+		var e *Extent // extentOf, written in
+		if mem.IsHeapAddr(addr) {
+			if r := h.space.Lookup(addr); r != nil {
+				e, _ = r.Owner().(*Extent)
+			}
 		}
 		if e == nil {
 			errs[i] = fmt.Errorf("%w: %#x", alloc.ErrInvalidFree, addr)
@@ -568,29 +555,28 @@ func (h *Heap) UsableSize(addr uint64) uint64 {
 // MineSweeper's free-interception layer: the quarantine validates and sizes
 // incoming frees through it.
 func (h *Heap) Lookup(addr uint64) (alloc.Allocation, bool) {
-	a, _, ok := h.Resolve(addr)
-	return a, ok
-}
-
-// Resolve implements alloc.Substrate: Lookup plus the owning extent as an
-// opaque ref, so the caller's eventual FreeResolved skips the second
-// page-map lookup the seed performed on every intercepted free().
-func (h *Heap) Resolve(addr uint64) (alloc.Allocation, alloc.Ref, bool) {
-	e := h.extentOf(addr)
+	if !mem.IsHeapAddr(addr) { // extentOf, written in
+		return alloc.Allocation{}, false
+	}
+	r := h.space.Lookup(addr)
+	if r == nil {
+		return alloc.Allocation{}, false
+	}
+	e, _ := r.Owner().(*Extent)
 	if e == nil {
-		return alloc.Allocation{}, nil, false
+		return alloc.Allocation{}, false
 	}
 	if e.isSlab() {
 		idx := e.regionIndex(addr)
 		if e.regionFree(idx) {
-			return alloc.Allocation{}, nil, false
+			return alloc.Allocation{}, false
 		}
-		return alloc.Allocation{Base: e.regionBase(idx), Size: e.regSize.Load()}, e, true
+		return alloc.Allocation{Base: e.regionBase(idx), Size: e.regSize.Load()}, true
 	}
 	if !e.isLarge() {
-		return alloc.Allocation{}, nil, false
+		return alloc.Allocation{}, false
 	}
-	return alloc.Allocation{Base: e.base, Size: e.size, Large: true}, e, true
+	return alloc.Allocation{Base: e.base, Size: e.size, Large: true}, true
 }
 
 // DecommitExtent releases the physical pages of a live large allocation via

@@ -27,10 +27,13 @@ import (
 	"sync/atomic"
 )
 
-// Entry describes one quarantined allocation. It is a plain value: the
-// thread rings, the pending list, a sweep's locked-in slice and a worker's
-// release batch each hold their own copy, and the membership set holds only
-// the base. Nothing points at an entry, so nothing recycles one.
+// Entry describes one quarantined allocation: the paper's address and size
+// (§3) plus an epoch and two flags. It is a plain, pointer-free 32 B
+// value: the thread rings, the pending list, a sweep's locked-in slice and a
+// worker's release batch each hold their own copy, and the membership set
+// holds only the base. Nothing points at an entry, so nothing recycles one,
+// and the garbage collector never scans the slices that hold them. The
+// substrate finds the allocation again from Base when the sweep frees it.
 type Entry struct {
 	// Base is the allocation's base address.
 	Base uint64
@@ -40,13 +43,6 @@ type Entry struct {
 	// list (stamped by appendPending, under the pending lock, so it is
 	// always consistent with the epoch advance in LockIn).
 	Epoch uint64
-	// Ref is the substrate's opaque container reference (alloc.Ref),
-	// captured when free() resolved the allocation. The sweep's recycle
-	// phase frees through it, so the allocation's address is resolved
-	// exactly once over its whole quarantine lifetime. The quarantine owns
-	// the allocation until it is released, which is precisely the window
-	// the substrate guarantees the ref stays valid for.
-	Ref any
 	// Unmapped records that the allocation's physical pages were released
 	// while in quarantine (§4.2).
 	Unmapped bool
@@ -269,12 +265,11 @@ func (q *Quarantine) LockIn() []Entry {
 // Reclaim donates a slice previously returned by LockIn back to the
 // quarantine once the sweep is done with it, so steady-state sweeps reuse
 // its backing array instead of regrowing from nil every epoch. The entries
-// must already be released or requeued; clearing them drops their refs.
+// must already be released or requeued.
 func (q *Quarantine) Reclaim(buf []Entry) {
 	if cap(buf) == 0 {
 		return
 	}
-	clear(buf[:cap(buf)])
 	q.pendMu.Lock()
 	if cap(buf) > cap(q.lockedSpare) {
 		q.lockedSpare = buf[:0]
@@ -434,9 +429,9 @@ func (q *Quarantine) ForEachPending(fn func(e Entry)) {
 
 // MetaBytes estimates the quarantine's metadata footprint.
 func (q *Quarantine) MetaBytes() uint64 {
-	// The 48 B Entry value on the pending list (the substrate ref word pair
-	// included) + its 8 B membership key at <=50% load, so 16 B amortised.
-	return clamp(q.entries.Load()) * (48 + 16)
+	// The 32 B Entry value on the pending list + its 8 B membership key at
+	// <=50% load, so 16 B amortised.
+	return clamp(q.entries.Load()) * (32 + 16)
 }
 
 func clamp(v int64) uint64 {
@@ -580,10 +575,7 @@ func (b *ThreadBuffer) Drain() int {
 		q.doubleFrees.Add(uint64(dups))
 	}
 	q.appendPending(winners)
-	// Both scratch slices drop their copies so no ref outlives its entry.
-	clear(winners)
 	b.batch = winners[:0]
-	clear(b.ring)
 	b.ring = b.ring[:0]
 	b.occ.Store(0)
 	return dups

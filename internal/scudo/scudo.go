@@ -238,41 +238,8 @@ func (a *Allocator) Free(_ alloc.ThreadID, addr uint64) error {
 	}
 	c.live = false
 	a.chunkMu.Unlock()
-	return a.finishFree(c, addr)
-}
-
-// FreeResolved implements alloc.Substrate: free via a Resolve-obtained chunk
-// reference, skipping the registry map lookup. A chunk stays the registry's
-// entry for its base for as long as it is live, so live==true proves the ref
-// is current; a stale ref (the allocation was freed and its base reused,
-// which only undefined program behaviour can produce) reads live==false and
-// reports a double free — exactly what a fresh lookup-based Free would have
-// concluded about the original allocation.
-func (a *Allocator) FreeResolved(tid alloc.ThreadID, ref alloc.Ref, addr uint64) error {
-	c, _ := ref.(*chunk)
-	if c == nil {
-		return a.Free(tid, addr)
-	}
-	a.chunkMu.Lock()
-	if !c.live {
-		a.chunkMu.Unlock()
-		return fmt.Errorf("%w: %#x", alloc.ErrDoubleFree, addr)
-	}
-	c.live = false
-	a.chunkMu.Unlock()
-	return a.finishFree(c, addr)
-}
-
-// FreeBatch implements alloc.Substrate per-item: Scudo's chunk state flip and
-// freelist push are two short critical sections per free already, so the
-// serial fallback is adequate for the release path.
-func (a *Allocator) FreeBatch(tid alloc.ThreadID, refs []alloc.Ref, addrs []uint64, errs []error) {
-	alloc.FreeBatchSerial(a, tid, refs, addrs, errs)
-}
-
-// finishFree returns a dead chunk's storage to the class freelist or the
-// secondary cache and settles accounting. c.live was flipped by the caller.
-func (a *Allocator) finishFree(c *chunk, addr uint64) error {
+	// The chunk is dead: return its storage to the class freelist or the
+	// secondary cache.
 	if c.class >= 0 {
 		cs := &a.classes[c.class]
 		cs.mu.Lock()
@@ -291,6 +258,13 @@ func (a *Allocator) finishFree(c *chunk, addr uint64) error {
 	return nil
 }
 
+// FreeBatch implements alloc.Substrate per-item: Scudo's chunk state flip and
+// freelist push are two short critical sections per free already, so the
+// serial fallback is adequate for the release path.
+func (a *Allocator) FreeBatch(tid alloc.ThreadID, addrs []uint64, errs []error) {
+	alloc.FreeBatchSerial(a, tid, addrs, errs)
+}
+
 // Lookup implements alloc.Substrate. Scudo's chunk registry is exact-base
 // only; interior pointers do not resolve (the core layer requires exact
 // bases for free()).
@@ -302,18 +276,6 @@ func (a *Allocator) Lookup(addr uint64) (alloc.Allocation, bool) {
 		return alloc.Allocation{}, false
 	}
 	return alloc.Allocation{Base: addr, Size: c.size, Large: c.class < 0}, true
-}
-
-// Resolve implements alloc.Substrate: Lookup plus the chunk header as an
-// opaque ref for FreeResolved.
-func (a *Allocator) Resolve(addr uint64) (alloc.Allocation, alloc.Ref, bool) {
-	a.chunkMu.RLock()
-	c, ok := a.chunks[addr]
-	a.chunkMu.RUnlock()
-	if !ok || !c.live {
-		return alloc.Allocation{}, nil, false
-	}
-	return alloc.Allocation{Base: addr, Size: c.size, Large: c.class < 0}, c, true
 }
 
 // DecommitExtent implements alloc.Substrate for live secondary allocations.
