@@ -16,7 +16,7 @@ help:
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on the facade (every scheme via NewProcess) and the sweep, quarantine, allocator (jemalloc, dlmalloc, Scudo), telemetry, UAF, scheme and MarkUs packages"
 	@echo "  bench      sweep hot-path benchmarks (bulk scan, steady-state skip, markers, page scan)"
-	@echo "  bench-free malloc/free and page-table Lookup hot-path benchmarks (fixed-iteration protocol)"
+	@echo "  bench-free malloc/free, page-table Lookup and quarantine drain/release hot-path benchmarks (fixed-iteration protocol)"
 	@echo "  bench-json bench-free + sweep-release + fleet runs -> BENCH_free.json, BENCH_sweep.json, BENCH_fleet.json"
 	@echo "  bench-gate gate: fresh MallocFree64 + SweepRelease medians within BENCH_GATE_RATIO of their BENCH_*.json"
 	@echo "  bench-all  every benchmark in the repository"
@@ -83,14 +83,17 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepMarkAll|BenchmarkMarkAllSteady|BenchmarkShadowMarker|BenchmarkScanPage' -benchmem -count=1 ./internal/sweep ./internal/shadow ./internal/mem
 
 # Malloc/free hot-path benchmarks: the end-to-end MallocFree comparison
-# (single-threaded and 4-way parallel, baseline vs MineSweeper) plus the
-# page-table Lookup micro-benchmarks behind the free() fast path. The fixed
+# (single-threaded and 4-way parallel, baseline vs MineSweeper), the
+# page-table Lookup micro-benchmarks behind the free() fast path, and the
+# quarantine's drain/release layer (one-entry rings, a 64-entry ring with
+# 256-entry release batches, two drainers against one releaser). The fixed
 # iteration count matches the protocol recorded in EXPERIMENTS.md ("Free
 # fast-path optimisation"): adaptive benchtime would run long enough to
 # change quarantine pressure between variants.
 bench-free:
 	$(GO) test -run '^$$' -bench 'BenchmarkMallocFree64' -benchtime=300000x -benchmem -count=3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkLookup' -benchmem -count=3 ./internal/jemalloc
+	$(GO) test -run '^$$' -bench 'BenchmarkInsertRelease' -benchtime=300000x -benchmem -count=3 ./internal/quarantine
 
 # Machine-readable benchmark snapshots: the malloc/free comparison and the
 # post-sweep release path, 5 runs each, medians computed by cmd/benchjson.

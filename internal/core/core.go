@@ -1434,8 +1434,8 @@ func (h *Heap) filterAndRecycle(locked []quarantine.Entry) (released, retained u
 				// Membership leaves before the substrate free (a re-free
 				// racing this window must not be absorbed as a duplicate of
 				// an allocation that no longer exists); the whole batch is
-				// removed under one shard-lock pass, then freed under the
-				// substrate's batched locks.
+				// removed under one hold of the quarantine lock, then freed
+				// under the substrate's batched locks.
 				rel.ReleaseBatch(torel)
 				h.sub.FreeBatch(tid, addrs, errs[:len(addrs)])
 				for _, err := range errs[:len(addrs)] {
@@ -1578,8 +1578,10 @@ func (h *Heap) Shutdown() {
 //  5. the pending list and the membership set hold the same entries: every
 //     pending entry is quarantined, none is pending twice, and the pending
 //     count equals the quarantined count. A ring drain inserts into the
-//     membership set before it appends to the pending list, under no lock
-//     this check takes, so the check needs no drain in flight.
+//     membership set and appends to the pending list in one hold of the
+//     quarantine lock, but the check reads the pending snapshot, the
+//     membership set and the counts in separate holds, so it needs no
+//     drain in flight.
 func (h *Heap) CheckInvariants() error {
 	h.sweepMu.Lock()
 	defer h.sweepMu.Unlock()

@@ -2,8 +2,8 @@
 // allocations the program has freed but that cannot yet be proven free of
 // dangling pointers (§3). It provides:
 //
-//   - a sharded membership set keyed by allocation base, the paper's "shadow
-//     map of entries" that de-duplicates double frees so that calls to free()
+//   - a membership set keyed by allocation base, the paper's "shadow map of
+//     entries" that de-duplicates double frees so that calls to free()
 //     while a dangling pointer exists are idempotent;
 //   - a global pending list with epoch lock-in: a sweep atomically takes the
 //     entries "already in quarantine when it starts"; anything freed during
@@ -20,6 +20,9 @@
 //   - byte accounting with the paper's two adjustments: failed frees are
 //     subtracted from both sides of the sweep trigger (§3.2), and unmapped
 //     allocations do not count towards the standard threshold (§4.2).
+//
+// The membership set and the pending list share one mutex: a drain, a
+// lock-in, a requeue, a release batch and a Contains each take it once.
 package quarantine
 
 import (
@@ -40,8 +43,8 @@ type Entry struct {
 	// Size is the allocation's usable size in bytes.
 	Size uint64
 	// Epoch is the sweep epoch in which the entry joined the global pending
-	// list (stamped by appendPending, under the pending lock, so it is
-	// always consistent with the epoch advance in LockIn).
+	// list (stamped by Drain under the quarantine lock, so it is always
+	// consistent with the epoch advance in LockIn).
 	Epoch uint64
 	// Unmapped records that the allocation's physical pages were released
 	// while in quarantine (§4.2).
@@ -51,51 +54,33 @@ type Entry struct {
 	Failed bool
 }
 
-// setShards is the membership-set shard count. Eight (not the 64 of earlier
-// revisions) because membership traffic now arrives in batches — ring drains
-// insert a whole ring and sweep workers remove releaseBatchSize entries at a
-// time — and batching only amortises the shard lock when a batch lands several
-// entries per shard. At 64 shards a 48-entry drain averaged under one entry
-// per touched shard (one lock round-trip each, no better than per-entry
-// locking); at 8 it averages six.
-const (
-	setShardBits = 3
-	setShards    = 1 << setShardBits
-)
-
-// shard is one slice of the membership set: an open-addressing hash table
-// with linear probing and backward-shift deletion, keyed by Entry.Base.
-// Every free pays one insert (in its ring's drain) and the sweep one remove
-// per allocation, so the table avoids the runtime map's hashing and bucket
-// machinery — on the malloc/free microbenchmark the generic map was ~20% of
-// total CPU.
+// set is the membership set: an open-addressing hash table with linear
+// probing and backward-shift deletion, keyed by Entry.Base. Every free pays
+// one insert (in its ring's drain) and the sweep one remove per allocation,
+// so the table avoids the runtime map's hashing and bucket machinery — on
+// the malloc/free microbenchmark the generic map was ~20% of total CPU.
 //
 // The set holds keys only, in one pointer-free array, so a probe chain walks
 // one cache line of uint64s; the entries themselves live on the pending list.
 // Max load is 50%, keeping unsuccessful probes (what every insert of a fresh
 // base pays) near two slots.
-type shard struct {
-	mu   sync.Mutex
-	keys []uint64 // power-of-two; 0 = empty slot (0 is never a heap base)
+type set struct {
+	keys []uint64 // power-of-two, never empty; 0 = empty slot (0 is never a heap base)
 	n    int      // occupied slots
 }
 
-const shardMinSize = 64
+const setMinSize = 64
 
-// mix is the multiplicative hash shared by shard selection (top bits) and
-// slot selection (folded bits). Allocation bases are at least 16-byte
-// aligned, so the low bits are dropped first.
-func mix(base uint64) uint64 {
-	return (base >> 4) * 0x9E3779B97F4A7C15
-}
-
-func (s *shard) slot(base uint64) int {
-	h := mix(base)
+// slot is a base's home slot: a multiplicative hash folded into the table's
+// index bits. Allocation bases are at least 8-byte aligned (jemalloc's
+// smallest class puts two bases 8 B apart), so the hash drops 3 low bits.
+func (s *set) slot(base uint64) int {
+	h := (base >> 3) * 0x9E3779B97F4A7C15
 	return int((h ^ h>>29) & uint64(len(s.keys)-1))
 }
 
 // lookup returns the index holding base, or -1 and the insertion point.
-func (s *shard) lookup(base uint64) (at, free int) {
+func (s *set) lookup(base uint64) (at, free int) {
 	i := s.slot(base)
 	for {
 		k := s.keys[i]
@@ -109,10 +94,8 @@ func (s *shard) lookup(base uint64) (at, free int) {
 	}
 }
 
-func (s *shard) insert(base uint64) bool {
-	if s.keys == nil {
-		s.keys = make([]uint64, shardMinSize)
-	} else if 2*(s.n+1) > len(s.keys) {
+func (s *set) insert(base uint64) bool {
+	if 2*(s.n+1) > len(s.keys) {
 		s.grow()
 	}
 	at, free := s.lookup(base)
@@ -124,10 +107,7 @@ func (s *shard) insert(base uint64) bool {
 	return true
 }
 
-func (s *shard) remove(base uint64) {
-	if s.keys == nil {
-		return
-	}
+func (s *set) remove(base uint64) {
 	at, _ := s.lookup(base)
 	if at < 0 {
 		return
@@ -154,7 +134,7 @@ func (s *shard) remove(base uint64) {
 	s.n--
 }
 
-func (s *shard) grow() {
+func (s *set) grow() {
 	old := s.keys
 	s.keys = make([]uint64, 2*len(old))
 	for _, k := range old {
@@ -169,17 +149,18 @@ func (s *shard) grow() {
 // Quarantine is the global quarantine state. All methods are safe for
 // concurrent use.
 type Quarantine struct {
-	shards [setShards]shard
-
-	// The pending side: one list, locked in whole by every sweep. pendMu
-	// also orders every appendPending's epoch stamp against LockIn's
-	// epoch advance (see appendPending).
-	pendMu  sync.Mutex
+	// mu guards the membership set and the pending side. Because a drain
+	// inserts into the set and appends to the pending list in the same
+	// critical section LockIn advances the epoch in, every pending entry is
+	// a member and carries the epoch of the side of the swap it landed on.
+	mu      sync.Mutex
+	members set
+	// The pending side: one list, locked in whole by every sweep.
 	pending []Entry
 	// oldest is the epoch of the oldest pending entry (meaningful only
-	// while pending is non-empty). Appends stamp the current epoch, so
+	// while pending is non-empty). Drains stamp the current epoch, so
 	// they never lower it; Requeue can, since failed entries keep the
-	// epoch of their original append.
+	// epoch of their original drain.
 	oldest uint64
 	// lockedSpare is a locked-in slice the sweep handed back (Reclaim);
 	// the next LockIn makes it the new pending list, so steady-state
@@ -195,70 +176,34 @@ type Quarantine struct {
 }
 
 // New returns an empty quarantine.
-func New() *Quarantine { return &Quarantine{} }
-
-// shardIdx selects the membership shard for a base from the hash's top bits
-// (the slot index uses the folded low bits, so the two stay independent).
-func shardIdx(base uint64) int {
-	return int(mix(base) >> (64 - setShardBits))
-}
-
-func (q *Quarantine) shardFor(base uint64) *shard {
-	return &q.shards[shardIdx(base)]
+func New() *Quarantine {
+	return &Quarantine{members: set{keys: make([]uint64, setMinSize)}}
 }
 
 // Contains reports whether base is currently quarantined.
 func (q *Quarantine) Contains(base uint64) bool {
-	s := q.shardFor(base)
-	s.mu.Lock()
-	ok := false
-	if s.keys != nil {
-		at, _ := s.lookup(base)
-		ok = at >= 0
-	}
-	s.mu.Unlock()
-	return ok
-}
-
-// appendPending adds a drain's membership winners to the pending list for
-// the next lock-in, stamping each with the current epoch. The stamp happens
-// under the pending lock — the same lock LockIn advances the epoch under — so
-// a batch appended concurrently with a lock-in is stamped consistently with
-// the side of the swap it landed on: entries the sweep took carry the
-// pre-advance epoch, entries that missed it carry the post-advance epoch. (An earlier
-// revision stamped at insert time and advanced the epoch outside the lock,
-// so a flush racing the advance could publish entries whose recorded epoch
-// was already released — the age gauge then under-reported forever and a
-// governor steering on it never escalated.)
-func (q *Quarantine) appendPending(batch []Entry) {
-	if len(batch) == 0 {
-		return
-	}
-	q.pendMu.Lock()
-	ep := q.epoch.Load()
-	if len(q.pending) == 0 {
-		q.oldest = ep
-	}
-	n := len(q.pending)
-	q.pending = append(q.pending, batch...)
-	for i := n; i < len(q.pending); i++ {
-		q.pending[i].Epoch = ep
-	}
-	q.pendMu.Unlock()
+	q.mu.Lock()
+	at, _ := q.members.lookup(base)
+	q.mu.Unlock()
+	return at >= 0
 }
 
 // LockIn atomically takes the whole pending list and starts a new epoch. The
 // returned entries are the sweep's candidate set; entries quarantined after
 // LockIn go to the next sweep. The swap and the epoch advance happen under
-// one critical section so no appendPending can interleave between them (see
-// appendPending).
+// the lock every drain stamps its entries under, so an entry the sweep took
+// carries the pre-advance epoch and one that missed it the post-advance
+// epoch. (An earlier revision stamped at insert time and advanced the epoch
+// outside the lock, so a drain racing the advance could publish entries
+// whose recorded epoch was already released — the age gauge then
+// under-reported forever and a governor steering on it never escalated.)
 func (q *Quarantine) LockIn() []Entry {
-	q.pendMu.Lock()
+	q.mu.Lock()
 	locked := q.pending
 	q.pending = q.lockedSpare[:0]
 	q.lockedSpare = nil
 	q.epoch.Add(1)
-	q.pendMu.Unlock()
+	q.mu.Unlock()
 	return locked
 }
 
@@ -270,29 +215,29 @@ func (q *Quarantine) Reclaim(buf []Entry) {
 	if cap(buf) == 0 {
 		return
 	}
-	q.pendMu.Lock()
+	q.mu.Lock()
 	if cap(buf) > cap(q.lockedSpare) {
 		q.lockedSpare = buf[:0]
 	}
-	q.pendMu.Unlock()
+	q.mu.Unlock()
 }
 
 // Requeue returns failed entries to the pending list so future sweeps retry
-// them. Unlike appendPending it preserves each entry's original epoch — the
-// age of a stubborn failed free is measured from when it first went pending —
-// and lowers the oldest-epoch watermark accordingly.
+// them. Unlike a drain it preserves each entry's original epoch — the age of
+// a stubborn failed free is measured from when it first went pending — and
+// lowers the oldest-epoch watermark accordingly.
 func (q *Quarantine) Requeue(failed []Entry) {
 	if len(failed) == 0 {
 		return
 	}
-	q.pendMu.Lock()
+	q.mu.Lock()
 	for _, e := range failed {
 		if len(q.pending) == 0 || e.Epoch < q.oldest {
 			q.oldest = e.Epoch
 		}
 	}
 	q.pending = append(q.pending, failed...)
-	q.pendMu.Unlock()
+	q.mu.Unlock()
 }
 
 // NoteFailed accounts an entry's first failed free (§3.2: failed frees are
@@ -315,30 +260,21 @@ type Releaser struct {
 	q                                 *Quarantine
 	bytes, unmappedBytes, failedBytes int64
 	n                                 int64
-	// groups is ReleaseBatch's shard-grouping scratch, reused across batches
-	// so a worker's whole run allocates it once.
-	groups [setShards][]uint64
 }
 
 // NewReleaser returns a Releaser for one worker's chunk. Not safe for
 // concurrent use; each worker owns one and must call Flush when done.
 func (q *Quarantine) NewReleaser() Releaser { return Releaser{q: q} }
 
-// ReleaseBatch releases a whole batch: membership removal is grouped by shard
-// so the batch costs one shard-lock round-trip per touched shard (at most
-// setShards) instead of one per entry, and the accounting is deferred to
+// ReleaseBatch releases a whole batch: its membership removals cost one
+// round-trip of the quarantine lock, and the accounting is deferred to
 // Flush.
 func (r *Releaser) ReleaseBatch(entries []Entry) {
 	if len(entries) == 0 {
 		return
 	}
-	for i := range r.groups {
-		r.groups[i] = r.groups[i][:0]
-	}
 	for i := range entries {
 		e := &entries[i]
-		si := shardIdx(e.Base)
-		r.groups[si] = append(r.groups[si], e.Base)
 		if e.Unmapped {
 			r.unmappedBytes -= int64(e.Size)
 		} else {
@@ -349,17 +285,12 @@ func (r *Releaser) ReleaseBatch(entries []Entry) {
 		}
 	}
 	r.n += int64(len(entries))
-	for si, g := range r.groups {
-		if len(g) == 0 {
-			continue
-		}
-		s := &r.q.shards[si]
-		s.mu.Lock()
-		for _, base := range g {
-			s.remove(base)
-		}
-		s.mu.Unlock()
+	q := r.q
+	q.mu.Lock()
+	for i := range entries {
+		q.members.remove(entries[i].Base)
 	}
+	q.mu.Unlock()
 }
 
 // Flush publishes the accumulated accounting.
@@ -405,8 +336,8 @@ func (q *Quarantine) Epoch() uint64 { return q.epoch.Load() }
 // stubborn pending entry has been waiting (e.g. a failed free being retried),
 // which telemetry exports as quarantine age.
 func (q *Quarantine) OldestPendingEpoch() uint64 {
-	q.pendMu.Lock()
-	defer q.pendMu.Unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	// The tracked watermark, not pending[0].Epoch: Requeue appends failed
 	// entries (which keep old epochs) behind newer appends, so the list is
 	// not epoch-sorted.
@@ -419,9 +350,9 @@ func (q *Quarantine) OldestPendingEpoch() uint64 {
 // ForEachPending calls fn for a snapshot of the pending list (the entries
 // the next LockIn would take).
 func (q *Quarantine) ForEachPending(fn func(e Entry)) {
-	q.pendMu.Lock()
+	q.mu.Lock()
 	snap := append([]Entry(nil), q.pending...)
-	q.pendMu.Unlock()
+	q.mu.Unlock()
 	for _, e := range snap {
 		fn(e)
 	}
@@ -443,11 +374,10 @@ func clamp(v int64) uint64 {
 
 // ThreadBuffer is one mutator thread's private quarantine ring. free()'s
 // enqueue (Push) touches only thread-local state — no atomics, no shared
-// locks — and the ring drains in bulk: one Drain inserts the whole ring into
-// the sharded membership set grouping entries by shard (one lock round-trip
-// per touched shard), publishes the byte/entry accounting as one set of
-// atomic adds, and appends the survivors to the global pending list under a
-// single pending-lock acquisition.
+// locks — and the ring drains in bulk: one Drain takes the quarantine lock
+// once, inserts the whole ring into the membership set, appends the
+// survivors to the global pending list, and publishes the byte/entry
+// accounting as one set of atomic adds.
 //
 // The deferral is visible: until a ring entry is drained it is absent from
 // Contains, from the byte accounts, and from double-free de-duplication
@@ -464,10 +394,6 @@ type ThreadBuffer struct {
 	cap  int
 	wm   int          // Drain watermark for the amortised tick (see NeedsDrain)
 	occ  atomic.Int32 // occupancy published at drains/ticks for gauges (stale in between)
-
-	// Drain scratch, reused across drains.
-	batch  []Entry          // membership winners, handed to appendPending
-	groups [setShards][]int // ring indices grouped by shard
 }
 
 // DefaultBufferCap is the default thread-ring capacity.
@@ -484,11 +410,10 @@ func NewThreadBuffer(q *Quarantine, capN int) *ThreadBuffer {
 		wm = 1
 	}
 	return &ThreadBuffer{
-		q:     q,
-		ring:  make([]Entry, 0, capN),
-		cap:   capN,
-		wm:    wm,
-		batch: make([]Entry, 0, capN),
+		q:    q,
+		ring: make([]Entry, 0, capN),
+		cap:  capN,
+		wm:   wm,
 	}
 }
 
@@ -517,49 +442,37 @@ func (b *ThreadBuffer) Occupancy() int { return int(b.occ.Load()) }
 // (gauges). Owner-thread only, like Push.
 func (b *ThreadBuffer) PublishOccupancy() { b.occ.Store(int32(len(b.ring))) }
 
-// Drain publishes the whole ring: membership inserts grouped by shard,
-// double-free losers counted in one add and dropped, byte/entry accounting
-// published as one set of atomic adds, and the winners appended to the
-// pending list in a single append. Accounting is published before the
-// pending append so a sweep that locks the batch in can never release an
-// entry whose bytes were not yet counted. It returns how many entries it
-// rejected as duplicates.
+// Drain publishes the whole ring in one critical section of the quarantine
+// lock: each entry's membership insert, and for each winner an epoch stamp
+// and a pending-list append; double-free losers are counted in one add and
+// dropped. The byte/entry accounting is published as one set of atomic adds
+// before the lock is released, so a sweep that locks the batch in can never
+// release an entry whose bytes were not yet counted. It returns how many
+// entries it rejected as duplicates.
 func (b *ThreadBuffer) Drain() int {
 	if len(b.ring) == 0 {
 		b.occ.Store(0)
 		return 0
 	}
 	q := b.q
-	for i := range b.groups {
-		b.groups[i] = b.groups[i][:0]
-	}
-	for i := range b.ring {
-		si := shardIdx(b.ring[i].Base)
-		b.groups[si] = append(b.groups[si], i)
-	}
-	winners := b.batch[:0]
+	var mapped, unmapped int64
 	dups := 0
-	for si, g := range b.groups {
-		if len(g) == 0 {
+	q.mu.Lock()
+	ep := q.epoch.Load()
+	if len(q.pending) == 0 {
+		q.oldest = ep
+	}
+	for _, e := range b.ring {
+		if !q.members.insert(e.Base) {
+			dups++
 			continue
 		}
-		s := &q.shards[si]
-		s.mu.Lock()
-		for _, i := range g {
-			if s.insert(b.ring[i].Base) {
-				winners = append(winners, b.ring[i])
-			} else {
-				dups++
-			}
-		}
-		s.mu.Unlock()
-	}
-	var mapped, unmapped int64
-	for i := range winners {
-		if winners[i].Unmapped {
-			unmapped += int64(winners[i].Size)
+		e.Epoch = ep
+		q.pending = append(q.pending, e)
+		if e.Unmapped {
+			unmapped += int64(e.Size)
 		} else {
-			mapped += int64(winners[i].Size)
+			mapped += int64(e.Size)
 		}
 	}
 	if mapped != 0 {
@@ -568,14 +481,13 @@ func (b *ThreadBuffer) Drain() int {
 	if unmapped != 0 {
 		q.unmappedBytes.Add(unmapped)
 	}
-	if len(winners) != 0 {
-		q.entries.Add(int64(len(winners)))
+	if won := len(b.ring) - dups; won != 0 {
+		q.entries.Add(int64(won))
 	}
+	q.mu.Unlock()
 	if dups != 0 {
 		q.doubleFrees.Add(uint64(dups))
 	}
-	q.appendPending(winners)
-	b.batch = winners[:0]
 	b.ring = b.ring[:0]
 	b.occ.Store(0)
 	return dups

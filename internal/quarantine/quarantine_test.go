@@ -1,9 +1,12 @@
 package quarantine
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"minesweeper/internal/mem"
 )
 
 // admit quarantines e the one way a free does: a one-entry ring's Push and
@@ -56,6 +59,55 @@ func TestDoubleFreeDeduplicated(t *testing.T) {
 	}
 	if q.Bytes() != 32 {
 		t.Errorf("Bytes = %d, want 32 (duplicate must not double-count)", q.Bytes())
+	}
+	// A sweep has locked the entry in but not yet released it: a second
+	// free is still a duplicate, and once the sweep releases the entry the
+	// base is accepted again.
+	locked := q.LockIn()
+	if admit(q, Entry{Base: 0x2000, Size: 32}) {
+		t.Fatal("duplicate of a locked-in entry accepted before its release")
+	}
+	if q.DoubleFrees() != 2 {
+		t.Errorf("DoubleFrees = %d, want 2", q.DoubleFrees())
+	}
+	rel := q.NewReleaser()
+	rel.ReleaseBatch(locked)
+	rel.Flush()
+	if !admit(q, Entry{Base: 0x2000, Size: 32}) {
+		t.Error("insert after the locked-in entry's release failed")
+	}
+}
+
+// TestAdjacentSmallBases: jemalloc's 8 B class puts two allocation bases 8 B
+// apart. Both are admitted, each is de-duplicated on its own, and releasing
+// one leaves the other quarantined. The membership hash keeps their home
+// slots apart.
+func TestAdjacentSmallBases(t *testing.T) {
+	q := New()
+	a := Entry{Base: mem.HeapBase + 0x10, Size: 8}
+	b := Entry{Base: mem.HeapBase + 0x18, Size: 8}
+	if !admit(q, a) || !admit(q, b) {
+		t.Fatal("adjacent 8 B bases not both admitted")
+	}
+	if q.members.slot(a.Base) == q.members.slot(b.Base) {
+		t.Errorf("bases %#x and %#x share home slot %d", a.Base, b.Base, q.members.slot(a.Base))
+	}
+	if admit(q, a) || admit(q, b) {
+		t.Fatal("duplicate of an adjacent base accepted")
+	}
+	if q.DoubleFrees() != 2 || q.Entries() != 2 || q.Bytes() != 16 {
+		t.Errorf("DoubleFrees/Entries/Bytes = %d/%d/%d, want 2/2/16", q.DoubleFrees(), q.Entries(), q.Bytes())
+	}
+	release(q, a)
+	if q.Contains(a.Base) || !q.Contains(b.Base) {
+		t.Errorf("after releasing %#x: Contains = %v/%v, want false/true", a.Base, q.Contains(a.Base), q.Contains(b.Base))
+	}
+	if !admit(q, a) {
+		t.Error("released base not accepted again")
+	}
+	release(q, b)
+	if !q.Contains(a.Base) || q.Contains(b.Base) {
+		t.Errorf("after releasing %#x: Contains = %v/%v, want true/false", b.Base, q.Contains(a.Base), q.Contains(b.Base))
 	}
 }
 
@@ -277,10 +329,10 @@ func TestThreadBufferWatermark(t *testing.T) {
 }
 
 // TestAppendEpochLockInRace is the regression test for the flush/epoch-advance
-// race: appendPending must stamp entries under the same critical section LockIn
+// race: Drain must stamp entries under the same critical section LockIn
 // advances the epoch in, so a drain racing a lock-in can never publish an
 // entry stamped with an epoch the sweep has already released. Run under -race
-// this also exercises the pendMu discipline itself.
+// this also exercises the quarantine lock's discipline itself.
 func TestAppendEpochLockInRace(t *testing.T) {
 	q := New()
 	const pushers = 4
@@ -354,12 +406,12 @@ func TestRequeueLowersOldestPendingEpoch(t *testing.T) {
 	}
 }
 
-// TestRequeuePerShardWatermark: a failed entry requeued after several
+// TestRequeueKeepsOriginalEpoch: a failed entry requeued after several
 // epochs keeps the epoch of its original append, so it alone drives the
 // pending list's OldestPendingEpoch watermark — fresh appends behind it do
 // not raise it, and once a lock-in takes the entry the watermark returns to
 // the current epoch.
-func TestRequeuePerShardWatermark(t *testing.T) {
+func TestRequeueKeepsOriginalEpoch(t *testing.T) {
 	q := New()
 	e := Entry{Base: 0x1000, Size: 64}
 	admit(q, e)
@@ -478,17 +530,89 @@ func TestQuickAccounting(t *testing.T) {
 	}
 }
 
+// BenchmarkInsertRelease times the drain and release layer per entry:
+//
+//   - eager: a one-entry ring drained and released one entry at a time;
+//   - ring64: a default 64-entry ring, each lock-in released as one
+//     256-entry ReleaseBatch, as a sweep worker does;
+//   - par2: two goroutines draining 64-entry rings against one releaser
+//     that locks in and releases what they published.
 func BenchmarkInsertRelease(b *testing.B) {
-	q := New()
-	tb := NewThreadBuffer(q, 1)
-	rel := q.NewReleaser()
-	batch := make([]Entry, 1)
-	for i := 0; i < b.N; i++ {
-		e := Entry{Base: uint64(i+1) * 16, Size: 64}
-		tb.Push(e)
-		tb.Drain()
-		batch[0] = e
-		rel.ReleaseBatch(batch)
-	}
-	rel.Flush()
+	b.Run("eager", func(b *testing.B) {
+		q := New()
+		tb := NewThreadBuffer(q, 1)
+		rel := q.NewReleaser()
+		batch := make([]Entry, 1)
+		for i := 0; i < b.N; i++ {
+			e := Entry{Base: uint64(i+1) * 16, Size: 64}
+			tb.Push(e)
+			tb.Drain()
+			batch[0] = e
+			rel.ReleaseBatch(batch)
+		}
+		rel.Flush()
+	})
+	b.Run("ring64", func(b *testing.B) {
+		q := New()
+		tb := NewThreadBuffer(q, DefaultBufferCap)
+		rel := q.NewReleaser()
+		for i := 0; i < b.N; i++ {
+			if tb.Push(Entry{Base: uint64(i+1) * 16, Size: 64}) {
+				tb.Drain()
+			}
+			if (i+1)%releaseBatch == 0 {
+				locked := q.LockIn()
+				rel.ReleaseBatch(locked)
+				q.Reclaim(locked)
+			}
+		}
+		rel.Flush()
+	})
+	b.Run("par2", func(b *testing.B) {
+		const drainers = 2
+		q := New()
+		var wg sync.WaitGroup
+		for g := 0; g < drainers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				tb := NewThreadBuffer(q, DefaultBufferCap)
+				for i := g; i < b.N; i += drainers {
+					if tb.Push(Entry{Base: uint64(i+1) * 16, Size: 64}) {
+						tb.Drain()
+					}
+				}
+				tb.Drain()
+			}(g)
+		}
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		rel := q.NewReleaser()
+		releaseAll := func() int {
+			locked := q.LockIn()
+			for lo := 0; lo < len(locked); lo += releaseBatch {
+				rel.ReleaseBatch(locked[lo:min(lo+releaseBatch, len(locked))])
+			}
+			q.Reclaim(locked)
+			return len(locked)
+		}
+		for {
+			select {
+			case <-done:
+				releaseAll()
+				rel.Flush()
+				return
+			default:
+			}
+			if releaseAll() == 0 {
+				runtime.Gosched()
+			}
+		}
+	})
 }
+
+// releaseBatch is the sweep's release batch size (core's releaseBatchSize).
+const releaseBatch = 256
