@@ -15,7 +15,7 @@ help:
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on the facade (every scheme via NewProcess) and the sweep, quarantine, allocator (jemalloc, dlmalloc, Scudo), telemetry, UAF, scheme and MarkUs packages"
-	@echo "  bench      sweep hot-path benchmarks (bulk scan, steady-state skip, markers, page scan)"
+	@echo "  bench      sweep and page-state hot-path benchmarks (bulk scan, steady-state skip, markers, page scan, store with and without the clean->dirty step, page zeroing)"
 	@echo "  bench-free malloc/free, page-table Lookup and quarantine drain/release hot-path benchmarks (fixed-iteration protocol)"
 	@echo "  bench-json bench-free + sweep-release + fleet runs -> BENCH_free.json, BENCH_sweep.json, BENCH_fleet.json"
 	@echo "  bench-gate gate: fresh MallocFree64 + SweepRelease medians within BENCH_GATE_RATIO of their BENCH_*.json"
@@ -78,9 +78,11 @@ check: vet
 
 # One-command perf baseline for the sweep hot path: the bulk-scan vs per-word
 # sweep comparison, the steady-state pass with and without the page skips,
-# plus the shadow-marker and page-scan micro-benchmarks.
+# plus the shadow-marker and page-scan micro-benchmarks, and the page-state
+# steps mutators pay: a store to a dirty page, a store that takes the
+# clean->dirty step (BenchmarkStore64Clean), and a full-page zeroing.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSweepMarkAll|BenchmarkMarkAllSteady|BenchmarkShadowMarker|BenchmarkScanPage' -benchmem -count=1 ./internal/sweep ./internal/shadow ./internal/mem
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepMarkAll|BenchmarkMarkAllSteady|BenchmarkShadowMarker|BenchmarkScanPage|BenchmarkStore64|BenchmarkZero4KiB' -benchmem -count=1 ./internal/sweep ./internal/shadow ./internal/mem
 
 # Malloc/free hot-path benchmarks: the end-to-end MallocFree comparison
 # (single-threaded and 4-way parallel, baseline vs MineSweeper), the

@@ -75,7 +75,7 @@ func TestKnownZeroVsStoreOrdering(t *testing.T) {
 	if rounds%2 == 0 {
 		// Last op was Zero: the word must read 0. (The known-zero bit may
 		// legitimately be either value: the racing checker cannot clear it,
-		// but markKnownZero declines to set it if the checker's consume
+		// but publishKnownZero declines to set it if the checker's consume
 		// raced the zero's own dirty consume.)
 		if v != 0 {
 			t.Fatalf("after final Zero: word = %#x, want 0 (kz=%v)", v, kz)

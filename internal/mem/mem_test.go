@@ -277,6 +277,25 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
+// TestUnmapDropsDirtyPages holds the dirty-page count exact across Unmap:
+// the dirty bits of an unmapped region leave the count with it.
+func TestUnmapDropsDirtyPages(t *testing.T) {
+	as := NewAddressSpace()
+	r, _ := as.Map(KindHeap, 2*PageSize, true)
+	if err := as.Store64(r.Base(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := as.DirtyPageCount(); n != 1 {
+		t.Fatalf("dirty pages before Unmap = %d, want 1", n)
+	}
+	if err := as.Unmap(r); err != nil {
+		t.Fatal(err)
+	}
+	if n := as.DirtyPageCount(); n != 0 {
+		t.Errorf("dirty pages after Unmap = %d, want 0", n)
+	}
+}
+
 func TestSoftDirtyTracking(t *testing.T) {
 	as := NewAddressSpace()
 	r, _ := as.Map(KindHeap, 4*PageSize, true)
@@ -485,6 +504,21 @@ func BenchmarkStore64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = as.Store64(r.Base()+uint64(i*8)%r.Size(), uint64(i))
+	}
+}
+
+// BenchmarkStore64Clean is BenchmarkStore64 with the page's dirty bit taken
+// after every store, so each store pays the clean→dirty postStore transition
+// (and its summary and accounting) and each take pays takeDirty. Plain
+// BenchmarkStore64 reaches that path once per page per run.
+func BenchmarkStore64Clean(b *testing.B) {
+	as := NewAddressSpace()
+	r, _ := as.Map(KindHeap, 256*PageSize, true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := r.Base() + uint64(i*8)%r.Size()
+		_ = as.Store64(addr, uint64(i))
+		r.TestClearPageDirty(r.PageIndex(addr))
 	}
 }
 

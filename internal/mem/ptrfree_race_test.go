@@ -59,12 +59,12 @@ func ptrFreeEpisodes(t *testing.T, w, scanned *Region, rounds int64) {
 		if err := w.Store64(addr, 0); err != nil {
 			t.Fatal(err)
 		}
-		scanned.ScanPageWordsPtrFree(0, heapHits)
+		scanned.ScanPageWords(0, true, heapHits)
 		if !scanned.PagePtrFree(0) {
 			t.Fatal("a quiescent scan of a pointer-free page left it unflagged")
 		}
 		start.Store(i)
-		scanned.ScanPageWordsPtrFree(0, heapHits)
+		scanned.ScanPageWords(0, true, heapHits)
 		for finished.Load() < i {
 			runtime.Gosched()
 		}
@@ -99,7 +99,7 @@ func TestPtrFreeVsStoreOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		ptrFreeEpisodes(t, alias, parent, rounds)
-		alias.ScanPageWordsPtrFree(0, heapHits)
+		alias.ScanPageWords(0, true, heapHits)
 		if alias.PagePtrFree(0) {
 			t.Fatal("alias page flagged pointer-free")
 		}
@@ -136,17 +136,18 @@ func TestPtrFreeVsStoreOrdering(t *testing.T) {
 		}()
 		for !done.Load() {
 			for p := 0; p < 4; p++ {
-				r.ScanPageWordsPtrFree(p, heapHits)
+				r.ScanPageWords(p, true, heapHits)
 			}
 		}
 		for p := 0; p < 4; p++ {
 			if !r.PagePtrFree(p) {
 				continue
 			}
-			r.ScanPageWords(p, func(words []uint64) {
+			r.ScanPageWords(p, false, func(words []uint64) int {
 				if n := heapHits(words); n != 0 {
 					t.Errorf("page %d: pointer-free bit over %d heap-range words", p, n)
 				}
+				return 0
 			})
 		}
 	})

@@ -12,22 +12,14 @@ const (
 	pageWrite    uint32 = 1 << 2 // stores permitted
 	pageDirty    uint32 = 1 << 3 // soft-dirty: written since last ClearSoftDirty
 	pageBusy     uint32 = 1 << 4 // page lock: bulk zeroing or scanning in progress
-	// pageKnownZero records that every word of the page was zero the last
-	// time a bulk zeroing completed and no store has completed since: the
-	// page is zero by construction. Set by full-page zeroRange, fresh
-	// committed mappings and backing drops; cleared by the same post-store
-	// CAS that sets the dirty bit, so dirty and known-zero are never set
-	// together. The sweeper skips known-zero pages without reading a word,
-	// and zeroRange skips re-zeroing them.
+	// pageKnownZero: every word of the page was zero when a bulk zeroing
+	// completed and no store has completed since. The sweeper skips such
+	// pages without reading a word, and zeroRange skips re-zeroing them.
 	pageKnownZero uint32 = 1 << 5
-	// pagePtrFree records that the sweep's last full-pass read of the page
-	// found no word in [HeapBase, HeapLimit) and no store has completed
-	// since: the page holds no pointer. Set by ScanPageWordsPtrFree under
-	// the page lock before it reads the words and withdrawn after if the
-	// read found a heap-range word; cleared together with known-zero by the
-	// post-store CAS, and dropped by commit and decommit. The full pass
-	// skips flagged pages as it skips known-zero ones. Alias pages never
-	// carry it: a store through the parent would not retire the alias's bit.
+	// pagePtrFree: the sweep's last full-pass read of the page found no
+	// word in [HeapBase, HeapLimit) and no store has completed since. The
+	// full pass skips such pages too. Alias pages never carry it: a store
+	// through the parent would not retire the alias's bit.
 	pagePtrFree uint32 = 1 << 6
 )
 
@@ -40,6 +32,66 @@ func protBits(p Prot) uint32 {
 		b |= pageWrite
 	}
 	return b
+}
+
+// The page-state transitions. Every change to a page's state word is one
+// step: a pure function of the old state and a mask, applied by Region.step's
+// CAS loop, which returns the new state, or false to leave the word as it
+// is. Transitions that need no mask ignore it. The operations give the order
+// of their steps and why; TestPageStateInterleavings drives these same
+// functions through every interleaving of the operations on one page. DESIGN
+// §15 tables which transition sets and clears each bit.
+
+// postStore is a store's step after its word lands: it sets dirty and retires
+// known-zero and pointer-free in one CAS. A page already dirty and carrying
+// neither skip bit needs nothing: whoever takes its dirty bit scans it after
+// the take, which comes after this load, which comes after the word store.
+func postStore(s, _ uint32) (uint32, bool) {
+	ok := s&(pageDirty|pageKnownZero|pagePtrFree) != pageDirty
+	return (s | pageDirty) &^ (pageKnownZero | pagePtrFree), ok
+}
+
+// retireSkip is an alias store's step on the parent page its word landed in:
+// the parent's known-zero and pointer-free claims no longer hold. It leaves
+// dirty alone, so the dirty-page accounting is untouched.
+func retireSkip(s, _ uint32) (uint32, bool) {
+	return s &^ (pageKnownZero | pagePtrFree), s&(pageKnownZero|pagePtrFree) != 0
+}
+
+// publishKnownZero marks a page known-zero after a completed full-page
+// zeroing, and only from a clean state (see zeroRange).
+func publishKnownZero(s, _ uint32) (uint32, bool) {
+	return s | pageKnownZero, s&(pageDirty|pageKnownZero) == 0
+}
+
+// takeDirty clears the dirty bit, reporting whether it was set. The taker
+// owes the page a scan (pre-clean, ClearSoftDirty's caller) or a wipe
+// (zeroing).
+func takeDirty(s, _ uint32) (uint32, bool) {
+	return s &^ pageDirty, s&pageDirty != 0
+}
+
+// lock takes the page lock, setting the bits in set with it; it declines
+// while the page is busy.
+func lock(s, set uint32) (uint32, bool) {
+	return s | pageBusy | set, s&pageBusy == 0
+}
+
+// unlock releases the page lock, clearing the bits in clr with it.
+func unlock(s, clr uint32) (uint32, bool) {
+	return s &^ (pageBusy | clr), true
+}
+
+// resetState is commit's and decommit's rewrite: the page keeps its lock and
+// known-zero bits and takes bits (residency and protections for commit, none
+// for decommit). It drops dirty and pointer-free.
+func resetState(s, bits uint32) (uint32, bool) {
+	return s&(pageBusy|pageKnownZero) | bits, true
+}
+
+// protectState is protect's rewrite: it replaces the protection bits.
+func protectState(s, bits uint32) (uint32, bool) {
+	return s&^(pageRead|pageWrite) | bits, true
 }
 
 // Region is a contiguous mapping in the simulated address space, the analogue
@@ -71,7 +123,7 @@ type Region struct {
 	// state (bit i%64 of word i/64 covers page i). store() sets a page's
 	// summary bit right after its dirty bit, so a set dirty bit always has a
 	// set summary bit once the writer's operation completes; the reverse does
-	// not hold — bulk state rewrites (commit, decommit, protect) and
+	// not hold — the commit and decommit rewrites, zeroRange and
 	// TestClearPageDirty leave stale summary bits behind, which readers
 	// tolerate by re-checking the per-page bit. The summary is what lets the
 	// pipelined sweep's dirty passes and page counts run in O(pages/64) +
@@ -84,10 +136,9 @@ type Region struct {
 	// i/64 covers page i). Unlike dirtySum it is a pure hint in BOTH
 	// directions: a set bit means the page MAY be skippable (re-check
 	// PageKnownZero and PagePtrFree, the truth), a clear bit means a skip
-	// is probably not
-	// available — scanning a page whose stale-clear hint hid its skip bit
-	// is merely slower, never wrong. Zeroers and the flagging scan set the
-	// page bit before the summary bit; the store() CAS winner that clears a
+	// is probably not available — scanning a page whose stale-clear hint hid
+	// its skip bit is merely slower, never wrong. Zeroers and the flagging
+	// scan set the page bit before the summary bit; the store that clears a
 	// page's known-zero or pointer-free bit clears its summary bit after, so
 	// hints track the truth closely without any ordering obligation on
 	// readers. The summary is what lets the sweeper probe 64 pages' skip
@@ -148,13 +199,9 @@ func (r *Region) PageCount() int { return len(r.pages) }
 // Contains reports whether addr lies inside the region.
 func (r *Region) Contains(addr uint64) bool { return addr >= r.base && addr < r.base+r.size }
 
-// pageIndexOf returns the index of the page containing addr, which must lie
-// within the region.
-func (r *Region) pageIndexOf(addr uint64) int { return int((addr - r.base) >> PageShift) }
-
 // PageIndex returns the index of the page containing addr, which must lie
 // within the region.
-func (r *Region) PageIndex(addr uint64) int { return r.pageIndexOf(addr) }
+func (r *Region) PageIndex(addr uint64) int { return int((addr - r.base) >> PageShift) }
 
 // PageResident reports whether page i has committed physical backing.
 func (r *Region) PageResident(i int) bool { return r.pages[i].Load()&pageResident != 0 }
@@ -249,7 +296,7 @@ func (r *Region) load(addr uint64) (uint64, error) {
 	if !WordAligned(addr) {
 		return 0, &Fault{Addr: addr, Cause: CauseMisaligned}
 	}
-	s := r.pages[r.pageIndexOf(addr)].Load()
+	s := r.pages[r.PageIndex(addr)].Load()
 	if s&pageResident == 0 {
 		return 0, &Fault{Addr: addr, Cause: CauseNotResident}
 	}
@@ -290,7 +337,7 @@ func (r *Region) store(addr, v uint64) error {
 	if !WordAligned(addr) {
 		return &Fault{Addr: addr, Write: true, Cause: CauseMisaligned}
 	}
-	pi := r.pageIndexOf(addr)
+	pi := r.PageIndex(addr)
 	s := r.pages[pi].Load()
 	if s&pageResident == 0 {
 		return &Fault{Addr: addr, Write: true, Cause: CauseNotResident}
@@ -303,41 +350,29 @@ func (r *Region) store(addr, v uint64) error {
 		return &Fault{Addr: addr, Write: true, Cause: CauseNotResident}
 	}
 	atomic.StoreUint64(&w[(addr-r.base)>>3], v)
-	for {
-		old := r.pages[pi].Load()
-		if old&(pageDirty|pageKnownZero|pagePtrFree) == pageDirty {
-			// Already flagged, neither known-zero nor pointer-free: whoever
-			// clears the dirty bit scans the page after the clear, and the
-			// clear comes after this load, which comes after our word
-			// store — so the scan observes it.
-			break
+	if old, ok := r.step(pi, postStore, 0); ok {
+		// Exactly one writer wins the clean→dirty transition (CAS, not Or),
+		// keeping the space's dirty-page count exact. The summary bit and
+		// the region listing follow the page bit, so a consumer that took
+		// them sees the page bit set (or the page was already consumed by
+		// an earlier pass that scanned our store).
+		//
+		// The same CAS retires the page's known-zero bit: it happens after
+		// the word store, so a sweeper that observed the bit set and skipped
+		// the page behaved exactly as if it had scanned the page just before
+		// this store landed — and the dirty bit set here hands the page to
+		// the stop-the-world re-scan, which never consults the known-zero
+		// map. The pointer-free bit retires on the same terms; ScanPageWords
+		// shows why a scan's bit cannot outlive a store the scan did not see.
+		if old&pageDirty == 0 {
+			r.space.dirtyPages.Add(1)
+			r.dirtySum[pi>>6].Or(1 << uint(pi&63))
+			if !r.dirtyListed.Load() && r.dirtyListed.CompareAndSwap(false, true) {
+				r.space.addDirtyRegion(r)
+			}
 		}
-		if r.pages[pi].CompareAndSwap(old, (old|pageDirty)&^(pageKnownZero|pagePtrFree)) {
-			// Exactly one writer wins the clean→dirty transition (CAS, not
-			// Or), keeping the space's dirty-page count exact. The summary
-			// bit and the region listing follow the page bit, so a consumer
-			// that took them sees the page bit set (or the page was already
-			// consumed by an earlier pass that scanned our store).
-			//
-			// The same CAS retires the page's known-zero bit: it happens
-			// after the word store, so a sweeper that observed the bit set
-			// and skipped the page behaved exactly as if it had scanned the
-			// page just before this store landed — and the dirty bit set
-			// here hands the page to the stop-the-world re-scan, which
-			// never consults the known-zero map. The pointer-free bit
-			// retires on the same terms; ScanPageWordsPtrFree shows why a
-			// scan's bit cannot outlive a store the scan did not see.
-			if old&pageDirty == 0 {
-				r.space.dirtyPages.Add(1)
-				r.dirtySum[pi>>6].Or(1 << uint(pi&63))
-				if !r.dirtyListed.Load() && r.dirtyListed.CompareAndSwap(false, true) {
-					r.space.addDirtyRegion(r)
-				}
-			}
-			if old&(pageKnownZero|pagePtrFree) != 0 {
-				r.zeroSum[pi>>6].And(^(uint64(1) << uint(pi&63)))
-			}
-			break
+		if old&(pageKnownZero|pagePtrFree) != 0 {
+			r.zeroSum[pi>>6].And(^(uint64(1) << uint(pi&63)))
 		}
 	}
 	if r.parent != nil {
@@ -345,43 +380,32 @@ func (r *Region) store(addr, v uint64) error {
 		// parent's known-zero and pointer-free claims for that page no
 		// longer hold. The alias's own page bits never carry either, so
 		// only the parent needs invalidating.
-		r.parent.clearSkipPage(int((r.parentOff + (addr - r.base)) >> PageShift))
+		pp := int((r.parentOff + (addr - r.base)) >> PageShift)
+		if _, ok := r.parent.step(pp, retireSkip, 0); ok {
+			r.parent.zeroSum[pp>>6].And(^(uint64(1) << uint(pp&63)))
+		}
 	}
 	return nil
 }
 
-// clearSkipPage retires page i's known-zero and pointer-free bits (and their
-// shared summary hint) if set. The CAS keeps the dirty-transition accounting
-// untouched.
-func (r *Region) clearSkipPage(i int) {
+// step applies transition t with mask m to page i's state word: the one CAS
+// loop through which every change to a page's state goes. It returns the
+// state t was last applied to and whether t accepted it; a declined
+// transition writes nothing. Passing the mask rather than a closure keeps
+// step's callers cheap enough to inline.
+//
+// A CAS loop rather than atomic.Uint32.And: go1.24.0 miscompiles the And
+// intrinsic when its returned old value is consumed, corrupting live
+// registers in the inlined caller.
+func (r *Region) step(i int, t func(s, m uint32) (uint32, bool), m uint32) (uint32, bool) {
 	for {
 		old := r.pages[i].Load()
-		if old&(pageKnownZero|pagePtrFree) == 0 {
-			return
+		nw, ok := t(old, m)
+		if !ok {
+			return old, false
 		}
-		if r.pages[i].CompareAndSwap(old, old&^(pageKnownZero|pagePtrFree)) {
-			r.zeroSum[i>>6].And(^(uint64(1) << uint(i&63)))
-			return
-		}
-	}
-}
-
-// markKnownZero publishes page i as known-zero after a completed full-page
-// zeroing. It must only be attempted from a state with the dirty bit clear:
-// a concurrent writer's post-store CAS sets dirty and clears known-zero
-// together, so refusing to set the bit over a dirty state (and letting a
-// racing dirty-set simply abandon the attempt) guarantees a page is never
-// simultaneously known-zero and holding an unscanned store. See zeroRange
-// for the full ordering argument.
-func (r *Region) markKnownZero(i int) {
-	for {
-		old := r.pages[i].Load()
-		if old&(pageDirty|pageKnownZero) != 0 {
-			return
-		}
-		if r.pages[i].CompareAndSwap(old, old|pageKnownZero) {
-			r.zeroSum[i>>6].Or(1 << uint(i&63))
-			return
+		if r.pages[i].CompareAndSwap(old, nw) {
+			return old, true
 		}
 	}
 }
@@ -396,31 +420,17 @@ func (r *Region) markKnownZero(i int) {
 func (r *Region) LockPage(i int) { r.lockPage(i, 0) }
 
 // UnlockPage releases page i's busy bit.
-func (r *Region) UnlockPage(i int) { r.unlockPage(i, 0) }
+func (r *Region) UnlockPage(i int) { r.step(i, unlock, 0) }
 
 // lockPage acquires page i's busy bit, setting the bits in set with the
 // same CAS.
 func (r *Region) lockPage(i int, set uint32) {
-	spins := 0
-	for {
-		old := r.pages[i].Load()
-		if old&pageBusy == 0 && r.pages[i].CompareAndSwap(old, old|pageBusy|set) {
+	for spins := 1; ; spins++ {
+		if _, ok := r.step(i, lock, set); ok {
 			return
 		}
-		spins++
 		if spins%64 == 0 {
 			runtime.Gosched()
-		}
-	}
-}
-
-// unlockPage releases page i's busy bit, clearing the bits in clr with the
-// same CAS, and returns the state it replaced.
-func (r *Region) unlockPage(i int, clr uint32) uint32 {
-	for {
-		old := r.pages[i].Load()
-		if r.pages[i].CompareAndSwap(old, old&^(pageBusy|clr)) {
-			return old
 		}
 	}
 }
@@ -437,19 +447,18 @@ func (r *Region) unlockPage(i int, clr uint32) uint32 {
 // zeroing, so the words are already zero (an in-flight racing store would
 // have to target memory being zeroed — freed memory — which the LockPage
 // contract already excludes). A segment covering its whole page publishes
-// the bit on completion, in three ordered steps under the page lock: consume
-// the dirty bit first (with exact transition accounting — zeroing the page
-// discharges the scan obligation the bit carried, since any store it
-// flagged is wiped by the clear below and a re-scan would only read zeros),
-// then clear the words, then set known-zero ONLY from a still-clean state.
-// A writer racing the last step either lands its dirty CAS first — the set
-// is abandoned and the page stays a normal dirty page — or lands it after,
-// clearing the bit again; no interleaving leaves known-zero set over an
-// unscanned store. Partial-page segments publish nothing: the rest of the
-// page is not proven zero.
+// the bit in three ordered steps under the page lock: takeDirty (zeroing the
+// page discharges the scan the bit owed: the clear wipes any store it
+// flagged), the clear, then publishKnownZero, which declines a dirty state.
+// A writer racing the publish either lands its postStore first — the publish
+// is declined — or after, clearing the bit again. That holds only while
+// nothing else takes the writer's dirty bit before the publish; a pre-clean
+// can, so it is the LockPage contract that keeps stores out of a zeroing.
+// Partial-page segments publish nothing: the rest of the page is not proven
+// zero.
 func (r *Region) zeroRange(addr, n uint64) {
 	for n > 0 {
-		pi := r.pageIndexOf(addr)
+		pi := r.PageIndex(addr)
 		segEnd := r.PageAddr(pi) + PageSize
 		if segEnd > addr+n {
 			segEnd = addr + n
@@ -465,22 +474,17 @@ func (r *Region) zeroRange(addr, n uint64) {
 		full := addr == r.PageAddr(pi) && segEnd == r.PageAddr(pi)+PageSize
 		r.LockPage(pi)
 		if full {
-			for {
-				old := r.pages[pi].Load()
-				if old&pageDirty == 0 {
-					break
-				}
-				if r.pages[pi].CompareAndSwap(old, old&^pageDirty) {
-					r.space.dirtyPages.Add(-1)
-					break
-				}
+			if _, ok := r.step(pi, takeDirty, 0); ok {
+				r.space.dirtyPages.Add(-1)
 			}
 		}
 		if w := r.wordSlice(); w != nil {
 			clear(w[ws:we])
 		}
 		if full && r.parent == nil {
-			r.markKnownZero(pi)
+			if _, ok := r.step(pi, publishKnownZero, 0); ok {
+				r.zeroSum[pi>>6].Or(1 << uint(pi&63))
+			}
 		}
 		r.UnlockPage(pi)
 		n -= segEnd - addr
@@ -494,52 +498,39 @@ func (r *Region) zeroRange(addr, n uint64) {
 // whole page, so the inner loop iterates a plain []uint64 instead of paying
 // WordAt's pointer chase per word. fn must load words with
 // sync/atomic.LoadUint64 (mutator stores are per-word atomic and do not take
-// the page lock) and must not retain the slice past its return. If the
-// backing was dropped by a concurrent decommit, fn receives an empty slice —
-// the page reads as all zeros, exactly as WordAt would report it.
-func (r *Region) ScanPageWords(p int, fn func(words []uint64)) bool {
+// the page lock), must not retain the slice past its return, and returns how
+// many heap-range words it saw. If the backing was dropped by a concurrent
+// decommit, fn receives an empty slice — the page reads as all zeros, exactly
+// as WordAt would report it.
+//
+// With flag set (the sweep's full pass), the page's pointer-free bit records
+// a zero count until the next store. The order is the safety argument. The
+// scan sets the bit with the lock step (T1), reads the words (T2), then
+// withdraws the bit with the unlock step if fn saw a heap-range word (T3). A
+// writer stores its word (S1), then takes the postStore step that clears the
+// bit (S2). If S1 precedes T2's read of that word, the read sees it and T3
+// withdraws the bit; otherwise S2 follows T1 and clears it. A bit that
+// survives therefore certifies that every store to the page was seen by a
+// read that found no pointer. Alias pages are read but never flagged. The
+// summary hint is set after the page bit.
+func (r *Region) ScanPageWords(p int, flag bool, fn func(words []uint64) (hits int)) bool {
 	if !r.PageReadable(p) {
 		return false
 	}
-	r.LockPage(p)
-	var ws []uint64
-	if w := r.wordSlice(); w != nil {
-		ws = w[p*WordsPerPage : (p+1)*WordsPerPage]
+	var set uint32
+	if flag && r.parent == nil {
+		set = pagePtrFree
 	}
-	fn(ws)
-	r.UnlockPage(p)
-	return true
-}
-
-// ScanPageWordsPtrFree is ScanPageWords for the sweep's full pass: fn
-// returns how many heap-range words it saw, and the page's pointer-free bit
-// records a zero count until the next store. The order is the safety
-// argument. The scan sets the bit with the page-lock CAS (T1), reads the
-// words (T2), then withdraws the bit with the unlock CAS if fn saw a
-// heap-range word (T3). A writer stores its word (S1), then runs the
-// post-store CAS that clears the bit (S2). If S1 precedes T2's read of that
-// word, the read sees it and T3 withdraws the bit; otherwise S2 follows T1
-// and clears it. A bit that survives therefore certifies that every store to
-// the page was seen by a read that found no pointer. Alias pages are read
-// but never flagged. The summary hint is set after the page bit.
-func (r *Region) ScanPageWordsPtrFree(p int, fn func(words []uint64) (hits int)) bool {
-	if !r.PageReadable(p) {
-		return false
-	}
-	flag := pagePtrFree
-	if r.parent != nil {
-		flag = 0
-	}
-	r.lockPage(p, flag)
+	r.lockPage(p, set)
 	var ws []uint64
 	if w := r.wordSlice(); w != nil {
 		ws = w[p*WordsPerPage : (p+1)*WordsPerPage]
 	}
 	clr := uint32(0)
 	if fn(ws) != 0 {
-		clr = pagePtrFree
+		clr = set
 	}
-	if old := r.unlockPage(p, clr); clr == 0 && old&pagePtrFree != 0 {
+	if old, _ := r.step(p, unlock, clr); clr == 0 && old&set != 0 {
 		r.zeroSum[p>>6].Or(1 << uint(p&63))
 	}
 	return true
@@ -550,7 +541,7 @@ func (r *Region) ScanPageWordsPtrFree(p int, fn func(words []uint64) (hits int))
 // safe bulk-read primitive for markers that walk object contents (MarkUs).
 func (r *Region) ScanRange(addr, n uint64, fn func(v uint64)) {
 	for n > 0 {
-		pi := r.pageIndexOf(addr)
+		pi := r.PageIndex(addr)
 		segEnd := r.PageAddr(pi) + PageSize
 		if segEnd > addr+n {
 			segEnd = addr + n
@@ -584,19 +575,13 @@ func (r *Region) ScanRange(addr, n uint64, fn func(v uint64)) {
 // it survive decommit): a recommitted page waits for its next full-pass read.
 func (r *Region) commit(addr, n uint64, prot Prot) int {
 	r.ensureBacking()
-	first := r.pageIndexOf(addr)
-	last := r.pageIndexOf(addr + n - 1)
+	first := r.PageIndex(addr)
+	last := r.PageIndex(addr + n - 1)
 	newly := 0
 	var wipedDirty int64
 	bits := pageResident | protBits(prot)
 	for i := first; i <= last; i++ {
-		var old uint32
-		for {
-			old = r.pages[i].Load()
-			if r.pages[i].CompareAndSwap(old, old&(pageBusy|pageKnownZero)|bits) {
-				break
-			}
-		}
+		old, _ := r.step(i, resetState, bits)
 		if old&pageDirty != 0 {
 			wipedDirty++
 		}
@@ -631,18 +616,12 @@ func (r *Region) commit(addr, n uint64, prot Prot) int {
 // ever holds zeroed frames and the next ensureBacking installs one as is: an
 // unmap/remap or full purge/recommit cycle zeroes each stale page once.
 func (r *Region) decommit(addr, n uint64) int {
-	first := r.pageIndexOf(addr)
-	last := r.pageIndexOf(addr + n - 1)
+	first := r.PageIndex(addr)
+	last := r.PageIndex(addr + n - 1)
 	released := 0
 	var wipedDirty int64
 	for i := first; i <= last; i++ {
-		var old uint32
-		for {
-			old = r.pages[i].Load()
-			if r.pages[i].CompareAndSwap(old, old&(pageBusy|pageKnownZero)) {
-				break
-			}
-		}
+		old, _ := r.step(i, resetState, 0)
 		if old&pageDirty != 0 {
 			wipedDirty++
 		}
@@ -668,17 +647,11 @@ func (r *Region) decommit(addr, n uint64) int {
 // protect changes the protection of pages [addr, addr+n) without touching
 // residency or contents.
 func (r *Region) protect(addr, n uint64, prot Prot) {
-	first := r.pageIndexOf(addr)
-	last := r.pageIndexOf(addr + n - 1)
+	first := r.PageIndex(addr)
+	last := r.PageIndex(addr + n - 1)
 	bits := protBits(prot)
 	for i := first; i <= last; i++ {
-		for {
-			old := r.pages[i].Load()
-			nw := old&^(pageRead|pageWrite) | bits
-			if r.pages[i].CompareAndSwap(old, nw) {
-				break
-			}
-		}
+		r.step(i, protectState, bits)
 	}
 }
 
@@ -700,11 +673,11 @@ func (r *Region) protect(addr, n uint64, prot Prot) {
 // writer's page-set lands after our page clear but its summary Or before our
 // summary wipe, leaving a dirty page invisible to the summary readers.
 //
-// Note the page-state rewrites in commit and decommit also wipe the dirty bit
-// (and decrement the space's dirty-page count). That is correct for the
-// sweeper's purposes: commit zero-fills (nothing to scan) and decommit drops
-// the page (reads as zero). The summary bit those wipes strand is harmless:
-// summary readers re-check the per-page bit.
+// The commit and decommit rewrites also wipe the dirty bit (and its count):
+// decommit drops the page, and commit zero-fills a page it makes resident.
+// A commit over a page already resident would drop a dirty bit over words it
+// keeps; the allocators commit only what they decommitted. The summary bits
+// the rewrites strand are harmless: summary readers re-check the page bit.
 //
 // The listed flag is cleared before anything else: a writer checks it AFTER
 // setting its page and summary bits, so a writer that skips re-listing on a
@@ -718,15 +691,8 @@ func (r *Region) clearSoftDirty() {
 	}
 	var cleared int64
 	for i := range r.pages {
-		for {
-			old := r.pages[i].Load()
-			if old&pageDirty == 0 {
-				break
-			}
-			if r.pages[i].CompareAndSwap(old, old&^pageDirty) {
-				cleared++
-				break
-			}
+		if _, ok := r.step(i, takeDirty, 0); ok {
+			cleared++
 		}
 	}
 	if cleared != 0 {
@@ -753,21 +719,12 @@ func (r *Region) TakeDirtySummaryWord(w int) uint64 { return r.dirtySum[w].Swap(
 // pre-clean rounds of the pipelined sweep. The caller must scan the page
 // after a true return; the store() ordering contract then guarantees every
 // write whose dirty-set this consumed is observed by that scan.
-//
-// Implemented as a CAS loop rather than atomic.Uint32.And: the And intrinsic
-// is miscompiled on this toolchain (go1.24.0) when its returned old value is
-// consumed, corrupting live registers in the inlined caller.
 func (r *Region) TestClearPageDirty(i int) bool {
-	for {
-		old := r.pages[i].Load()
-		if old&pageDirty == 0 {
-			return false
-		}
-		if r.pages[i].CompareAndSwap(old, old&^pageDirty) {
-			r.space.dirtyPages.Add(-1)
-			return true
-		}
+	_, ok := r.step(i, takeDirty, 0)
+	if ok {
+		r.space.dirtyPages.Add(-1)
 	}
+	return ok
 }
 
 // PageKnownZero reports whether page i is known-zero: every word is zero by

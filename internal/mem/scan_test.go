@@ -12,7 +12,7 @@ func TestScanPageWordsReadsPageContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []uint64
-	ok := r.ScanPageWords(1, func(words []uint64) {
+	ok := r.ScanPageWords(1, false, func(words []uint64) int {
 		if len(words) != WordsPerPage {
 			t.Errorf("len(words) = %d, want %d", len(words), WordsPerPage)
 		}
@@ -21,6 +21,7 @@ func TestScanPageWordsReadsPageContents(t *testing.T) {
 				got = append(got, v)
 			}
 		}
+		return 0
 	})
 	if !ok {
 		t.Fatal("ScanPageWords on a readable page returned false")
@@ -40,11 +41,11 @@ func TestScanPageWordsSkipsUnreadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{1, 2} {
-		if r.ScanPageWords(p, func([]uint64) { t.Errorf("fn called for page %d", p) }) {
+		if r.ScanPageWords(p, false, func([]uint64) int { t.Errorf("fn called for page %d", p); return 0 }) {
 			t.Errorf("ScanPageWords(%d) = true for an unreadable page", p)
 		}
 	}
-	if !r.ScanPageWords(0, func([]uint64) {}) {
+	if !r.ScanPageWords(0, false, func([]uint64) int { return 0 }) {
 		t.Error("ScanPageWords(0) = false for a readable page")
 	}
 }
@@ -59,12 +60,13 @@ func TestScanPageWordsMatchesWordAt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.ScanPageWords(0, func(words []uint64) {
+	r.ScanPageWords(0, false, func(words []uint64) int {
 		for i := range words {
 			if got, want := atomic.LoadUint64(&words[i]), r.WordAt(i); got != want {
 				t.Fatalf("word %d: bulk %#x, WordAt %#x", i, got, want)
 			}
 		}
+		return 0
 	})
 }
 
@@ -108,7 +110,7 @@ func BenchmarkScanPage(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var n uint64
 			for p := 0; p < pages; p++ {
-				r.ScanPageWords(p, func(words []uint64) {
+				r.ScanPageWords(p, false, func(words []uint64) int {
 					for w := 0; w+8 <= len(words); w += 8 {
 						v0 := atomic.LoadUint64(&words[w])
 						v1 := atomic.LoadUint64(&words[w+1])
@@ -127,6 +129,7 @@ func BenchmarkScanPage(b *testing.B) {
 							}
 						}
 					}
+					return 0
 				})
 			}
 			sink.Store(n)

@@ -318,22 +318,12 @@ func (as *AddressSpace) Unmap(r *Region) error {
 	if as.set[r.base] != r {
 		return fmt.Errorf("mem: Unmap: region %#x not mapped", r.base)
 	}
-	// Clear all page state so stale references to the region (e.g. a
+	// Decommit every page so stale references to the region (e.g. a
 	// thread's cached region) fault on access rather than reading freed
-	// memory.
-	resident := 0
-	for p := range r.pages {
-		if r.pages[p].Swap(0)&pageResident != 0 {
-			resident++
-		}
-	}
-	r.resident.Store(0)
+	// memory. That also zeroes the backing and drops it to the pool.
+	released := r.decommit(r.base, r.size)
 	if r.parent == nil {
-		if old := r.words.Swap(nil); old != nil {
-			clear(*old)
-			as.putBacking(*old)
-		}
-		as.rss.Add(-int64(resident * PageSize))
+		as.rss.Add(-int64(released * PageSize))
 	}
 	as.mapped.Add(-int64(r.size))
 

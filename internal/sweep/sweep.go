@@ -25,11 +25,16 @@
 // and pages its previous read found free of heap-range words and that no
 // store has touched since (pointer-free).
 //
-// Two scan entry points support the two operation modes: MarkAll for the
-// concurrent full pass, and MarkDirty for the mostly-concurrent mode's brief
-// stop-the-world re-scan of pages written during the full pass (tracked via
-// the simulated soft-dirty page bits, standing in for Linux's soft-dirty
-// PTEs, §4.3).
+// Three passes read pages, all through the one primitive
+// mem.Region.ScanPageWords. MarkAll is the concurrent full pass; it sets the
+// primitive's flag, so a page it reads and finds free of heap-range words is
+// flagged pointer-free for the next pass (SetKnownZeroSkip(false) turns the
+// flag off with the skips). The mostly-concurrent mode then tracks the pages
+// written since ClearSoftDirty through the simulated soft-dirty page bits,
+// standing in for Linux's soft-dirty PTEs (§4.3): MarkDirtyClearStats is a
+// concurrent pre-clean round that test-and-clears each dirty page and scans
+// it, and MarkDirty is the brief stop-the-world re-scan of the pages still
+// dirty. Both scan without the flag.
 package sweep
 
 import (
@@ -331,7 +336,8 @@ type tally struct {
 // permits — while in mostly-concurrent mode the store's dirty bit routes
 // the page to the stop-the-world re-scan, which never consults either bit.
 // Every page this pass does read is flagged pointer-free for the next pass
-// if the read finds no heap-range word (mem.Region.ScanPageWordsPtrFree).
+// if the read finds no heap-range word (mem.Region.ScanPageWords with its
+// flag set).
 func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker, t *tally) {
 	if c.dirtyOnly {
 		s.scanDirtyChunk(c, mk, t)
@@ -368,16 +374,10 @@ func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker, t *tally) {
 					continue
 				}
 			}
-			// The page lock (taken inside the scan primitives) orders this
+			// The page lock (taken inside the scan primitive) orders this
 			// scan against bulk zeroing (free, decommit) so the sweeper
 			// never reads half-zeroed memory.
-			var ok bool
-			if skip {
-				ok = r.ScanPageWordsPtrFree(p, scan)
-			} else {
-				ok = r.ScanPageWords(p, func(words []uint64) { scan(words) })
-			}
-			if ok {
+			if r.ScanPageWords(p, skip, scan) {
 				t.scanned += mem.PageSize
 				t.pages++
 			}
@@ -403,9 +403,10 @@ func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker, t *tally) {
 func (s *Sweeper) scanDirtyChunk(c chunk, mk *shadow.Marker, t *tally) {
 	r := c.r
 	var zeroWords int
-	scan := func(words []uint64) {
-		z, _ := scanPageWords(words, mk)
+	scan := func(words []uint64) int {
+		z, hits := scanPageWords(words, mk)
 		zeroWords += z
+		return hits
 	}
 	for w, wEnd := c.pageFirst>>6, (c.pageAfter+63)>>6; w < wEnd; w++ {
 		var sum uint64
@@ -428,7 +429,7 @@ func (s *Sweeper) scanDirtyChunk(c chunk, mk *shadow.Marker, t *tally) {
 			} else if !r.PageDirty(p) {
 				continue
 			}
-			if r.ScanPageWords(p, scan) {
+			if r.ScanPageWords(p, false, scan) {
 				t.scanned += mem.PageSize
 				t.pages++
 			}
