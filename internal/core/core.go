@@ -1153,9 +1153,16 @@ func (h *Heap) recordStw(r *recorder, start time.Time, scanned uint64) {
 	r.rec.DirtyNanos += d
 }
 
-// markAll runs the full-heap mark pass and records its work figures.
-func (h *Heap) markAll(r *recorder) {
-	ps := h.sw.MarkAllStats()
+// markAll runs the full-heap mark pass and records its work figures. With
+// clearDirty (the MostlyConcurrent pipeline) the pass takes the soft-dirty
+// bit of each page it reads.
+func (h *Heap) markAll(r *recorder, clearDirty bool) {
+	var ps sweep.PassStats
+	if clearDirty {
+		ps = h.sw.MarkAllClearStats()
+	} else {
+		ps = h.sw.MarkAllStats()
+	}
 	r.rec.MarkNanos = ps.ElapsedNanos
 	r.rec.PagesScanned = ps.PagesScanned
 	r.rec.BytesScanned = ps.BytesScanned
@@ -1185,7 +1192,10 @@ func (h *Heap) preclean(r *recorder, round int) {
 //     list already happened, and ClearSoftDirty opens the write-tracking
 //     window — every page mutators touch from here on is revisited, so a
 //     pointer stored anywhere during the concurrent pass cannot be missed.
-//  2. Concurrent mark: the full-heap pass runs with mutators live.
+//  2. Concurrent mark: the full-heap pass runs with mutators live and takes
+//     the dirty bit of each page just before reading it, so a page is dirty
+//     after the pass only if a store landed after its read, or the pass
+//     skipped it (known-zero, pointer-free).
 //  3. Concurrent pre-clean: while more pages are dirty than the re-scan
 //     budget, consume dirty pages without stopping (test-and-clear, bounded
 //     rounds); each round shrinks the set the pause must visit.
@@ -1199,20 +1209,21 @@ func (h *Heap) markPhase(r *recorder) {
 	t := r.begin(events.KindMarkBegin, 0, 0)
 	if h.cfg.Mode == MostlyConcurrent {
 		h.space.ClearSoftDirty()
-		h.markAll(r)
+		h.markAll(r, true)
 		h.finishPipelinedMark(r)
 	} else {
-		h.markAll(r)
+		h.markAll(r, false)
 	}
 	r.end(t, events.KindMarkEnd, r.rec.PagesScanned, r.rec.BytesScanned)
 }
 
 // finishPipelinedMark runs stages 3 and 4 of the pipeline — the concurrent
 // pre-clean rounds and the stop-the-world dirty re-scan — against whatever
-// pages are soft-dirty right now. Split from markPhase so the pre-clean and
-// re-scan accounting can be driven deterministically in tests (markPhase's
-// ClearSoftDirty would wipe any dirtiness a test set up). Caller holds
-// sweepMu.
+// pages are soft-dirty right now: after markPhase's full pass, the pages
+// written since it read them and the pages it skipped. Split from markPhase
+// so the pre-clean and re-scan accounting can be driven deterministically in
+// tests (markPhase's ClearSoftDirty would wipe any dirtiness a test set up).
+// Caller holds sweepMu.
 //
 // The stop is guarded by a retry loop (the CMS-style pause abort): mutators
 // can dirty an unbounded number of pages in the scheduling gap between the

@@ -32,6 +32,7 @@ const (
 	opAliasStore                 // Region.store of a heap-range word through the alias
 	opZero                       // Region.zeroRange over the whole page
 	opFullScan                   // the full pass: skip probes, then the flagging ScanPageWords
+	opFullScanTake               // the mostly-concurrent full pass: skip probes, TestClearPageDirty, the flagging ScanPageWords
 	opPreClean                   // a pre-clean round: TakeDirtySummaryWord, TestClearPageDirty, ScanPageWords
 	opClearSoftDirty             // Region.clearSoftDirty
 	opCommit                     // Region.commit of the page
@@ -39,7 +40,7 @@ const (
 	pmOps
 )
 
-var pmOpNames = [pmOps]string{"store-heap", "store-plain", "alias-store", "zero", "full-scan", "pre-clean", "clear-soft-dirty", "commit", "decommit"}
+var pmOpNames = [pmOps]string{"store-heap", "store-plain", "alias-store", "zero", "full-scan", "full-scan-take", "pre-clean", "clear-soft-dirty", "commit", "decommit"}
 
 // pmStepName names step pc of op, for failure traces.
 func pmStepName(op pmOp, pc int8) string {
@@ -53,11 +54,15 @@ func pmStepName(op pmOp, pc int8) string {
 		steps = zero
 	case opFullScan:
 		steps = append([]string{"known-zero check", "pointer-free check"}, scan...)
+	case opFullScanTake:
+		steps = append([]string{"known-zero check", "pointer-free check", "takeDirty"}, scan...)
 	case opPreClean:
 		steps = append([]string{"take summary", "takeDirty"}, scan...)
 	case opClearSoftDirty:
 		steps = []string{"wipe summary", "takeDirty"}
-	case opCommit, opDecommit:
+	case opCommit:
+		steps = append([]string{"commitState"}, zero...)
+	case opDecommit:
 		steps = append(append([]string{"resetState"}, zero...), "drop backing")
 	}
 	return steps[pc]
@@ -154,7 +159,7 @@ func (m *pmState) advance(i int) bool {
 		if done {
 			t.pc = pmDone
 		}
-	case opFullScan:
+	case opFullScan, opFullScanTake:
 		return m.fullScan(t)
 	case opPreClean:
 		return m.preClean(t)
@@ -287,25 +292,35 @@ func (m *pmState) scanPage(t *pmThread, k int8, set uint32) (done, ok bool) {
 
 // fullScan is the full pass over each page: skip it if known-zero, skip it
 // if pointer-free, else scan it with the pointer-free flag (none on the
-// alias page, which is never flagged).
+// alias page, which is never flagged). The mostly-concurrent pass takes the
+// page's dirty bit between the probes and the scan.
 func (m *pmState) fullScan(t *pmThread) bool {
-	switch t.pc {
-	case 0:
+	k := t.pc
+	take := t.op == opFullScanTake
+	switch {
+	case k == 0:
 		if m.page[t.page]&pageKnownZero != 0 {
 			m.nextPage(t)
 			return true
 		}
-	case 1:
+	case k == 1:
 		if m.page[t.page]&pagePtrFree != 0 {
 			m.nextPage(t)
 			return true
 		}
+	case k == 2 && take:
+		if _, ok := m.step(t.page, takeDirty, 0); ok {
+			m.dirty--
+		}
 	default:
+		if take {
+			k--
+		}
 		set := pagePtrFree
 		if t.page == 1 {
 			set = 0
 		}
-		done, ok := m.scanPage(t, t.pc-2, set)
+		done, ok := m.scanPage(t, k-2, set)
 		if !ok {
 			return false
 		}
@@ -372,35 +387,32 @@ func (m *pmState) clearSoftDirty(t *pmThread) {
 	}
 }
 
-// residency is commit (ensure backing, resetState, then zero-fill a newly
+// residency is commit (ensure backing, commitState, then zero-fill a newly
 // resident page that is not known-zero) and decommit (resetState, then zero
 // the page and drop the backing, as the last resident page of its region).
-// The owner calls commit only on an extent it decommitted (jemalloc's and
-// scudo's committed flags), so a commit that finds the page resident returns
-// at once: commit's rewrite drops the dirty bit of a page it does not
-// zero-fill, which would hide that page's stores from the re-scan.
+// A commit that finds the page resident changes only its protections and
+// keeps its dirty bit, so its stores still reach the re-scan.
 func (m *pmState) residency(t *pmThread) bool {
 	if t.pc == 0 {
 		if m.owner {
 			return false
 		}
-		bits := uint32(0)
-		if t.op == opCommit {
-			if m.page[0]&pageResident != 0 {
-				t.pc = pmDone
-				return true
-			}
-			m.dropped = false
-			bits = pmRW
-		}
 		m.owner = true
-		old, _ := m.step(0, resetState, bits)
-		if old&pageDirty != 0 {
-			m.dirty--
-		}
-		zero := old&pageResident != 0
+		var old uint32
+		var zero bool
 		if t.op == opCommit {
+			m.dropped = false
+			old, _ = m.step(0, commitState, pmRW)
+			if old&(pageResident|pageDirty) == pageDirty {
+				m.dirty--
+			}
 			zero = old&(pageResident|pageKnownZero) == 0
+		} else {
+			old, _ = m.step(0, resetState, 0)
+			if old&pageDirty != 0 {
+				m.dirty--
+			}
+			zero = old&pageResident != 0
 		}
 		if !zero {
 			m.owner = false
@@ -605,8 +617,9 @@ func TestPageStateInterleavings(t *testing.T) {
 		{"decommitted", pmState{page: [2]uint32{pageKnownZero, pmRW}, dropped: true}},
 	}
 	// Every ordered pair and every ordered triple: the triples include
-	// store + zero + full pass, store + pre-clean + ClearSoftDirty and
-	// store + alias store + full pass.
+	// store + zero + full pass, store + pre-clean + ClearSoftDirty, store +
+	// alias store + full pass, and the taking full pass beside a store and a
+	// zeroing, a pre-clean or ClearSoftDirty.
 	var scenarios [][]pmOp
 	for a := pmOp(0); a < pmOps; a++ {
 		for b := pmOp(0); b < pmOps; b++ {

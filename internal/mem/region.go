@@ -82,11 +82,22 @@ func unlock(s, clr uint32) (uint32, bool) {
 	return s &^ (pageBusy | clr), true
 }
 
-// resetState is commit's and decommit's rewrite: the page keeps its lock and
-// known-zero bits and takes bits (residency and protections for commit, none
-// for decommit). It drops dirty and pointer-free.
+// resetState is decommit's rewrite, and commit's of a page not resident: the
+// page keeps its lock and known-zero bits and takes bits (residency and
+// protections for commit, none for decommit). It drops dirty and
+// pointer-free.
 func resetState(s, bits uint32) (uint32, bool) {
 	return s&(pageBusy|pageKnownZero) | bits, true
+}
+
+// commitState is commit's rewrite. A page not resident is reset; a page
+// already resident keeps its words, so it keeps dirty, known-zero and
+// pointer-free too and changes only its protections, as protect does.
+func commitState(s, bits uint32) (uint32, bool) {
+	if s&pageResident != 0 {
+		return protectState(s, bits)
+	}
+	return resetState(s, bits)
 }
 
 // protectState is protect's rewrite: it replaces the protection bits.
@@ -573,6 +584,8 @@ func (r *Region) ScanRange(addr, n uint64, fn func(v uint64)) {
 // elided — this is where the purge path stops paying to re-zero memory the
 // decommit already discarded. The pointer-free bit does not survive (nor does
 // it survive decommit): a recommitted page waits for its next full-pass read.
+// A page already resident keeps its words and so its whole state, dirty and
+// pointer-free bits included; only its protections change.
 func (r *Region) commit(addr, n uint64, prot Prot) int {
 	r.ensureBacking()
 	first := r.PageIndex(addr)
@@ -581,11 +594,11 @@ func (r *Region) commit(addr, n uint64, prot Prot) int {
 	var wipedDirty int64
 	bits := pageResident | protBits(prot)
 	for i := first; i <= last; i++ {
-		old, _ := r.step(i, resetState, bits)
-		if old&pageDirty != 0 {
-			wipedDirty++
-		}
+		old, _ := r.step(i, commitState, bits)
 		if old&pageResident == 0 {
+			if old&pageDirty != 0 {
+				wipedDirty++
+			}
 			newly++
 			if r.parent == nil {
 				if old&pageKnownZero != 0 {
@@ -675,9 +688,9 @@ func (r *Region) protect(addr, n uint64, prot Prot) {
 //
 // The commit and decommit rewrites also wipe the dirty bit (and its count):
 // decommit drops the page, and commit zero-fills a page it makes resident.
-// A commit over a page already resident would drop a dirty bit over words it
-// keeps; the allocators commit only what they decommitted. The summary bits
-// the rewrites strand are harmless: summary readers re-check the page bit.
+// A commit over a page already resident keeps its dirty bit, as it keeps its
+// words. The summary bits the rewrites strand are harmless: summary readers
+// re-check the page bit.
 //
 // The listed flag is cleared before anything else: a writer checks it AFTER
 // setting its page and summary bits, so a writer that skips re-listing on a

@@ -349,8 +349,9 @@ func (as *AddressSpace) resolveRange(op string, addr, n uint64) (*Region, error)
 }
 
 // Commit makes pages [addr, addr+n) resident with protection prot, zero-filled
-// if they were not already resident. It is the simulated mmap-commit half of
-// jemalloc's extent hook pair. Alias pages contribute no RSS (the parent's
+// if they were not already resident; a page already resident keeps its words
+// and page state, and takes only the new protection. It is the simulated
+// mmap-commit half of jemalloc's extent hook pair. Alias pages contribute no RSS (the parent's
 // frames are the physical memory).
 func (as *AddressSpace) Commit(addr, n uint64, prot Prot) error {
 	r, err := as.resolveRange("Commit", addr, n)

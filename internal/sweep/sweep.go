@@ -31,10 +31,13 @@
 // flagged pointer-free for the next pass (SetKnownZeroSkip(false) turns the
 // flag off with the skips). The mostly-concurrent mode then tracks the pages
 // written since ClearSoftDirty through the simulated soft-dirty page bits,
-// standing in for Linux's soft-dirty PTEs (§4.3): MarkDirtyClearStats is a
-// concurrent pre-clean round that test-and-clears each dirty page and scans
-// it, and MarkDirty is the brief stop-the-world re-scan of the pages still
-// dirty. Both scan without the flag.
+// standing in for Linux's soft-dirty PTEs (§4.3). Its full pass is
+// MarkAllClearStats, which takes the dirty bit of each page just before
+// reading it, so a page stays dirty only if a store landed after the pass
+// read it or the pass skipped it. MarkDirtyClearStats is a concurrent
+// pre-clean round that test-and-clears each dirty page and scans it, and
+// MarkDirty is the brief stop-the-world re-scan of the pages still dirty.
+// These two scan without the flag.
 package sweep
 
 import (
@@ -165,10 +168,11 @@ type chunk struct {
 	pageFirst int
 	pageAfter int
 	dirtyOnly bool
-	// clearDirty makes a dirtyOnly chunk consume the dirty bit as it scans
-	// (TestClearPageDirty) — the concurrent pre-clean rounds of the pipelined
-	// sweep. Pages re-dirtied after the test-and-clear are caught by the
-	// final STW MarkDirty pass.
+	// clearDirty makes the chunk consume the dirty bit of each page it reads,
+	// just before the read (TestClearPageDirty): the concurrent pre-clean
+	// rounds of the pipelined sweep, and its full pass. Pages re-dirtied after
+	// the test-and-clear are caught by the next round or the final STW
+	// MarkDirty pass.
 	clearDirty bool
 }
 
@@ -337,7 +341,12 @@ type tally struct {
 // the page to the stop-the-world re-scan, which never consults either bit.
 // Every page this pass does read is flagged pointer-free for the next pass
 // if the read finds no heap-range word (mem.Region.ScanPageWords with its
-// flag set).
+// flag set). With clearDirty (the mostly-concurrent full pass) each page the
+// probes did not skip has its dirty bit taken before the read, on the
+// pre-clean's terms: a store sets the bit after its word lands, so a bit
+// taken here was set before a read that sees the word, and a bit set after
+// the take survives for the pre-clean and the re-scan. Skipped pages keep
+// their bit.
 func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker, t *tally) {
 	if c.dirtyOnly {
 		s.scanDirtyChunk(c, mk, t)
@@ -373,6 +382,9 @@ func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker, t *tally) {
 					t.pfPages++
 					continue
 				}
+			}
+			if c.clearDirty {
+				r.TestClearPageDirty(p)
 			}
 			// The page lock (taken inside the scan primitive) orders this
 			// scan against bulk zeroing (free, decommit) so the sweeper
@@ -550,6 +562,18 @@ func (s *Sweeper) MarkAllStats() PassStats {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	return s.run(s.collectChunks(false, false))
+}
+
+// MarkAllClearStats is MarkAllStats consuming, just before it reads a page,
+// that page's soft-dirty bit — the full pass of the mostly-concurrent mode,
+// after ClearSoftDirty. A page the pass reads stays clean unless a store
+// lands after the take, so the pre-clean rounds and the stop-the-world
+// re-scan behind it visit only pages written during the pass and pages it
+// skipped.
+func (s *Sweeper) MarkAllClearStats() PassStats {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	return s.run(s.collectChunks(false, true))
 }
 
 // MarkDirty re-scans only pages whose soft-dirty bit is set. The caller is

@@ -21,9 +21,9 @@ func goldenSnapshot() Snapshot {
 		SweepsTotal:     7,
 		Sweeps: []SweepRecord{{
 			Seq: 7, Trigger: TriggerThreshold,
-			TotalNanos: 12_345_000, MarkNanos: 8_000_000, DirtyNanos: 150_000,
-			RecycleNanos: 3_000_000, PurgeNanos: 1_000_000,
-			PagesScanned: 16_853, DirtyPages: 12, PagesKnownZero: 987_654_321,
+			TotalNanos: 12_345_000, MarkNanos: 8_000_000, PrecleanNanos: 620_000,
+			DirtyNanos: 150_000, RecycleNanos: 3_000_000, PurgeNanos: 1_000_000,
+			PagesScanned: 16_853, PrecleanPages: 425, DirtyPages: 12, PagesKnownZero: 987_654_321,
 			BytesZeroSkipped: 68_074_624,
 			EntriesLocked:    12_345_678, Released: 12_000_000, Retained: 345_678,
 			Workers: 6,
@@ -65,9 +65,9 @@ func TestWriteTextNoTrailingSpace(t *testing.T) {
 
 const goldenText = `captured: +2.5s (sweep seq 7)
 sweeps observed: 7 (showing last 1)
-sweep  trigger    total     mark  dirty   recycle  purge  pages  dirty-pg  kz-pg   zero-skip  locked  released  retained  workers
------  ---------  --------  ----  ------  -------  -----  -----  --------  ------  ---------  ------  --------  --------  -------
-7      threshold  12.345ms  8ms   150µs   3ms      1ms    16.9k  12        987.7M  64.9 MiB   12.3M   12.0M     345.7k    6
+sweep  trigger    total     mark  preclean  dirty   recycle  purge  pages  preclean-pg  dirty-pg  kz-pg   zero-skip  locked  released  retained  workers
+-----  ---------  --------  ----  --------  ------  -------  -----  -----  -----------  --------  ------  ---------  ------  --------  --------  -------
+7      threshold  12.345ms  8ms   620µs     150µs   3ms      1ms    16.9k  425          12        987.7M  64.9 MiB   12.3M   12.0M     345.7k    6
 
 malloc/free latencies sampled 1 in 256 ops
 

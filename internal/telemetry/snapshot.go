@@ -92,14 +92,14 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		return err
 	}
 	if len(s.Sweeps) > 0 {
-		tb := metrics.NewTable("sweep", "trigger", "total", "mark", "dirty", "recycle", "purge",
-			"pages", "dirty-pg", "kz-pg", "zero-skip", "locked", "released", "retained", "workers")
+		tb := metrics.NewTable("sweep", "trigger", "total", "mark", "preclean", "dirty", "recycle", "purge",
+			"pages", "preclean-pg", "dirty-pg", "kz-pg", "zero-skip", "locked", "released", "retained", "workers")
 		for _, r := range s.Sweeps {
 			tb.AddRow(
 				fmt.Sprint(r.Seq), r.Trigger.String(),
-				fmtNs(r.TotalNanos), fmtNs(r.MarkNanos), fmtNs(r.DirtyNanos),
+				fmtNs(r.TotalNanos), fmtNs(r.MarkNanos), fmtNs(r.PrecleanNanos), fmtNs(r.DirtyNanos),
 				fmtNs(r.RecycleNanos), fmtNs(r.PurgeNanos),
-				fmtCount(r.PagesScanned), fmtCount(r.DirtyPages), fmtCount(r.PagesKnownZero),
+				fmtCount(r.PagesScanned), fmtCount(r.PrecleanPages), fmtCount(r.DirtyPages), fmtCount(r.PagesKnownZero),
 				metrics.FmtMiB(r.BytesZeroSkipped),
 				fmtCount(r.EntriesLocked), fmtCount(r.Released), fmtCount(r.Retained),
 				fmt.Sprint(r.Workers),
