@@ -80,9 +80,12 @@ check: vet
 # sweep comparison, the steady-state pass with and without the page skips,
 # plus the shadow-marker and page-scan micro-benchmarks, and the page-state
 # steps mutators pay: a store to a dirty page, a store that takes the
-# clean->dirty step (BenchmarkStore64Clean), and a full-page zeroing.
+# clean->dirty step (BenchmarkStore64Clean), and a full-page zeroing. The
+# BenchmarkSweepRelease family times whole sweeps through core, whose
+# recycle runs on the sweeper's Parallel loop like the marking passes.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepMarkAll|BenchmarkMarkAllSteady|BenchmarkShadowMarker|BenchmarkScanPage|BenchmarkStore64|BenchmarkZero4KiB' -benchmem -count=1 ./internal/sweep ./internal/shadow ./internal/mem
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepRelease' -benchmem -count=1 ./internal/core
 
 # Malloc/free hot-path benchmarks: the end-to-end MallocFree comparison
 # (single-threaded and 4-way parallel, baseline vs MineSweeper), the

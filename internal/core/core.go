@@ -29,6 +29,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1153,33 +1154,23 @@ func (h *Heap) recordStw(r *recorder, start time.Time, scanned uint64) {
 	r.rec.DirtyNanos += d
 }
 
-// markAll runs the full-heap mark pass and records its work figures. With
-// clearDirty (the MostlyConcurrent pipeline) the pass takes the soft-dirty
-// bit of each page it reads.
-func (h *Heap) markAll(r *recorder, clearDirty bool) {
-	var ps sweep.PassStats
-	if clearDirty {
-		ps = h.sw.MarkAllClearStats()
-	} else {
-		ps = h.sw.MarkAllStats()
-	}
-	r.rec.MarkNanos = ps.ElapsedNanos
-	r.rec.PagesScanned = ps.PagesScanned
-	r.rec.BytesScanned = ps.BytesScanned
-	r.rec.BytesZeroSkipped = ps.ZeroSkippedBytes
-	r.rec.PagesKnownZero = ps.KnownZeroPages
-	r.rec.PagesPtrFree = ps.PtrFreePages
+// addPass folds one marking pass's work figures into the sweep record. Dirty
+// passes skip no pages, so their skip counts add nothing.
+func (r *recorder) addPass(ps sweep.PassStats) {
+	r.rec.PagesScanned += ps.PagesScanned
+	r.rec.BytesScanned += ps.BytesScanned
+	r.rec.BytesZeroSkipped += ps.ZeroSkippedBytes
+	r.rec.PagesKnownZero += ps.KnownZeroPages
+	r.rec.PagesPtrFree += ps.PtrFreePages
 }
 
-// preclean runs one concurrent pre-clean round — a test-and-clear scan of
-// the pages dirty right now — as the span labelled round.
+// preclean runs one concurrent pre-clean round — a take-and-scan of the
+// pages dirty right now — as the span labelled round.
 func (h *Heap) preclean(r *recorder, round int) {
 	t := r.begin(events.KindPrecleanBegin, uint64(round), 0)
-	cp := h.sw.MarkDirtyClearStats()
+	cp := h.sw.Mark(sweep.DirtyTake)
+	r.addPass(cp)
 	r.rec.PrecleanPages += cp.PagesScanned
-	r.rec.PagesScanned += cp.PagesScanned
-	r.rec.BytesScanned += cp.BytesScanned
-	r.rec.BytesZeroSkipped += cp.ZeroSkippedBytes
 	r.rec.PrecleanNanos += r.end(t, events.KindPrecleanEnd, cp.PagesScanned, uint64(round))
 }
 
@@ -1192,27 +1183,32 @@ func (h *Heap) preclean(r *recorder, round int) {
 //     list already happened, and ClearSoftDirty opens the write-tracking
 //     window — every page mutators touch from here on is revisited, so a
 //     pointer stored anywhere during the concurrent pass cannot be missed.
-//  2. Concurrent mark: the full-heap pass runs with mutators live and takes
-//     the dirty bit of each page just before reading it, so a page is dirty
-//     after the pass only if a store landed after its read, or the pass
-//     skipped it (known-zero, pointer-free).
-//  3. Concurrent pre-clean: while more pages are dirty than the re-scan
-//     budget, consume dirty pages without stopping (test-and-clear, bounded
-//     rounds); each round shrinks the set the pause must visit.
-//  4. Stop-the-world re-scan: quiesce thread rings and visit only the pages
-//     still dirty. The pause scales with the mutators' residual write rate,
-//     not heap size.
+//  2. Concurrent mark (sweep.FullTake): the full-heap pass runs with
+//     mutators live and takes the dirty bit of each page just before
+//     reading it, so a page is dirty after the pass only if a store landed
+//     after its read, or the pass skipped it (known-zero, pointer-free).
+//  3. Concurrent pre-clean (sweep.DirtyTake): while more pages are dirty
+//     than the re-scan budget, consume dirty pages without stopping
+//     (test-and-clear, bounded rounds); each round shrinks the set the
+//     pause must visit.
+//  4. Stop-the-world re-scan (sweep.Dirty): quiesce thread rings and visit
+//     only the pages still dirty. The pause scales with the mutators'
+//     residual write rate, not heap size.
 func (h *Heap) markPhase(r *recorder) {
 	// In MostlyConcurrent mode the mark span covers the whole pipeline: the
 	// concurrent full-heap pass, and the pre-clean rounds and the STW
 	// re-scan nested inside it.
 	t := r.begin(events.KindMarkBegin, 0, 0)
+	pass := sweep.Full
 	if h.cfg.Mode == MostlyConcurrent {
 		h.space.ClearSoftDirty()
-		h.markAll(r, true)
+		pass = sweep.FullTake
+	}
+	ps := h.sw.Mark(pass)
+	r.addPass(ps)
+	r.rec.MarkNanos = ps.ElapsedNanos
+	if pass == sweep.FullTake {
 		h.finishPipelinedMark(r)
-	} else {
-		h.markAll(r, false)
 	}
 	r.end(t, events.KindMarkEnd, r.rec.PagesScanned, r.rec.BytesScanned)
 }
@@ -1267,11 +1263,9 @@ func (h *Heap) finishPipelinedMark(r *recorder) {
 			h.preclean(r, maxPreCleanRounds+attempt)
 			continue
 		}
-		dp := h.sw.MarkDirtyStats()
+		dp := h.sw.Mark(sweep.Dirty)
+		r.addPass(dp)
 		r.rec.DirtyPages = dp.PagesScanned
-		r.rec.PagesScanned += dp.PagesScanned
-		r.rec.BytesScanned += dp.BytesScanned
-		r.rec.BytesZeroSkipped += dp.ZeroSkippedBytes
 		h.startWorld()
 		h.recordStw(r, start, dp.PagesScanned)
 		// The anomaly the pipeline exists to prevent: the final attempt had
@@ -1393,84 +1387,69 @@ const releaseBatchSize = 256
 
 // filterAndRecycle consults the shadow map for each locked-in entry and
 // either releases it to the allocator or returns it to quarantine. The list
-// is divided equally among the sweep workers (§4.4); each worker batches the
-// entries it releases and frees them through the substrate's FreeBatch, so
-// recycling n entries costs locks proportional to the number of (shard,
+// is cut into batches of at most releaseBatchSize entries that the sweep
+// workers share out through sweep.Parallel (§4.4); each worker accumulates
+// the entries it releases and frees them through the substrate's FreeBatch,
+// so recycling n entries costs locks proportional to the number of (shard,
 // class) groups, not to n. Returns how many entries were released to the
 // substrate and how many were retained (requeued as failed frees).
 func (h *Heap) filterAndRecycle(locked []quarantine.Entry) (released, retained uint64) {
-	start := time.Now()
 	// The current worker count tracks the governed helper knob; the
 	// registered thread pool only ever grows, so clamp to both (a plane
 	// that lowered Helpers leaves surplus registered threads idle).
-	workers := h.sw.Workers()
-	if workers > len(h.recycleTids) {
-		workers = len(h.recycleTids)
-	}
-	if workers > len(locked) {
-		workers = len(locked)
-	}
+	workers := min(h.sw.Workers(), len(h.recycleTids))
 	// Parallel recycle workers race on shared substrate bins, so which
 	// chunks and pages get reused depends on the schedule. Synchronous mode
-	// promises bit-reproducible runs (DESIGN §3): it recycles on one worker.
+	// promises bit-reproducible runs (DESIGN §3): it recycles on one worker,
+	// which Parallel hands the batches in index order.
 	if h.cfg.Mode == Synchronous {
 		workers = 1
 	}
+	// A batch is at most an even share, so every one of
+	// min(workers, len(locked)) workers gets at least one.
+	batch := min((len(locked)+workers-1)/workers, releaseBatchSize)
 	failed := make([][]quarantine.Entry, workers)
-	var wg sync.WaitGroup
-	chunk := (len(locked) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(locked) {
-			hi = len(locked)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			tid := h.recycleTids[w]
-			rel := h.q.NewReleaser()
-			var fails []quarantine.Entry
-			addrs := make([]uint64, 0, releaseBatchSize)
-			torel := make([]quarantine.Entry, 0, releaseBatchSize)
-			errs := make([]error, releaseBatchSize)
-			released := uint64(0)
-			flush := func() {
-				if len(addrs) == 0 {
-					return
-				}
-				// Membership leaves before the substrate free (a re-free
-				// racing this window must not be absorbed as a duplicate of
-				// an allocation that no longer exists); the whole batch is
-				// removed under one hold of the quarantine lock, then freed
-				// under the substrate's batched locks.
-				rel.ReleaseBatch(torel)
-				h.sub.FreeBatch(tid, addrs, errs[:len(addrs)])
-				for _, err := range errs[:len(addrs)] {
-					if err == nil {
-						continue
-					}
-					// A program can double-free an allocation whose
-					// first free was already released and recycled;
-					// the second free re-enters quarantine looking
-					// live and the substrate detects the duplicate
-					// here. That is undefined behaviour in the
-					// program; absorb it (the substrate rejected the
-					// free, so nothing is corrupted).
-					if errors.Is(err, alloc.ErrDoubleFree) || errors.Is(err, alloc.ErrInvalidFree) {
-						h.lateDoubleFrees.Add(1)
-						continue
-					}
-					panic("core: substrate free failed: " + err.Error())
-				}
-				addrs, torel = addrs[:0], torel[:0]
+	h.sw.Parallel(workers, (len(locked)+batch-1)/batch, func(w int, items iter.Seq[int]) {
+		tid := h.recycleTids[w]
+		rel := h.q.NewReleaser()
+		var fails []quarantine.Entry
+		addrs := make([]uint64, 0, releaseBatchSize)
+		torel := make([]quarantine.Entry, 0, releaseBatchSize)
+		errs := make([]error, releaseBatchSize)
+		released := uint64(0)
+		flush := func() {
+			if len(addrs) == 0 {
+				return
 			}
-			part := locked[lo:hi]
-			for i := range part {
-				e := &part[i]
+			// Membership leaves before the substrate free (a re-free racing
+			// this window must not be absorbed as a duplicate of an
+			// allocation that no longer exists); the whole batch is removed
+			// under one hold of the quarantine lock, then freed under the
+			// substrate's batched locks.
+			rel.ReleaseBatch(torel)
+			h.sub.FreeBatch(tid, addrs, errs[:len(addrs)])
+			for _, err := range errs[:len(addrs)] {
+				if err == nil {
+					continue
+				}
+				// A program can double-free an allocation whose first free
+				// was already released and recycled; the second free
+				// re-enters quarantine looking live and the substrate
+				// detects the duplicate here. That is undefined behaviour in
+				// the program; absorb it (the substrate rejected the free,
+				// so nothing is corrupted).
+				if errors.Is(err, alloc.ErrDoubleFree) || errors.Is(err, alloc.ErrInvalidFree) {
+					h.lateDoubleFrees.Add(1)
+					continue
+				}
+				panic("core: substrate free failed: " + err.Error())
+			}
+			addrs, torel = addrs[:0], torel[:0]
+		}
+		for i := range items {
+			part := locked[i*batch : min((i+1)*batch, len(locked))]
+			for j := range part {
+				e := &part[j]
 				dangling := false
 				if h.cfg.Sweeping {
 					dangling = h.marks.AnyInRange(e.Base, e.Base+e.Size)
@@ -1492,22 +1471,18 @@ func (h *Heap) filterAndRecycle(locked []quarantine.Entry) (released, retained u
 					flush()
 				}
 			}
-			flush()
-			rel.Flush()
-			h.releasedFrees.Add(released)
-			failed[w] = fails
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, fails := range failed {
-		if len(fails) > 0 {
-			retained += uint64(len(fails))
-			h.q.Requeue(fails)
 		}
+		flush()
+		rel.Flush()
+		h.releasedFrees.Add(released)
+		failed[w] = fails
+	})
+	for _, fails := range failed {
+		retained += uint64(len(fails))
+		h.q.Requeue(fails)
 	}
 	released = uint64(len(locked)) - retained
 	h.q.Reclaim(locked)
-	h.sw.AddBusyTime(sweep.BusyShare(time.Since(start), workers))
 	return released, retained
 }
 

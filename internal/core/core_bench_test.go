@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"minesweeper/internal/alloc"
@@ -33,7 +34,10 @@ func benchSweepConfig() Config {
 	return cfg
 }
 
-func runSweepRelease(b *testing.B, h *Heap, tid alloc.ThreadID, addrs []uint64) {
+// runSweepRelease times one Sweep per iteration over len(addrs) fresh
+// allocations freed in allocation order, or in a random order when rng is
+// non-nil.
+func runSweepRelease(b *testing.B, h *Heap, tid alloc.ThreadID, addrs []uint64, rng *rand.Rand) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,6 +48,9 @@ func runSweepRelease(b *testing.B, h *Heap, tid alloc.ThreadID, addrs []uint64) 
 				b.Fatal(err)
 			}
 			addrs[j] = a
+		}
+		if rng != nil {
+			rng.Shuffle(len(addrs), func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
 		}
 		for _, a := range addrs {
 			if err := h.Free(tid, a); err != nil {
@@ -65,7 +72,16 @@ func runSweepRelease(b *testing.B, h *Heap, tid alloc.ThreadID, addrs []uint64) 
 // lives on as BenchmarkSweepReleaseNoMark.)
 func BenchmarkSweepRelease(b *testing.B) {
 	h, tid, addrs := benchSweepSetup(b, benchSweepConfig())
-	runSweepRelease(b, h, tid, addrs)
+	runSweepRelease(b, h, tid, addrs, nil)
+}
+
+// BenchmarkSweepReleaseShuffled is BenchmarkSweepRelease with the frees in
+// a random (fixed-seed) order, so the locked-in list, and with it each
+// recycle batch, is in no address order: the case where FreeBatch's
+// page-table walks miss the cache most.
+func BenchmarkSweepReleaseShuffled(b *testing.B) {
+	h, tid, addrs := benchSweepSetup(b, benchSweepConfig())
+	runSweepRelease(b, h, tid, addrs, rand.New(rand.NewPCG(1, 2)))
 }
 
 // BenchmarkSweepReleaseNoKnownZero is BenchmarkSweepRelease with the
@@ -76,7 +92,7 @@ func BenchmarkSweepRelease(b *testing.B) {
 func BenchmarkSweepReleaseNoKnownZero(b *testing.B) {
 	h, tid, addrs := benchSweepSetup(b, benchSweepConfig())
 	h.sw.SetKnownZeroSkip(false)
-	runSweepRelease(b, h, tid, addrs)
+	runSweepRelease(b, h, tid, addrs, nil)
 }
 
 // BenchmarkSweepReleaseNoMark is the pre-known-zero-map definition of this
@@ -88,5 +104,5 @@ func BenchmarkSweepReleaseNoMark(b *testing.B) {
 	cfg.Sweeping = false
 	cfg.Zeroing = false
 	h, tid, addrs := benchSweepSetup(b, cfg)
-	runSweepRelease(b, h, tid, addrs)
+	runSweepRelease(b, h, tid, addrs, nil)
 }

@@ -80,6 +80,38 @@ func TestSweepReleasesUnreferenced(t *testing.T) {
 	}
 }
 
+// TestRecycleChargesSweeperCycles pins the recycle phase on the CPU meter:
+// with marking off, a sweep over quarantined entries runs only recycle, and
+// it must still raise SweeperCycles. cpu_util_x is 1 + SweeperCycles/wall,
+// so a recycle that dropped off the meter would read as a large false gain.
+func TestRecycleChargesSweeperCycles(t *testing.T) {
+	for _, mode := range []Mode{Synchronous, FullyConcurrent} {
+		cfg := testConfig()
+		cfg.Mode = mode
+		cfg.Sweeping = false
+		h, tid := newTestHeap(t, cfg)
+		for i := 0; i < 2000; i++ {
+			a, err := h.Malloc(tid, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Free(tid, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.FlushThread(tid)
+		before := h.Stats().SweeperCycles
+		h.Sweep()
+		st := h.Stats()
+		if st.ReleasedFrees != 2000 {
+			t.Fatalf("%v: ReleasedFrees = %d, want 2000", mode, st.ReleasedFrees)
+		}
+		if st.SweeperCycles <= before {
+			t.Errorf("%v: SweeperCycles %d -> %d, want a rise from the recycle phase", mode, before, st.SweeperCycles)
+		}
+	}
+}
+
 func TestDanglingPointerPreventsRelease(t *testing.T) {
 	h, tid := newTestHeap(t, testConfig())
 	g, err := h.space.Map(mem.KindGlobals, mem.PageSize, true)

@@ -445,7 +445,7 @@ func (m *pmState) residency(t *pmThread) bool {
 	return true
 }
 
-// rescan is the stop-the-world MarkDirty after the operations: every page
+// rescan is the stop-the-world Dirty pass after the operations: every page
 // with its summary and dirty bits set is scanned, and nothing runs beside it.
 func (m *pmState) rescan() {
 	for pg := int8(0); pg < m.pages; pg++ {

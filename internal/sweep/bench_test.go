@@ -15,7 +15,7 @@ func (s *Sweeper) markAllPerWord() uint64 {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	var scanned uint64
-	for _, c := range s.collectChunks(false, false) {
+	for _, c := range s.collectChunks(false) {
 		r := c.r
 		for p := c.pageFirst; p < c.pageAfter; p++ {
 			if !r.PageReadable(p) {
@@ -105,7 +105,7 @@ func BenchmarkSweepMarkAll(b *testing.B) {
 		b.SetBytes(heapBytes)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.MarkAll()
+			s.Mark(Full)
 			marks.ClearAll()
 		}
 	})
@@ -125,7 +125,7 @@ func TestBulkPathMatchesPerWord(t *testing.T) {
 	// never consults the known-zero map, so disable the skip for equivalence.
 	bulk.SetKnownZeroSkip(false)
 	bulk.helpers.Store(3)
-	bulkSwept := bulk.MarkAll()
+	bulkSwept := bulk.Mark(Full).BytesScanned
 
 	if refSwept != bulkSwept {
 		t.Errorf("bytes swept: perword %d, bulk %d", refSwept, bulkSwept)
@@ -151,11 +151,11 @@ func TestWorkQueueReuse(t *testing.T) {
 	marks, _ := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
 	s := New(as, marks, 2)
 
-	first := s.MarkAll()
+	first := s.Mark(Full).BytesScanned
 	capAfterFirst := cap(s.chunks)
 	for i := 0; i < 5; i++ {
 		marks.ClearAll()
-		if got := s.MarkAll(); got != first {
+		if got := s.Mark(Full).BytesScanned; got != first {
 			t.Fatalf("pass %d swept %d bytes, want %d", i, got, first)
 		}
 		if !marks.Test(heap.Base() + 0x100) {
@@ -186,7 +186,7 @@ func TestStripedStealing(t *testing.T) {
 	s := New(as, marks, 0)
 	s.helpers.Store(7)        // bypass the GOMAXPROCS clamp: stealing must still be correct
 	s.SetKnownZeroSkip(false) // this test asserts every byte is visited
-	if swept := s.MarkAll(); swept != heap.Size() {
+	if swept := s.Mark(Full).BytesScanned; swept != heap.Size() {
 		t.Errorf("swept %d bytes, want %d", swept, heap.Size())
 	}
 	for _, tgt := range want {
@@ -254,12 +254,12 @@ func BenchmarkMarkAllSteady(b *testing.B) {
 			}
 			s := New(as, marks, 0)
 			s.SetKnownZeroSkip(skip)
-			s.MarkAll() // the previous sweep's pass
+			s.Mark(Full) // the previous sweep's pass
 			marks.ClearAll()
 			b.SetBytes(heapBytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.MarkAll()
+				s.Mark(Full)
 				marks.ClearAll()
 			}
 		})

@@ -38,7 +38,7 @@ func TestMarkDirtyClearConsumesBits(t *testing.T) {
 	if err := as.Store64(heap.PageAddr(2)+16, target); err != nil {
 		t.Fatal(err)
 	}
-	ps := s.MarkDirtyClearStats()
+	ps := s.Mark(DirtyTake)
 	if ps.PagesScanned != 1 {
 		t.Fatalf("pre-clean scanned %d pages, want 1 (only the written page is dirty)", ps.PagesScanned)
 	}
@@ -48,14 +48,14 @@ func TestMarkDirtyClearConsumesBits(t *testing.T) {
 	if n := s.CountDirtyPages(); n != 0 {
 		t.Fatalf("dirty pages after pre-clean = %d, want 0", n)
 	}
-	if ps2 := s.MarkDirtyClearStats(); ps2.PagesScanned != 0 {
+	if ps2 := s.Mark(DirtyTake); ps2.PagesScanned != 0 {
 		t.Fatalf("second pre-clean scanned %d pages, want 0", ps2.PagesScanned)
 	}
 	// A fresh write re-dirties the page for the next round.
 	if err := as.Store64(heap.PageAddr(2)+24, 1); err != nil {
 		t.Fatal(err)
 	}
-	if ps3 := s.MarkDirtyClearStats(); ps3.PagesScanned != 1 {
+	if ps3 := s.Mark(DirtyTake); ps3.PagesScanned != 1 {
 		t.Fatalf("post-rewrite pre-clean scanned %d pages, want 1", ps3.PagesScanned)
 	}
 }
@@ -69,7 +69,7 @@ func TestMarkDirtyLeavesBits(t *testing.T) {
 	if err := as.Store64(heap.PageAddr(1)+8, 1); err != nil {
 		t.Fatal(err)
 	}
-	if ps := s.MarkDirtyStats(); ps.PagesScanned != 1 {
+	if ps := s.Mark(Dirty); ps.PagesScanned != 1 {
 		t.Fatalf("MarkDirty scanned %d pages, want 1", ps.PagesScanned)
 	}
 	if n := s.CountDirtyPages(); n != 1 {
@@ -92,7 +92,7 @@ func TestMarkAllClearTakesReadPages(t *testing.T) {
 		}
 	}
 	before := s.CountDirtyPages()
-	ps := s.MarkAllClearStats()
+	ps := s.Mark(FullTake)
 	if ps.PagesScanned != uint64(len(stored)) {
 		t.Fatalf("full pass read %d pages, want %d (the rest are known-zero)", ps.PagesScanned, len(stored))
 	}
@@ -118,7 +118,7 @@ func TestMarkAllClearTakesReadPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dp := s.MarkDirtyStats()
+	dp := s.Mark(Dirty)
 	if dp.PagesScanned != 2 {
 		t.Fatalf("re-scan read %d pages, want 2 (only the pages stored to after the pass)", dp.PagesScanned)
 	}
@@ -136,11 +136,11 @@ func TestMarkAllClearKeepsSkippedDirtyBit(t *testing.T) {
 	if err := as.Store64(heap.Base()+8, 1); err != nil {
 		t.Fatal(err)
 	}
-	s.MarkAllStats() // reads the page and flags it pointer-free; dirty stays
+	s.Mark(Full) // reads the page and flags it pointer-free; dirty stays
 	if !heap.PagePtrFree(0) || !heap.PageDirty(0) {
 		t.Fatalf("setup: pointer-free %v dirty %v, want both", heap.PagePtrFree(0), heap.PageDirty(0))
 	}
-	ps := s.MarkAllClearStats()
+	ps := s.Mark(FullTake)
 	if ps.PtrFreePages != 1 || ps.PagesScanned != 0 {
 		t.Fatalf("pass skipped %d pointer-free pages and read %d, want 1 and 0", ps.PtrFreePages, ps.PagesScanned)
 	}
@@ -166,7 +166,7 @@ func TestCommitKeepsResidentDirtyPage(t *testing.T) {
 	if n := s.CountDirtyPages(); n != 1 {
 		t.Fatalf("dirty pages after the commit = %d, want 1", n)
 	}
-	if ps := s.MarkDirtyStats(); ps.PagesScanned != 1 {
+	if ps := s.Mark(Dirty); ps.PagesScanned != 1 {
 		t.Fatalf("re-scan read %d pages, want 1", ps.PagesScanned)
 	}
 	if !marks.Test(target) {
@@ -210,10 +210,10 @@ func TestMarkAllClearUnderStores(t *testing.T) {
 				}
 			}(int64(round*2 + w))
 		}
-		s.MarkAllClearStats()
+		s.Mark(FullTake)
 		stop.Store(true)
 		wg.Wait()
-		s.MarkDirtyStats()
+		s.Mark(Dirty)
 		for i := 0; i < pages*slots; i++ {
 			v, err := as.Load64(slot(i))
 			if err != nil {

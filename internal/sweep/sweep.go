@@ -5,12 +5,13 @@
 // the scan is a single linear pass; zero-on-free (performed by the core
 // layer) is what makes that sufficient.
 //
-// Work is divided among a main sweeper and a configurable number of helpers
-// (6 by default, as in the paper), each taking fixed-size page chunks from a
-// striped work queue: every worker drains its own contiguous range of chunks
-// and steals from the others' ranges once its own runs dry, so large regions
-// do not serialise all workers on one shared ticket counter. The chunk queue
-// and stripe descriptors are reused across sweeps.
+// Sweep work is divided among a main sweeper and a configurable number of
+// helpers (6 by default, as in the paper). Parallel is the one fork-join
+// that does it, for the marking passes here and for the core layer's
+// recycle: the caller plus up to workers-1 goroutines started for the call,
+// each draining its own contiguous stripe of the items and then stealing
+// from the others' stripes, so a descheduled worker does not hold up the
+// rest. The marking passes cut memory into fixed-size page chunks as items.
 //
 // The per-chunk hot loop is deliberately lean: mem.Region.ScanPageWords
 // yields each page's backing as a plain []uint64 under the page lock (one
@@ -25,22 +26,23 @@
 // and pages its previous read found free of heap-range words and that no
 // store has touched since (pointer-free).
 //
-// Three passes read pages, all through the one primitive
-// mem.Region.ScanPageWords. MarkAll is the concurrent full pass; it sets the
-// primitive's flag, so a page it reads and finds free of heap-range words is
-// flagged pointer-free for the next pass (SetKnownZeroSkip(false) turns the
-// flag off with the skips). The mostly-concurrent mode then tracks the pages
-// written since ClearSoftDirty through the simulated soft-dirty page bits,
-// standing in for Linux's soft-dirty PTEs (§4.3). Its full pass is
-// MarkAllClearStats, which takes the dirty bit of each page just before
-// reading it, so a page stays dirty only if a store landed after the pass
-// read it or the pass skipped it. MarkDirtyClearStats is a concurrent
-// pre-clean round that test-and-clears each dirty page and scans it, and
-// MarkDirty is the brief stop-the-world re-scan of the pages still dirty.
-// These two scan without the flag.
+// Mark runs one marking pass of four kinds (Pass), all reading pages
+// through the one primitive mem.Region.ScanPageWords. Full is the
+// concurrent full pass; it sets the primitive's flag, so a page it reads
+// and finds free of heap-range words is flagged pointer-free for the next
+// pass (SetKnownZeroSkip(false) turns the flag off with the skips). The
+// mostly-concurrent mode then tracks the pages written since ClearSoftDirty
+// through the simulated soft-dirty page bits, standing in for Linux's
+// soft-dirty PTEs (§4.3). Its full pass is FullTake, which takes the dirty
+// bit of each page just before reading it, so a page stays dirty only if a
+// store landed after the pass read it or the pass skipped it. DirtyTake is
+// a concurrent pre-clean round that test-and-clears each dirty page and
+// scans it, and Dirty is the brief stop-the-world re-scan of the pages
+// still dirty. These two scan without the flag.
 package sweep
 
 import (
+	"iter"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -75,13 +77,12 @@ type Sweeper struct {
 	// between passes (SetHelpers); each pass reads it once at start.
 	helpers atomic.Int32
 
-	// runMu serialises passes so the work queue and stripe descriptors can
-	// be reused across sweeps without reallocation. Sweeps are already
-	// serialised by the core layer's sweep lock; this keeps the Sweeper
-	// safe on its own.
+	// runMu serialises marking passes so the chunk queue and the
+	// dirtied-region snapshot can be reused across sweeps without
+	// reallocation. Sweeps are already serialised by the core layer's sweep
+	// lock; this keeps the Sweeper safe on its own.
 	runMu     sync.Mutex
 	chunks    []chunk       // reusable work queue, valid only during a pass
-	stripes   []stripe      // reusable per-worker ticket ranges
 	dirtyRegs []*mem.Region // reusable dirtied-region snapshot (dirty passes)
 
 	// kzSkipOff disables the known-zero and pointer-free page skips
@@ -98,8 +99,8 @@ type Sweeper struct {
 }
 
 // PassStats describes one marking pass: how much was scanned, how much of it
-// the zero-skip compare short-circuited, and the parallelism that did the
-// work. The telemetry layer folds one into each per-sweep record.
+// the zero-skip compare short-circuited, and what the page skips dismissed.
+// The core layer folds one into each per-sweep record.
 type PassStats struct {
 	// BytesScanned and PagesScanned cover resident pages examined.
 	BytesScanned uint64
@@ -119,8 +120,6 @@ type PassStats struct {
 	// has landed since. Disjoint from KnownZeroPages (a page that is both
 	// counts as known-zero) and, like it, not in PagesScanned/BytesScanned.
 	PtrFreePages uint64
-	// Workers is the number of workers that ran the pass.
-	Workers int
 	// ElapsedNanos is the pass's wall time.
 	ElapsedNanos int64
 }
@@ -162,24 +161,54 @@ func (s *Sweeper) SetHelpers(helpers int) {
 // Workers returns the effective sweep worker count (main + helpers).
 func (s *Sweeper) Workers() int { return int(s.helpers.Load()) + 1 }
 
-// chunk is one unit of scanning work.
+// Pass is the kind of a marking pass: which pages it visits, and whether it
+// takes each visited page's soft-dirty bit (TestClearPageDirty) just before
+// reading it. Pages re-dirtied after a take are caught by the next pre-clean
+// round or the final stop-the-world Dirty pass.
+type Pass uint8
+
+const (
+	// Full reads every sweepable page except those the known-zero and
+	// pointer-free skips dismiss, and flags the pages it reads pointer-free
+	// when they hold no heap-range word: the pass of the fully-concurrent
+	// and synchronous modes. It runs concurrently with mutators (their
+	// stores are atomic, as are its loads).
+	Full Pass = iota
+	// FullTake is Full taking, just before it reads a page, that page's
+	// soft-dirty bit — the full pass of the mostly-concurrent mode, after
+	// ClearSoftDirty. A page the pass reads stays clean unless a store lands
+	// after the take, so the pre-clean rounds and the stop-the-world re-scan
+	// behind it visit only pages written during the pass and pages it
+	// skipped.
+	FullTake
+	// Dirty re-scans only pages whose soft-dirty bit is set and leaves the
+	// bits set; the next sweep's ClearSoftDirty resets them. The caller
+	// stops the world around it: the mostly-concurrent mode's re-scan.
+	Dirty
+	// DirtyTake scans the pages whose soft-dirty bit is set, taking each bit
+	// as it goes — a concurrent pre-clean round. It runs WITHOUT stopping
+	// the world: the store() ordering contract in mem guarantees every write
+	// whose dirty bit the pass took is observed by the scan, and writes
+	// landing after the take re-dirty their page for the next round or the
+	// final stop-the-world re-scan. Each round thus shrinks the dirty set the
+	// stop-the-world window must visit to the pages written during the round.
+	DirtyTake
+)
+
+func (p Pass) dirty() bool { return p >= Dirty }
+func (p Pass) take() bool  { return p == FullTake || p == DirtyTake }
+
+// chunk is one unit of scanning work: pages [pageFirst, pageAfter) of r.
 type chunk struct {
 	r         *mem.Region
 	pageFirst int
 	pageAfter int
-	dirtyOnly bool
-	// clearDirty makes the chunk consume the dirty bit of each page it reads,
-	// just before the read (TestClearPageDirty): the concurrent pre-clean
-	// rounds of the pipelined sweep, and its full pass. Pages re-dirtied after
-	// the test-and-clear are caught by the next round or the final STW
-	// MarkDirty pass.
-	clearDirty bool
 }
 
-// stripe is one worker's contiguous range of the chunk queue. The owner and
-// any thieves claim chunks through the same atomic ticket, so stealing needs
-// no extra synchronisation; the padding keeps each ticket on its own cache
-// line so workers do not false-share their counters.
+// stripe is one worker's contiguous range of a Parallel call's items. The
+// owner and any thieves claim items through the same atomic ticket, so
+// stealing needs no extra synchronisation; the padding keeps each ticket on
+// its own cache line so workers do not false-share their counters.
 type stripe struct {
 	next atomic.Int64
 	end  int64
@@ -188,7 +217,7 @@ type stripe struct {
 
 // collectChunks slices sweepable regions into page chunks, reusing the
 // queue's backing array from the previous pass. Full passes cover every
-// region. Dirty-only passes iterate just the space's dirtied-region list —
+// region. Dirty passes iterate just the space's dirtied-region list —
 // never the full region set, whose sorted snapshot can reach tens of
 // thousands of extent-granular entries and is rebuilt on demand, neither of
 // which belongs inside a stop-the-world window — and consult each region's
@@ -196,7 +225,7 @@ type stripe struct {
 // (possibly stale) summary bit set. This is what keeps the stop-the-world
 // re-scan's cost proportional to the mutators' write rate rather than heap
 // size. Caller holds runMu.
-func (s *Sweeper) collectChunks(dirtyOnly, clearDirty bool) []chunk {
+func (s *Sweeper) collectChunks(dirtyOnly bool) []chunk {
 	chunks := s.chunks[:0]
 	var regs []*mem.Region
 	if dirtyOnly {
@@ -220,7 +249,7 @@ func (s *Sweeper) collectChunks(dirtyOnly, clearDirty bool) []chunk {
 			if dirtyOnly && !anyDirtySummary(r, p, end) {
 				continue
 			}
-			chunks = append(chunks, chunk{r: r, pageFirst: p, pageAfter: end, dirtyOnly: dirtyOnly, clearDirty: clearDirty})
+			chunks = append(chunks, chunk{r: r, pageFirst: p, pageAfter: end})
 		}
 	}
 	s.chunks = chunks
@@ -328,30 +357,40 @@ type tally struct {
 // adding bytes and pages scanned, pages skipped via the known-zero and
 // pointer-free bits, and bytes skipped as zero groups to t.
 //
-// Before the 8-wide word loop ever runs, whole pages are dismissed through
-// the skip bits: one summary-word load probes 64 pages, and each candidate
-// is confirmed against the per-page bits (the truth — the summary is a hint
-// in both directions). A skipped page generates zero memory traffic. A page
-// is skipped if it is known-zero, or pointer-free: the last full pass read
-// it and found no heap-range word. Safety: both bits are retired by the same
-// post-store CAS that sets the page's dirty bit, so skipping on a bit the
-// scan observed set is indistinguishable from having read the page just
-// before any concurrent store — which the concurrent-mark mode already
-// permits — while in mostly-concurrent mode the store's dirty bit routes
-// the page to the stop-the-world re-scan, which never consults either bit.
-// Every page this pass does read is flagged pointer-free for the next pass
-// if the read finds no heap-range word (mem.Region.ScanPageWords with its
-// flag set). With clearDirty (the mostly-concurrent full pass) each page the
-// probes did not skip has its dirty bit taken before the read, on the
-// pre-clean's terms: a store sets the bit after its word lands, so a bit
-// taken here was set before a read that sees the word, and a bit set after
-// the take survives for the pre-clean and the re-scan. Skipped pages keep
-// their bit.
-func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker, t *tally) {
-	if c.dirtyOnly {
-		s.scanDirtyChunk(c, mk, t)
-		return
-	}
+// Each 64-page word of the chunk yields the pages to visit: every page on a
+// full pass, the pages with a set dirty summary bit on a dirty pass, so a
+// chunk that survived collectChunks on one stale bit costs a few word loads,
+// not 256 page-state checks. A DirtyTake pass takes each summary word before
+// its page bits — see mem.Region.TakeDirtySummaryWord for why that order
+// loses no writes — so each round also re-tightens the summary for the
+// rounds and the final stop-the-world pass behind it. The per-page dirty bit
+// stays the source of truth: a summary bit whose page bit is clear (stranded
+// by a bulk state rewrite or an earlier take) is simply skipped.
+//
+// On a full pass, before the 8-wide word loop ever runs, whole pages are
+// dismissed through the skip bits: one summary-word load probes 64 pages,
+// and each candidate is confirmed against the per-page bits (the truth — the
+// summary is a hint in both directions). A skipped page generates zero
+// memory traffic. A page is skipped if it is known-zero, or pointer-free:
+// the last full pass read it and found no heap-range word. Safety: both bits
+// are retired by the same post-store CAS that sets the page's dirty bit, so
+// skipping on a bit the scan observed set is indistinguishable from having
+// read the page just before any concurrent store — which the concurrent-mark
+// mode already permits — while in mostly-concurrent mode the store's dirty
+// bit routes the page to the stop-the-world re-scan, which never consults
+// either bit. Every page a full pass does read is flagged pointer-free for
+// the next pass if the read finds no heap-range word
+// (mem.Region.ScanPageWords with its flag set). FullTake takes the dirty bit
+// of each page the probes did not skip before the read, on the pre-clean's
+// terms: a store sets the bit after its word lands, so a bit taken here was
+// set before a read that sees the word, and a bit set after the take
+// survives for the pre-clean and the re-scan. Skipped pages keep their bit.
+//
+// Dirty passes read every page they visit and never flag one — a dirty page
+// cannot be known-zero (the store CAS clears one bit as it sets the other),
+// and the stop-the-world correctness argument depends on the re-scan never
+// trusting either skip bit.
+func (s *Sweeper) scanChunk(c chunk, p Pass, mk *shadow.Marker, t *tally) {
 	r := c.r
 	var zeroWords int
 	scan := func(words []uint64) int {
@@ -359,37 +398,50 @@ func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker, t *tally) {
 		zeroWords += z
 		return hits
 	}
-	skip := !s.kzSkipOff.Load()
+	full, take := !p.dirty(), p.take()
+	skip := full && !s.kzSkipOff.Load()
+	// Chunks start on a 64-page boundary, so only the last word of a region
+	// needs its pages past pageAfter masked off.
 	for w, wEnd := c.pageFirst>>6, (c.pageAfter+63)>>6; w < wEnd; w++ {
-		var sum uint64
-		if skip {
-			sum = r.KnownZeroSummaryWord(w)
+		var visit, sum uint64
+		switch {
+		case full:
+			visit = ^uint64(0)
+			if skip {
+				sum = r.KnownZeroSummaryWord(w)
+			}
+		case take:
+			visit = r.TakeDirtySummaryWord(w)
+		default:
+			visit = r.DirtySummaryWord(w)
 		}
-		p, pEnd := w<<6, (w+1)<<6
-		if p < c.pageFirst {
-			p = c.pageFirst
+		if n := c.pageAfter - w<<6; n < 64 {
+			visit &= 1<<uint(n) - 1
 		}
-		if pEnd > c.pageAfter {
-			pEnd = c.pageAfter
-		}
-		for ; p < pEnd; p++ {
-			if sum&(1<<uint(p&63)) != 0 {
-				if r.PageKnownZero(p) {
+		for ; visit != 0; visit &= visit - 1 {
+			b := bits.TrailingZeros64(visit)
+			pg := w<<6 + b
+			if sum&(1<<uint(b)) != 0 {
+				if r.PageKnownZero(pg) {
 					t.kzPages++
 					continue
 				}
-				if r.PagePtrFree(p) {
+				if r.PagePtrFree(pg) {
 					t.pfPages++
 					continue
 				}
 			}
-			if c.clearDirty {
-				r.TestClearPageDirty(p)
+			if take {
+				if !r.TestClearPageDirty(pg) && !full {
+					continue
+				}
+			} else if !full && !r.PageDirty(pg) {
+				continue
 			}
 			// The page lock (taken inside the scan primitive) orders this
 			// scan against bulk zeroing (free, decommit) so the sweeper
 			// never reads half-zeroed memory.
-			if r.ScanPageWords(p, skip, scan) {
+			if r.ScanPageWords(pg, skip, scan) {
 				t.scanned += mem.PageSize
 				t.pages++
 			}
@@ -398,100 +450,90 @@ func (s *Sweeper) scanChunk(c chunk, mk *shadow.Marker, t *tally) {
 	t.zeroBytes += uint64(zeroWords) * 8
 }
 
-// scanDirtyChunk is scanChunk for dirty-only passes: it walks the chunk's
-// dirty summary words and visits only pages with a set summary bit, so a
-// chunk that survived collectChunks on one stale bit costs a few word loads,
-// not 256 page-state checks. The per-page dirty bit stays the source of
-// truth: a summary bit whose page bit is clear (stranded by a bulk state
-// rewrite or an earlier test-and-clear) is simply skipped. Pre-clean rounds
-// (clearDirty) take each summary word before consuming its page bits — see
-// mem.Region.TakeDirtySummaryWord for why that order loses no writes — so
-// each round also re-tightens the summary for the rounds and the final
-// stop-the-world pass behind it.
-// Dirty pages are re-scanned unconditionally and never flagged — a dirty
-// page cannot be known-zero (the store CAS clears one bit as it sets the
-// other), and the stop-the-world correctness argument depends on the
-// re-scan never trusting either skip bit.
-func (s *Sweeper) scanDirtyChunk(c chunk, mk *shadow.Marker, t *tally) {
-	r := c.r
-	var zeroWords int
-	scan := func(words []uint64) int {
-		z, hits := scanPageWords(words, mk)
-		zeroWords += z
-		return hits
+// Parallel is the sweep's one fork-join. It runs body(w, items) once on
+// each of up to workers workers — the caller as worker 0, plus goroutines
+// started for this call — where items yields indices in [0, n). Every
+// index is yielded to exactly one worker. Each worker claims its own
+// contiguous stripe of the indices in order first, then steals from the
+// other stripes round-robin, so a worker that was descheduled mid-stripe has
+// its remaining items finished by the others. With one worker every index
+// arrives in order on the caller's goroutine. Parallel returns once every
+// body has returned, and charges its elapsed time to the busy meter (see
+// busyShare); it returns that elapsed time. Per-worker state belongs in
+// body, on the worker's own goroutine.
+func (s *Sweeper) Parallel(workers, n int, body func(w int, items iter.Seq[int])) time.Duration {
+	if n <= 0 {
+		return 0
 	}
-	for w, wEnd := c.pageFirst>>6, (c.pageAfter+63)>>6; w < wEnd; w++ {
-		var sum uint64
-		if c.clearDirty {
-			sum = r.TakeDirtySummaryWord(w)
-		} else {
-			sum = r.DirtySummaryWord(w)
-		}
-		for sum != 0 {
-			b := bits.TrailingZeros64(sum)
-			sum &= sum - 1
-			p := w<<6 + b
-			if p >= c.pageAfter {
-				break
-			}
-			if c.clearDirty {
-				if !r.TestClearPageDirty(p) {
-					continue
-				}
-			} else if !r.PageDirty(p) {
-				continue
-			}
-			if r.ScanPageWords(p, false, scan) {
-				t.scanned += mem.PageSize
-				t.pages++
-			}
-		}
-	}
-	t.zeroBytes += uint64(zeroWords) * 8
-}
-
-// run executes all chunks across the main goroutine plus helpers, returning
-// total bytes scanned. Each worker drains its own stripe of the queue, then
-// steals from the next stripes round-robin. Busy time is accounted as
-// phase-elapsed time times the worker parallelism actually available, so an
-// oversubscribed host does not inflate the CPU-utilisation meter with
-// scheduler preemption. Caller holds runMu.
-func (s *Sweeper) run(chunks []chunk) PassStats {
-	if len(chunks) == 0 {
-		return PassStats{Workers: 1}
-	}
-	workers := s.Workers()
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	if cap(s.stripes) < workers {
-		s.stripes = make([]stripe, workers)
-	}
-	stripes := s.stripes[:workers]
-	per, rem := len(chunks)/workers, len(chunks)%workers
+	workers = max(1, min(workers, n))
+	stripes := make([]stripe, workers)
+	per, rem := n/workers, n%workers
 	lo := 0
 	for i := range stripes {
-		n := per
+		k := per
 		if i < rem {
-			n++
+			k++
 		}
 		stripes[i].next.Store(int64(lo))
-		stripes[i].end = int64(lo + n)
-		lo += n
+		stripes[i].end = int64(lo + k)
+		lo += k
 	}
+	items := func(w int) iter.Seq[int] {
+		return func(yield func(int) bool) {
+			for off := range stripes {
+				st := &stripes[(w+off)%workers]
+				for i := st.next.Add(1) - 1; i < st.end; i = st.next.Add(1) - 1 {
+					if !yield(int(i)) {
+						return
+					}
+				}
+			}
+		}
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(w, items(w))
+		}()
+	}
+	body(0, items(0))
+	wg.Wait()
+	elapsed := time.Since(start)
+	s.busyNanos.Add(int64(busyShare(elapsed, workers)))
+	return elapsed
+}
+
+// busyShare estimates the CPU time a background phase of the given worker
+// count actually consumed during an elapsed interval. With spare cores the
+// workers own their cores and busy = elapsed x workers. On a fully
+// oversubscribed host (GOMAXPROCS 1) the scheduler time-slices the phase
+// against the mutators, so roughly half the elapsed interval belongs to the
+// background work; counting all of it would both overstate CPU utilisation
+// (Figure 12) and over-credit the adjusted wall time.
+func busyShare(elapsed time.Duration, workers int) time.Duration {
+	procs := runtime.GOMAXPROCS(0) // read once: clamp and halving must agree
+	busy := elapsed * time.Duration(min(workers, procs))
+	if procs <= 1 {
+		busy /= 2
+	}
+	return busy
+}
+
+// Mark runs one marking pass of kind p over the main sweeper and its
+// helpers (Parallel over the pass's page chunks) and returns its figures.
+func (s *Sweeper) Mark(p Pass) PassStats {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	chunks := s.collectChunks(p.dirty())
 	var total, totalPages, totalZero, totalKZ, totalPF atomic.Uint64
-	worker := func(id int) {
+	elapsed := s.Parallel(s.Workers(), len(chunks), func(_ int, items iter.Seq[int]) {
 		mk := s.marks.NewMarker()
 		var t tally
-		for off := 0; off < len(stripes); off++ {
-			st := &stripes[(id+off)%len(stripes)]
-			for {
-				i := st.next.Add(1) - 1
-				if i >= st.end {
-					break
-				}
-				s.scanChunk(chunks[i], mk, &t)
-			}
+		for i := range items {
+			s.scanChunk(chunks[i], p, mk, &t)
 		}
 		mk.Flush()
 		total.Add(t.scanned)
@@ -499,27 +541,13 @@ func (s *Sweeper) run(chunks []chunk) PassStats {
 		totalZero.Add(t.zeroBytes)
 		totalKZ.Add(uint64(t.kzPages))
 		totalPF.Add(uint64(t.pfPages))
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 1; i < workers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			worker(id)
-		}(i)
-	}
-	worker(0)
-	wg.Wait()
-	elapsed := time.Since(start)
-	s.busyNanos.Add(int64(BusyShare(elapsed, workers)))
+	})
 	ps := PassStats{
 		BytesScanned:     total.Load(),
 		PagesScanned:     totalPages.Load(),
 		ZeroSkippedBytes: totalZero.Load(),
 		KnownZeroPages:   totalKZ.Load(),
 		PtrFreePages:     totalPF.Load(),
-		Workers:          workers,
 		ElapsedNanos:     elapsed.Nanoseconds(),
 	}
 	s.bytesSwept.Add(ps.BytesScanned)
@@ -528,78 +556,6 @@ func (s *Sweeper) run(chunks []chunk) PassStats {
 	s.kzSkipped.Add(ps.KnownZeroPages)
 	s.pfSkipped.Add(ps.PtrFreePages)
 	return ps
-}
-
-// BusyShare estimates the CPU time a background phase of the given worker
-// count actually consumed during an elapsed interval. With spare cores the
-// workers own their cores and busy = elapsed x workers. On a fully
-// oversubscribed host (GOMAXPROCS 1) the scheduler time-slices the phase
-// against the mutators, so roughly half the elapsed interval belongs to the
-// background work; counting all of it would both overstate CPU utilisation
-// (Figure 12) and over-credit the adjusted wall time.
-func BusyShare(elapsed time.Duration, workers int) time.Duration {
-	procs := runtime.GOMAXPROCS(0) // read once: clamp and halving must agree
-	par := workers
-	if par > procs {
-		par = procs
-	}
-	busy := elapsed * time.Duration(par)
-	if procs <= 1 {
-		busy /= 2
-	}
-	return busy
-}
-
-// MarkAll performs the full linear pass over all sweepable memory, marking
-// every word that could be a heap pointer. It runs concurrently with
-// mutators (their stores are atomic, as are our loads) and returns the
-// number of bytes scanned.
-func (s *Sweeper) MarkAll() uint64 { return s.MarkAllStats().BytesScanned }
-
-// MarkAllStats is MarkAll returning the full pass statistics for the
-// telemetry layer's per-sweep records.
-func (s *Sweeper) MarkAllStats() PassStats {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	return s.run(s.collectChunks(false, false))
-}
-
-// MarkAllClearStats is MarkAllStats consuming, just before it reads a page,
-// that page's soft-dirty bit — the full pass of the mostly-concurrent mode,
-// after ClearSoftDirty. A page the pass reads stays clean unless a store
-// lands after the take, so the pre-clean rounds and the stop-the-world
-// re-scan behind it visit only pages written during the pass and pages it
-// skipped.
-func (s *Sweeper) MarkAllClearStats() PassStats {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	return s.run(s.collectChunks(false, true))
-}
-
-// MarkDirty re-scans only pages whose soft-dirty bit is set. The caller is
-// expected to have cleared soft-dirty bits before MarkAll and stopped the
-// world around this call (mostly-concurrent mode). Dirty bits are left set;
-// the next sweep's ClearSoftDirty resets them.
-func (s *Sweeper) MarkDirty() uint64 { return s.MarkDirtyStats().BytesScanned }
-
-// MarkDirtyStats is MarkDirty returning the full pass statistics.
-func (s *Sweeper) MarkDirtyStats() PassStats {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	return s.run(s.collectChunks(true, false))
-}
-
-// MarkDirtyClearStats scans pages whose soft-dirty bit is set, consuming the
-// bit as it goes — a concurrent pre-clean round. It runs WITHOUT stopping the
-// world: the store() ordering contract in mem guarantees every write whose
-// dirty bit this pass consumed is observed by the scan, and writes landing
-// after the test-and-clear re-dirty their page for the next round or the
-// final STW re-scan. Each round thus shrinks the dirty set the STW window
-// must visit to the pages written during the round itself.
-func (s *Sweeper) MarkDirtyClearStats() PassStats {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	return s.run(s.collectChunks(true, true))
 }
 
 // BytesSwept returns the cumulative bytes scanned across all passes.
@@ -630,7 +586,3 @@ func (s *Sweeper) SetKnownZeroSkip(on bool) { s.kzSkipOff.Store(!on) }
 // BusyTime returns cumulative worker busy time — the additional CPU usage
 // the paper reports in Figure 12.
 func (s *Sweeper) BusyTime() time.Duration { return time.Duration(s.busyNanos.Load()) }
-
-// AddBusyTime accounts extra sweeper-thread work (e.g. the recycle phase)
-// into the CPU usage meter.
-func (s *Sweeper) AddBusyTime(d time.Duration) { s.busyNanos.Add(int64(d)) }

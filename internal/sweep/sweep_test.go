@@ -48,7 +48,7 @@ func TestMarkAllFindsPointers(t *testing.T) {
 	// This test asserts full-coverage byte accounting; disable the known-zero
 	// page skip so untouched pages still count as scanned.
 	s.SetKnownZeroSkip(false)
-	swept := s.MarkAll()
+	swept := s.Mark(Full).BytesScanned
 	if want := uint64(6 * mem.PageSize); swept != want {
 		t.Errorf("bytes swept = %d, want %d", swept, want)
 	}
@@ -77,7 +77,7 @@ func TestFalsePointerIsMarked(t *testing.T) {
 	if err := as.Store64(heap.Base()+0x200, falsePtr); err != nil {
 		t.Fatal(err)
 	}
-	s.MarkAll()
+	s.Mark(Full)
 	if !marks.Test(falsePtr) {
 		t.Error("false pointer not conservatively marked")
 	}
@@ -101,7 +101,7 @@ func TestNonResidentPagesSkipped(t *testing.T) {
 	if err := as.Decommit(heap.Base()+2*mem.PageSize, mem.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	swept := s.MarkAll()
+	swept := s.Mark(Full).BytesScanned
 	if want := uint64(3 * mem.PageSize); swept != want {
 		t.Errorf("bytes swept = %d, want %d (one page decommitted)", swept, want)
 	}
@@ -120,7 +120,7 @@ func TestProtectedPagesSkipped(t *testing.T) {
 	if err := as.Protect(heap.Base()+mem.PageSize, mem.PageSize, mem.ProtNone); err != nil {
 		t.Fatal(err)
 	}
-	s.MarkAll()
+	s.Mark(Full)
 	if marks.Test(target) {
 		t.Error("pointer on PROT_NONE page was marked")
 	}
@@ -143,7 +143,7 @@ func TestMarkDirtyOnlyScansDirtyPages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	swept := s.MarkDirty()
+	swept := s.Mark(Dirty).BytesScanned
 	if want := uint64(mem.PageSize); swept != want {
 		t.Errorf("dirty bytes swept = %d, want %d", swept, want)
 	}
@@ -177,11 +177,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 	asA, targetsA := build()
 	marksA, _ := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
-	New(asA, marksA, 0).MarkAll()
+	New(asA, marksA, 0).Mark(Full)
 
 	asB, _ := build()
 	marksB, _ := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
-	New(asB, marksB, 7).MarkAll()
+	New(asB, marksB, 7).Mark(Full)
 	_ = asB
 
 	if a, b := marksA.PopCount(), marksB.PopCount(); a != b {
@@ -196,7 +196,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestEmptySpace(t *testing.T) {
 	_, _, s := setup(t, 4)
-	if n := s.MarkAll(); n != 0 {
+	if n := s.Mark(Full).BytesScanned; n != 0 {
 		t.Errorf("MarkAll on empty space = %d, want 0", n)
 	}
 }
@@ -217,7 +217,7 @@ func TestConcurrentMutatorDuringSweep(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 5; i++ {
-		s.MarkAll()
+		s.Mark(Full)
 	}
 	<-done
 }
@@ -236,7 +236,7 @@ func BenchmarkMarkAll64MiB(b *testing.B) {
 	b.SetBytes(64 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MarkAll()
+		s.Mark(Full)
 		marks.ClearAll()
 	}
 }
