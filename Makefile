@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all help build vet test race race-hot check bench bench-free bench-json bench-gate bench-all telemetry-overhead events-overhead governor-overhead governor-gate pause-gate fleet-gate flightrec-smoke figures examples clean
+.PHONY: all help build vet test race race-hot check bench bench-free bench-json bench-gate bench-all telemetry-overhead events-overhead governor-overhead governor-gate pause-gate flightrec-smoke figures examples clean
 
 all: build vet test
 
@@ -11,13 +11,13 @@ help:
 	@echo "MineSweeper reproduction targets:"
 	@echo "  all        build + vet + test"
 	@echo "  vet        go vet + gofmt -l (fails when any file needs formatting)"
-	@echo "  check      go vet + gofmt + go test (root and bench/) + race-hot + events-overhead + flightrec-smoke + fleet-gate"
+	@echo "  check      go vet + gofmt + go test (root and bench/) + race-hot + events-overhead + flightrec-smoke"
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on the facade (every scheme via NewProcess) and the sweep, quarantine, allocator (jemalloc, dlmalloc, Scudo), telemetry, UAF, scheme and MarkUs packages"
 	@echo "  bench      sweep and page-state hot-path benchmarks (bulk scan, steady-state skip, markers, page scan, store with and without the clean->dirty step, page zeroing)"
 	@echo "  bench-free malloc/free, page-table Lookup and quarantine drain/release hot-path benchmarks (fixed-iteration protocol)"
-	@echo "  bench-json bench-free + sweep-release + fleet runs -> BENCH_free.json, BENCH_sweep.json, BENCH_fleet.json"
+	@echo "  bench-json bench-free + sweep-release runs -> BENCH_free.json, BENCH_sweep.json"
 	@echo "  bench-gate gate: fresh MallocFree64 + SweepRelease medians within BENCH_GATE_RATIO of their BENCH_*.json"
 	@echo "  bench-all  every benchmark in the repository"
 	@echo "  telemetry-overhead  gate: telemetry-on malloc/free within 3% of telemetry-off"
@@ -26,7 +26,6 @@ help:
 	@echo "  governor-overhead   gate: governed malloc/free within 3% of ungoverned"
 	@echo "  governor-gate       gate: governed peak RSS stays within budget+10% on the pressure ramp"
 	@echo "  pause-gate          gate: p99.9 STW pause on pressure-mt under MS_PAUSE_BOUND_NS (default 2^19 ns)"
-	@echo "  fleet-gate          gate: 256-tenant fleet under 75% budget holds peak RSS <= budget+10%, floors honoured"
 	@echo "  figures    regenerate the paper figures (cmd/msbench)"
 	@echo "  examples   run the example programs"
 
@@ -54,19 +53,16 @@ race:
 # workers reach through FreeBatchSerial — much faster than a full
 # `make race` and the first thing to run after touching the sweep path.
 race-hot:
-	$(GO) test -race . ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/ring ./internal/workload ./internal/fleet ./internal/uaf ./internal/schemes ./internal/markus ./internal/dlmalloc ./internal/scudo
+	$(GO) test -race . ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/ring ./internal/workload ./internal/uaf ./internal/schemes ./internal/markus ./internal/dlmalloc ./internal/scudo
 
 # The pre-merge gate: static checks, a vet and test pass over the benchmark
 # (bench/ is its own module, so `./...` never compiles it, yet it builds
 # against the core, telemetry and control APIs), the full test suite, the
-# hot-path race
-# pass, the events-overhead gate (the flight recorder is always-attachable,
-# so its hot-path cost is a merge-blocking property like the race freedom of
-# the paths it instruments), the flight-recorder smoke (every timed site in
-# core emits through the one recorder, so a real run must still produce a
-# dump msstat decodes and exports), then the fleet gate (the federated
-# governor's budget bound is likewise a merge-blocking property of the
-# two-level control plane).
+# hot-path race pass, the events-overhead gate (the flight recorder is
+# always-attachable, so its hot-path cost is a merge-blocking property like
+# the race freedom of the paths it instruments), then the flight-recorder
+# smoke (every timed site in core emits through the one recorder, so a real
+# run must still produce a dump msstat decodes and exports).
 check: vet
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
@@ -74,7 +70,6 @@ check: vet
 	$(MAKE) race-hot
 	$(MAKE) events-overhead
 	$(MAKE) flightrec-smoke
-	$(MAKE) fleet-gate
 
 # One-command perf baseline for the sweep hot path: the bulk-scan vs per-word
 # sweep comparison, the steady-state pass with and without the page skips,
@@ -108,14 +103,13 @@ bench-json:
 		| $(GO) run ./cmd/benchjson > BENCH_free.json
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepRelease' -count=5 ./internal/core \
 		| $(GO) run ./cmd/benchjson > BENCH_sweep.json
-	$(GO) test -run '^$$' -bench 'BenchmarkFleet64Tenants' -benchtime=50x -count=5 ./internal/fleet \
-		| $(GO) run ./cmd/benchjson > BENCH_fleet.json
 
-# Benchmark regression gate: re-run the malloc/free comparison at the recorded
-# protocol and fail if any benchmark's fresh median exceeds its committed
-# BENCH_free.json median by more than BENCH_GATE_RATIO. The default envelope
-# is wide (1.5x) because the committed medians are window-scoped: on this
-# shared-tenancy 1-CPU host, identical binaries drift ±25-30% between
+# Benchmark regression gate: re-run the malloc/free comparison and the
+# post-sweep release path at the recorded protocol and fail if any
+# benchmark's fresh median exceeds its committed BENCH_free.json or
+# BENCH_sweep.json median by more than BENCH_GATE_RATIO. The default envelope
+# is wide (1.5x) because the committed medians are window-scoped: on a
+# shared-tenancy 2-CPU host, identical binaries drift ±25-30% between
 # windows (EXPERIMENTS.md "Per-thread quarantine rings" records the
 # measurement), so a 1.10 gate would flag weather, not regressions. On a
 # quiet dedicated host tighten it: make bench-gate BENCH_GATE_RATIO=1.10.
@@ -125,8 +119,6 @@ bench-gate:
 		| $(GO) run ./cmd/benchjson -baseline BENCH_free.json -match MallocFree64 -max-ratio $(BENCH_GATE_RATIO)
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepRelease' -count=5 ./internal/core \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_sweep.json -match SweepRelease -max-ratio $(BENCH_GATE_RATIO)
-	$(GO) test -run '^$$' -bench 'BenchmarkFleet64Tenants' -benchtime=50x -count=5 ./internal/fleet \
-		| $(GO) run ./cmd/benchjson -baseline BENCH_fleet.json -match Fleet64Tenants -max-ratio $(BENCH_GATE_RATIO)
 
 # The overhead gates: rows of TestOverheadGates (overhead_gate_test.go), one
 # interleaved-chunk A/B floor estimator shared by all of them. Each row keeps
@@ -169,15 +161,6 @@ MS_PAUSE_BOUND_NS ?= 524288
 pause-gate:
 	MS_PAUSE_GATE=1 MS_PAUSE_BOUND_NS=$(MS_PAUSE_BOUND_NS) $(GO) test -run '^TestPauseTailBound$$' -count=1 -v ./internal/workload
 
-# Fleet acceptance gate: run a 256-tenant fleet twice — unbounded to
-# calibrate its natural peak footprint, then under 75% of that peak — and
-# require the governed host peak RSS to stay within budget+10% while every
-# tenant keeps its guaranteed floor and no priority-0 tenant's p99.9 pause
-# leaves the pause-gate envelope (2^19 ns). The acceptance experiment for
-# the federated (host + tenant) governor.
-fleet-gate:
-	MS_FLEET_GATE=1 $(GO) test -run '^TestFleetGate$$' -count=1 -v -timeout 600s ./internal/fleet
-
 # Flight-recorder smoke: run the pressure ramp under a budget tight enough to
 # drive the governor critical, require an anomaly-triggered dump (not the
 # end-of-run fallback capture), then require msstat to parse the dump,
@@ -211,7 +194,6 @@ examples:
 	$(GO) run ./examples/telemetry
 	$(GO) run ./examples/governor
 	$(GO) run ./examples/flightrec
-	$(GO) run ./examples/fleet
 
 clean:
 	$(GO) clean ./...

@@ -10,7 +10,7 @@
 //	msstat -diff old.json new.json  # delta between two snapshots of one run
 //	msstat -events flight.msev [-chrome trace.json]   # render a flight dump
 //	msstat -watch -addr :8844 [-interval 500ms] [-count 10]  # live view
-//	msstat -watch -addr :8844 -addr :8845     # tail several tenants side by side
+//	msstat -watch -addr :8844 -addr :8845     # tail several processes side by side
 package main
 
 import (
@@ -35,7 +35,7 @@ func main() {
 	chromeOut := flag.String("chrome", "", "with -events: also convert the dump to Chrome trace-event JSON at this path (chrome://tracing, Perfetto)")
 	watch := flag.Bool("watch", false, "poll a live msrun -events-addr server and render a refreshing view")
 	var addrs addrList
-	flag.Var(&addrs, "addr", "server address for -watch (host:port or full URL); repeat to tail several tenants side by side (default 127.0.0.1:8844)")
+	flag.Var(&addrs, "addr", "server address for -watch (host:port or full URL); repeat to tail several processes side by side (default 127.0.0.1:8844)")
 	interval := flag.Duration("interval", 500*time.Millisecond, "poll interval for -watch")
 	count := flag.Int("count", 0, "number of polls for -watch (0 = until the server goes away)")
 	flag.Parse()
@@ -111,7 +111,7 @@ func renderFlightDump(path, chromePath string) {
 	fmt.Printf("\nchrome trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", chromePath)
 }
 
-// addrList lets -addr repeat so -watch can tail several tenants side by
+// addrList lets -addr repeat so -watch can tail several processes side by
 // side.
 type addrList []string
 

@@ -270,11 +270,9 @@ func DefaultBands() Bands {
 	}
 }
 
-// Next folds one observation into the level state machine and returns the
-// new level. It is a pure function of its arguments, so callers other than
-// Plane — the fleet arbiter runs the same hysteresis over host-wide inputs —
-// can reuse the exact banding the per-heap planes use.
-func (b Bands) Next(cur Level, in Inputs) Level {
+// next folds one observation into the level state machine and returns the
+// new level. It is a pure function of its arguments.
+func (b Bands) next(cur Level, in Inputs) Level {
 	u := in.Usage()
 	lvl := cur
 	switch cur {
@@ -328,19 +326,15 @@ type Config struct {
 
 // Plane is one heap's control plane. The core layer calls Observe under its
 // sweep lock (single writer); mutator hot paths call Knobs, Budget and Level
-// concurrently (atomic reads). Budget and rails are themselves republishable
-// at runtime (SetBudget/SetRails): a host-level arbiter apportioning one
-// machine budget across many tenant planes re-grants each tenant's slice at
-// its own cadence, and the tenant's next sweep-boundary observation picks the
-// new envelope up — no tenant fast-path cost beyond the atomic loads already
-// there.
+// concurrently. Budget and rails are fixed at construction; only the knobs
+// and the level change, published atomically at sweep boundaries.
 type Plane struct {
 	base   Knobs
 	policy Policy
 	bands  Bands
+	rails  Rails
+	budget uint64
 
-	rails        atomic.Pointer[Rails]
-	budget       atomic.Uint64
 	cur          atomic.Pointer[Knobs]
 	level        atomic.Int32
 	observations atomic.Uint64
@@ -362,11 +356,10 @@ func NewPlane(cfg Config) *Plane {
 		base:   cfg.Base,
 		policy: cfg.Policy,
 		bands:  cfg.Bands,
+		rails:  cfg.Rails,
+		budget: cfg.Budget,
 		ring:   ring.New(cfg.RingCap, func(d *Decision) *uint64 { return &d.Seq }),
 	}
-	rails := cfg.Rails
-	p.rails.Store(&rails)
-	p.budget.Store(cfg.Budget)
 	base := cfg.Base
 	p.cur.Store(&base)
 	return p
@@ -378,32 +371,11 @@ func (p *Plane) Knobs() Knobs { return *p.cur.Load() }
 // Base returns the configured (relaxed) knob values.
 func (p *Plane) Base() Knobs { return p.base }
 
-// Rails returns the decision envelope (one atomic load).
-func (p *Plane) Rails() Rails { return *p.rails.Load() }
+// Rails returns the decision envelope.
+func (p *Plane) Rails() Rails { return p.rails }
 
-// SetRails republishes the decision envelope. The currently effective knobs
-// are immediately re-clamped into the new rails, so a shrinking envelope
-// takes hold without waiting for the next sweep boundary. Safe to call from
-// any goroutine (a host arbiter), concurrently with Observe: the clamp here
-// and the one inside Observe both land inside one of the two envelopes, and
-// the next Observe settles on the new one.
-func (p *Plane) SetRails(r Rails) {
-	rails := r
-	p.rails.Store(&rails)
-	cur := *p.cur.Load()
-	if clamped := r.Clamp(cur); clamped != cur {
-		p.cur.Store(&clamped)
-	}
-}
-
-// Budget returns the memory budget in bytes (0 = unbounded; one atomic load).
-func (p *Plane) Budget() uint64 { return p.budget.Load() }
-
-// SetBudget republishes the memory budget (0 = unbounded). Safe to call from
-// any goroutine: the heap reads the budget on its amortised trigger/pause
-// checks and the plane folds it into the next sweep-boundary observation, so
-// a re-granted tenant converges within one sweep cycle.
-func (p *Plane) SetBudget(b uint64) { p.budget.Store(b) }
+// Budget returns the memory budget in bytes (0 = unbounded).
+func (p *Plane) Budget() uint64 { return p.budget }
 
 // Level returns the current pressure level.
 func (p *Plane) Level() Level { return Level(p.level.Load()) }
@@ -428,12 +400,11 @@ func (p *Plane) Ring() *ring.Ring[Decision] { return p.ring }
 // sweep lock provides this); readers of Knobs/Level are lock-free.
 func (p *Plane) Observe(in Inputs) (Decision, bool) {
 	p.observations.Add(1)
-	in.Budget = p.budget.Load()
+	in.Budget = p.budget
 	prev := Level(p.level.Load())
-	lvl := p.bands.Next(prev, in)
+	lvl := p.bands.next(prev, in)
 	cur := *p.cur.Load()
-	rails := *p.rails.Load()
-	next := rails.Clamp(p.policy.Decide(lvl, in, cur, p.base, rails))
+	next := p.rails.Clamp(p.policy.Decide(lvl, in, cur, p.base, p.rails))
 	if lvl == prev && next == cur {
 		return Decision{}, false
 	}

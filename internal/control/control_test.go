@@ -35,7 +35,7 @@ func TestHysteresisBands(t *testing.T) {
 	}
 	lvl := Nominal
 	for i, s := range steps {
-		lvl = b.Next(lvl, press(s.usage))
+		lvl = b.next(lvl, press(s.usage))
 		if lvl != s.want {
 			t.Fatalf("step %d (usage %.2f): level %v, want %v", i, s.usage, lvl, s.want)
 		}
@@ -46,14 +46,14 @@ func TestHysteresisAgeSignal(t *testing.T) {
 	b := DefaultBands()
 	// No budget at all: pressure comes only from quarantine age.
 	in := Inputs{AgeEpochs: b.AgeElevated}
-	if got := b.Next(Nominal, in); got != Elevated {
+	if got := b.next(Nominal, in); got != Elevated {
 		t.Fatalf("age %d epochs: level %v, want Elevated", in.AgeEpochs, got)
 	}
 	// Age never downgrades an already-critical level.
-	if got := b.Next(Critical, Inputs{AgeEpochs: 99, RSS: 1 << 30, Budget: 1 << 30}); got != Critical {
+	if got := b.next(Critical, Inputs{AgeEpochs: 99, RSS: 1 << 30, Budget: 1 << 30}); got != Critical {
 		t.Fatalf("critical with old quarantine: level %v, want Critical", got)
 	}
-	if got := b.Next(Nominal, Inputs{AgeEpochs: b.AgeElevated - 1}); got != Nominal {
+	if got := b.next(Nominal, Inputs{AgeEpochs: b.AgeElevated - 1}); got != Nominal {
 		t.Fatalf("age below the bar: level %v, want Nominal", got)
 	}
 }

@@ -125,17 +125,6 @@ type Config struct {
 	Helpers int
 	// BufferCap is the thread-local quarantine buffer capacity.
 	BufferCap int
-	// SweepFloorBytes is the minimum sweepable quarantine (mapped bytes
-	// minus failed frees) for the §3.2 threshold trigger to fire. A sweep
-	// costs a whole-heap scan regardless of how little it reclaims, so on a
-	// tiny heap — where any quarantine at all exceeds 15% — the ratio alone
-	// would re-trigger after a handful of frees and the fixed scan cost
-	// would dwarf the reclaim. The floor lets the quarantine accumulate a
-	// worthwhile batch first; on any realistically sized heap the 15% line
-	// sits far above it and the floor never engages. It gates only the
-	// ratio trigger: the unmapped-factor and budget triggers compare
-	// against resident memory, which bounds their cost by construction.
-	SweepFloorBytes uint64
 
 	// Optimisation and partial-version switches (Figures 15-17).
 
@@ -201,7 +190,6 @@ func DefaultConfig() Config {
 		PauseThreshold:    3.0,
 		Helpers:           sweep.DefaultHelpers,
 		BufferCap:         quarantine.DefaultBufferCap,
-		SweepFloorBytes:   DefaultSweepFloorBytes,
 		Quarantine:        true,
 		Zeroing:           true,
 		Unmapping:         true,
@@ -213,12 +201,6 @@ func DefaultConfig() Config {
 
 // unmapMinBytes is the minimum allocation size worth a decommit syscall pair.
 const unmapMinBytes = mem.PageSize
-
-// DefaultSweepFloorBytes is the default minimum sweepable quarantine for a
-// threshold-triggered sweep (see Config.SweepFloorBytes): small enough that
-// any deliberate churn crosses it within tens of frees, large enough that a
-// sweep's fixed whole-heap scan is amortised over thousands of releases.
-const DefaultSweepFloorBytes = 32 << 10
 
 // quiescer is optionally implemented by the World: threads blocked in an
 // allocation pause mark themselves quiescent so they do not stall a
@@ -678,6 +660,17 @@ func (h *Heap) malloc(ts *threadState, size uint64) (uint64, error) {
 // bounded, negligible amount of memory.
 const pauseFloorBytes = 1 << 20
 
+// sweepFloorBytes is the minimum sweepable quarantine (mapped bytes minus
+// failed frees) for the §3.2 threshold trigger to fire. A sweep costs a
+// whole-heap scan regardless of how little it reclaims, so on a tiny heap —
+// where any quarantine at all exceeds 15% — the ratio alone would re-trigger
+// after a handful of frees and the fixed scan cost would dwarf the reclaim.
+// The floor lets the quarantine accumulate a worthwhile batch first: any
+// deliberate churn crosses it within tens of frees, and on any realistically
+// sized heap the 15% line sits far above it. The unmapped-factor trigger
+// compares against resident memory, which bounds its cost by construction.
+const sweepFloorBytes = 32 << 10
+
 // maybePause blocks the allocating thread while the quarantine is extremely
 // large relative to the heap (§5.7) or, on a governed heap, while resident
 // memory sits over the configured budget with sweepable quarantine to
@@ -902,7 +895,7 @@ func (h *Heap) maybeTriggerSweep(ts *threadState) {
 	effQ := qb - min64(qb, fb)
 	effH := heapB - min64(heapB, fb)
 	reason := telemetry.TriggerThreshold
-	trigger := effQ >= h.cfg.SweepFloorBytes &&
+	trigger := effQ >= sweepFloorBytes &&
 		float64(effQ) > k.SweepThreshold*float64(effH)
 	if !trigger && k.UnmappedFactor > 0 {
 		trigger = float64(h.q.UnmappedBytes()) > k.UnmappedFactor*float64(h.space.RSS())
@@ -911,19 +904,13 @@ func (h *Heap) maybeTriggerSweep(ts *threadState) {
 	if !trigger {
 		// Budget trigger: resident memory over the budget and enough
 		// sweepable quarantine to make a sweep worthwhile. "Worthwhile"
-		// scales with the budget (1/32nd, capped at the pause-brake floor
-		// so large heaps behave exactly as before): a heap whose live set
-		// alone exceeds the budget does not sweep-storm, while a small
-		// governed heap — a multi-tenant rail of a few hundred KiB — can
-		// still reach the floor and let its governor observe pressure.
+		// scales with the budget (1/32nd, between the threshold trigger's
+		// floor and the pause-brake floor): a heap whose live set alone
+		// exceeds the budget does not sweep-storm, while a governed heap with
+		// a budget of a few MiB can still reach the floor and let its
+		// governor observe pressure.
 		if b := h.budget(); b > 0 && h.space.RSS() > b {
-			floor := b / 32
-			if floor > pauseFloorBytes {
-				floor = pauseFloorBytes
-			}
-			if floor < h.cfg.SweepFloorBytes {
-				floor = h.cfg.SweepFloorBytes
-			}
+			floor := max(min(b/32, pauseFloorBytes), sweepFloorBytes)
 			if effQ > floor {
 				trigger = true
 				reason = telemetry.TriggerBudget

@@ -97,9 +97,8 @@ func TestThresholdSweepTakesWholeQuarantine(t *testing.T) {
 	jcfg.Arenas = 4
 	cfg := testConfig() // Synchronous, BufferCap 1: every free publishes immediately
 	cfg.SweepThreshold = 0.15
-	// Between the two frees' sizes: the small free alone stays under the
-	// floor, the large one crosses it.
-	cfg.SweepFloorBytes = 4 << 10
+	// The two frees straddle sweepFloorBytes: the small free alone stays
+	// under the floor, the large one crosses it.
 	cfg.Unmapping = false // keep both frees on the mapped (threshold) account
 	h, err := New(mem.NewAddressSpace(), cfg, jcfg)
 	if err != nil {
@@ -109,7 +108,7 @@ func TestThresholdSweepTakesWholeQuarantine(t *testing.T) {
 	reg := telemetry.NewRegistry(16)
 	h.SetTelemetry(reg)
 	big, small := h.RegisterThread(), h.RegisterThread()
-	a, err := h.Malloc(big, 10<<10)
+	a, err := h.Malloc(big, sweepFloorBytes+8<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

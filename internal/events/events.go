@@ -76,13 +76,10 @@ const (
 	KindGovDecision // arg0=new pressure level, arg1=previous level
 	KindTrip        // flight-recorder trigger fired; arg0=cause code
 
-	// Fleet-level instants, emitted on the host arbiter's ring
-	// (internal/fleet). Tenant ids are the arbiter's stable per-tenant
-	// indices; the same ids label the fleet report's rows.
-	KindTenantThrottle  // noisy neighbour throttled; arg0=tenant id, arg1=new rail bytes
-	KindTenantRebalance // host rebalance tick changed rails; arg0=tenants re-railed, arg1=host RSS
-	KindStarveAvert     // floor clamp engaged; arg0=tenant id, arg1=floor bytes
-	KindHostLevel       // host pressure level transition; arg0=new level, arg1=previous level
+	// Values 22–25 were a retired host simulation's instants (tenant-throttle,
+	// rebalance, starve-avert, host-level). Dumps written before their
+	// removal name them in their own kind table; give a new kind value 26 or
+	// later so such a dump never labels them with its name.
 
 	kindCount
 )
@@ -97,32 +94,28 @@ func (k Kind) String() string {
 }
 
 var kindNames = [...]string{
-	KindInvalid:         "invalid",
-	KindSweepBegin:      "sweep",
-	KindSweepEnd:        "sweep.end",
-	KindMarkBegin:       "mark",
-	KindMarkEnd:         "mark.end",
-	KindPrecleanBegin:   "preclean",
-	KindPrecleanEnd:     "preclean.end",
-	KindStwBegin:        "stw",
-	KindStwAbort:        "stw.abort",
-	KindStwEnd:          "stw.end",
-	KindRecycleBegin:    "recycle",
-	KindRecycleEnd:      "recycle.end",
-	KindPurgeBegin:      "purge",
-	KindPurgeEnd:        "purge.end",
-	KindPauseBegin:      "pause",
-	KindPauseEnd:        "pause.end",
-	KindDrain:           "drain",
-	KindZeroScrub:       "zero-scrub",
-	KindAlloc:           "alloc",
-	KindFree:            "free",
-	KindGovDecision:     "governor",
-	KindTrip:            "trip",
-	KindTenantThrottle:  "tenant-throttle",
-	KindTenantRebalance: "rebalance",
-	KindStarveAvert:     "starve-avert",
-	KindHostLevel:       "host-level",
+	KindInvalid:       "invalid",
+	KindSweepBegin:    "sweep",
+	KindSweepEnd:      "sweep.end",
+	KindMarkBegin:     "mark",
+	KindMarkEnd:       "mark.end",
+	KindPrecleanBegin: "preclean",
+	KindPrecleanEnd:   "preclean.end",
+	KindStwBegin:      "stw",
+	KindStwAbort:      "stw.abort",
+	KindStwEnd:        "stw.end",
+	KindRecycleBegin:  "recycle",
+	KindRecycleEnd:    "recycle.end",
+	KindPurgeBegin:    "purge",
+	KindPurgeEnd:      "purge.end",
+	KindPauseBegin:    "pause",
+	KindPauseEnd:      "pause.end",
+	KindDrain:         "drain",
+	KindZeroScrub:     "zero-scrub",
+	KindAlloc:         "alloc",
+	KindFree:          "free",
+	KindGovDecision:   "governor",
+	KindTrip:          "trip",
 }
 
 // spanOpen maps a Begin kind to its End kind (0 for instants).
@@ -293,9 +286,8 @@ const (
 	// TripBudgetRSS fires when resident memory exceeds the governed budget
 	// at a sweep boundary.
 	TripBudgetRSS
-	// TripHostBudget fires when a fleet host's aggregate resident memory
-	// exceeds the host budget at an arbiter tick (internal/fleet).
-	TripHostBudget
+	// Cause 4 (host-over-budget) is retired with the host simulation's
+	// kinds; a new cause takes 5 or later.
 )
 
 // String returns the cause's name.
@@ -309,8 +301,6 @@ func (c TripCause) String() string {
 		return "governor-critical"
 	case TripBudgetRSS:
 		return "rss-over-budget"
-	case TripHostBudget:
-		return "host-over-budget"
 	default:
 		return fmt.Sprintf("TripCause(%d)", int(c))
 	}

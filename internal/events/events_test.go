@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -297,10 +299,6 @@ func TestKindValuesAndNamesPinned(t *testing.T) {
 		{KindFree, 19, "free"},
 		{KindGovDecision, 20, "governor"},
 		{KindTrip, 21, "trip"},
-		{KindTenantThrottle, 22, "tenant-throttle"},
-		{KindTenantRebalance, 23, "rebalance"},
-		{KindStarveAvert, 24, "starve-avert"},
-		{KindHostLevel, 25, "host-level"},
 	}
 	if len(want) != int(kindCount) {
 		t.Fatalf("table pins %d kinds, kindCount is %d", len(want), kindCount)
@@ -312,40 +310,63 @@ func TestKindValuesAndNamesPinned(t *testing.T) {
 	}
 }
 
-// TestRetiredKindStillDecodes checks that a dump holding a retired kind (an
-// older build's KindZeroScrub) reads back with its name in the kind table
-// and renders in both exporters.
+// TestRetiredKindStillDecodes checks that dumps holding retired kinds read
+// back with their names in the dump's own kind table and render in both
+// exporters: an older build's KindZeroScrub, written here, and the retired
+// host simulation's four instants and trip cause, in a dump that build wrote
+// (testdata/host-kinds.msev: one "host-arbiter" ring, cause 4,
+// "host-over-budget").
 func TestRetiredKindStillDecodes(t *testing.T) {
 	rec := NewRecorder(16, time.Minute)
 	rec.Ring("thread-0").EmitAt(100, KindZeroScrub, 3, 4096)
-	var buf bytes.Buffer
-	if _, err := rec.Capture(TripManual).WriteTo(&buf); err != nil {
+	var zeroScrub bytes.Buffer
+	if _, err := rec.Capture(TripManual).WriteTo(&zeroScrub); err != nil {
 		t.Fatal(err)
 	}
-	d, kinds, err := ReadDump(&buf)
+	host, err := os.ReadFile("testdata/host-kinds.msev")
 	if err != nil {
-		t.Fatalf("ReadDump: %v", err)
-	}
-	labelled := false
-	for _, kn := range kinds {
-		if kn.Kind == KindZeroScrub && kn.Name == "zero-scrub" {
-			labelled = true
-		}
-	}
-	if !labelled {
-		t.Fatalf("kind table %v does not label value %d", kinds, KindZeroScrub)
-	}
-	var tl, ct bytes.Buffer
-	if err := WriteTimeline(&tl, d); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tl.String(), "zero-scrub") {
-		t.Fatalf("timeline does not name the retired kind:\n%s", tl.String())
-	}
-	if err := WriteChromeTrace(&ct, d); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(ct.String(), `"zero-scrub"`) {
-		t.Fatalf("chrome trace does not name the retired kind:\n%s", ct.String())
+	for _, tc := range []struct {
+		name   string
+		dump   []byte
+		cause  TripCause
+		events int
+		kinds  map[Kind]string // retired value -> name in the dump's table
+	}{
+		{"zero-scrub", zeroScrub.Bytes(), TripManual, 1, map[Kind]string{KindZeroScrub: "zero-scrub"}},
+		{"host-kinds", host, TripCause(4), 4, map[Kind]string{
+			22: "tenant-throttle", 23: "rebalance", 24: "starve-avert", 25: "host-level",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, kinds, err := ReadDump(bytes.NewReader(tc.dump))
+			if err != nil {
+				t.Fatalf("ReadDump (DumpVersion %d): %v", DumpVersion, err)
+			}
+			if d.Cause != tc.cause || d.Len() != tc.events {
+				t.Fatalf("cause %d with %d events, want %d with %d", d.Cause, d.Len(), tc.cause, tc.events)
+			}
+			for k, name := range tc.kinds {
+				if !slices.Contains(kinds, KindName{Kind: k, Name: name}) {
+					t.Errorf("kind table %v does not label value %d %q", kinds, k, name)
+				}
+			}
+			var tl, ct bytes.Buffer
+			if err := WriteTimeline(&tl, d); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteChromeTrace(&ct, d); err != nil {
+				t.Fatal(err)
+			}
+			for k := range tc.kinds {
+				if !strings.Contains(tl.String(), k.String()) {
+					t.Errorf("timeline does not show %s:\n%s", k, tl.String())
+				}
+				if !strings.Contains(ct.String(), `"`+k.String()+`"`) {
+					t.Errorf("chrome trace does not show %s:\n%s", k, ct.String())
+				}
+			}
+		})
 	}
 }

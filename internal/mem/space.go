@@ -52,7 +52,7 @@ type Stats struct {
 // leaf pointers (64 KiB); each leaf maps the 4,096 pages of one 16 MiB
 // granule by bits [23:12] (32 KiB). Mid tables and leaves are installed on
 // the first Map in their range, so an address space costs only its top table
-// until it maps something, and a small tenant's globals, heap and stack cost
+// until it maps something, and a small process's globals, heap and stack cost
 // a mid table and a leaf each. This makes Lookup O(1) like hardware address
 // translation — essential because quarantining schemes can pin thousands of
 // extents, and a per-access cost that grew with extent count would be a

@@ -79,14 +79,6 @@ type HistogramSnapshot struct {
 	Buckets [NumBuckets]uint64 `json:"buckets"`
 }
 
-// fillQuantiles recomputes the exported percentile fields from the buckets.
-// Call after any mutation of Count/Buckets (Snapshot, Merge).
-func (s *HistogramSnapshot) fillQuantiles() {
-	s.P50 = s.Quantile(0.5)
-	s.P99 = s.Quantile(0.99)
-	s.P999 = s.Quantile(0.999)
-}
-
 // Snapshot merges all stripes into one view.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{Name: h.name, Unit: h.unit}
@@ -99,7 +91,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			s.Count += n
 		}
 	}
-	s.fillQuantiles()
+	s.P50, s.P99, s.P999 = s.Quantile(0.5), s.Quantile(0.99), s.Quantile(0.999)
 	return s
 }
 
@@ -162,19 +154,6 @@ func (s HistogramSnapshot) Max() uint64 {
 		}
 	}
 	return 0
-}
-
-// Merge returns the bucket-wise sum of two snapshots (used by tests and by
-// aggregation across processes; names are taken from the receiver).
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	out := s
-	out.Count += o.Count
-	out.Sum += o.Sum
-	for b := 0; b < NumBuckets; b++ {
-		out.Buckets[b] += o.Buckets[b]
-	}
-	out.fillQuantiles()
-	return out
 }
 
 // String summarises the snapshot on one line.

@@ -94,17 +94,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram("a", "ns", 2)
-	b := NewHistogram("b", "ns", 2)
-	a.Record(5)
-	b.Record(500)
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Count != 2 || m.Sum != 505 {
-		t.Fatalf("merged count/sum = %d/%d, want 2/505", m.Count, m.Sum)
-	}
-}
-
 func TestTriggerReasonJSON(t *testing.T) {
 	for _, r := range []TriggerReason{TriggerForced, TriggerThreshold, TriggerUnmapped, TriggerPause} {
 		b, err := json.Marshal(r)
