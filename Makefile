@@ -16,7 +16,7 @@ help:
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on the facade (every scheme via NewProcess) and the sweep, quarantine, allocator (jemalloc, dlmalloc, Scudo), telemetry, UAF, scheme and MarkUs packages"
 	@echo "  bench      sweep and page-state hot-path benchmarks (bulk scan, steady-state skip, markers, page scan, store with and without the clean->dirty step, page zeroing)"
-	@echo "  bench-free malloc/free, page-table Lookup and quarantine drain/release hot-path benchmarks (fixed-iteration protocol)"
+	@echo "  bench-free malloc/free, page-table Lookup and quarantine drain/release hot-path benchmarks (fixed-iteration protocol), plus heap construction (BenchmarkNewHeap)"
 	@echo "  bench-json bench-free + sweep-release runs -> BENCH_free.json, BENCH_sweep.json"
 	@echo "  bench-gate gate: fresh MallocFree64 + SweepRelease medians within BENCH_GATE_RATIO of their BENCH_*.json"
 	@echo "  bench-all  every benchmark in the repository"
@@ -89,11 +89,14 @@ bench:
 # 256-entry release batches, two drainers against one releaser). The fixed
 # iteration count matches the protocol recorded in EXPERIMENTS.md ("Free
 # fast-path optimisation"): adaptive benchtime would run long enough to
-# change quarantine pressure between variants.
+# change quarantine pressure between variants. BenchmarkNewHeap times the
+# layer under a benchmark run's setup: core.New plus Shutdown over a fresh
+# address space, with its allocations.
 bench-free:
 	$(GO) test -run '^$$' -bench 'BenchmarkMallocFree64' -benchtime=300000x -benchmem -count=3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkLookup' -benchmem -count=3 ./internal/jemalloc
 	$(GO) test -run '^$$' -bench 'BenchmarkInsertRelease' -benchtime=300000x -benchmem -count=3 ./internal/quarantine
+	$(GO) test -run '^$$' -bench 'BenchmarkNewHeap' -benchmem -count=3 ./internal/core
 
 # Machine-readable benchmark snapshots: the malloc/free comparison and the
 # post-sweep release path, 5 runs each, medians computed by cmd/benchjson.

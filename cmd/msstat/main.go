@@ -86,7 +86,7 @@ func renderFlightDump(path, chromePath string) {
 	if err != nil {
 		fatal(err)
 	}
-	d, _, err := events.ReadDump(f)
+	d, err := events.ReadDump(f)
 	f.Close()
 	if err != nil {
 		fatal(fmt.Errorf("reading %s: %w", path, err))

@@ -97,7 +97,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dump, _, err := events.ReadDump(f)
+	dump, err := events.ReadDump(f)
 	f.Close()
 	if err != nil {
 		log.Fatal(err)

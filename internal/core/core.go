@@ -812,7 +812,7 @@ func (h *Heap) free(ts *threadState, addr uint64) (uint64, error) {
 	// only thread-local state and everything shared is deferred to bulk
 	// drains. In debug mode the ring holds one entry, so the drain below
 	// runs on every free and reports whether this free was a duplicate.
-	e := quarantine.Entry{Base: a.Base, Size: a.Size}
+	e := quarantine.NewEntry(a.Base, a.Size)
 	// Large allocations that will be unmapped need no explicit zeroing: the
 	// decommit discards their contents (and any pointers within). A double
 	// free still waiting in a ring re-decommits harmlessly (DecommitExtent
@@ -821,7 +821,7 @@ func (h *Heap) free(ts *threadState, addr uint64) (uint64, error) {
 	unmapped := false
 	if h.cfg.Unmapping && a.Large && a.Size >= unmapMinBytes {
 		if err := h.sub.DecommitExtent(a.Base); err == nil {
-			e.Unmapped = true // ring-resident: accounted at drain (§4.2)
+			e.SetUnmapped() // ring-resident: accounted at drain (§4.2)
 			unmapped = true
 		}
 	}
@@ -1439,7 +1439,7 @@ func (h *Heap) filterAndRecycle(locked []quarantine.Entry) (released, retained u
 				e := &part[j]
 				dangling := false
 				if h.cfg.Sweeping {
-					dangling = h.marks.AnyInRange(e.Base, e.Base+e.Size)
+					dangling = h.marks.AnyInRange(e.Base, e.Base+e.Size())
 				}
 				if dangling && h.cfg.FailedFrees {
 					h.q.NoteFailed(e)
@@ -1580,23 +1580,24 @@ func (h *Heap) CheckInvariants() error {
 			err = fmt.Errorf("core: invariant: quarantined %#x not live at substrate", e.Base)
 			return
 		}
-		if a.Size != e.Size {
-			err = fmt.Errorf("core: invariant: entry %#x size %d != substrate %d", e.Base, e.Size, a.Size)
+		size := e.Size()
+		if a.Size != size {
+			err = fmt.Errorf("core: invariant: entry %#x size %d != substrate %d", e.Base, size, a.Size)
 			return
 		}
-		if e.Unmapped {
-			unmapped += e.Size
-			for p := e.Base; p < e.Base+e.Size; p += mem.PageSize {
+		if e.Unmapped() {
+			unmapped += size
+			for p := e.Base; p < e.Base+size; p += mem.PageSize {
 				if r := h.space.Lookup(p); r != nil && r.PageResident(r.PageIndex(p)) {
 					err = fmt.Errorf("core: invariant: unmapped entry %#x has resident page %#x", e.Base, p)
 					return
 				}
 			}
 		} else {
-			mapped += e.Size
+			mapped += size
 		}
-		if e.Failed {
-			failed += e.Size
+		if e.Failed() {
+			failed += size
 		}
 	})
 	if err != nil {

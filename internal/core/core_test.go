@@ -743,7 +743,7 @@ func TestCheckInvariantsPendingNotMember(t *testing.T) {
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatalf("clean heap: %v", err)
 	}
-	h.q.Requeue([]quarantine.Entry{{Base: a, Size: 64}})
+	h.q.Requeue([]quarantine.Entry{quarantine.NewEntry(a, 64)})
 	if err := h.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a pending entry missing from the membership set")
 	}
@@ -788,7 +788,7 @@ func TestDrainPanicReleasesDrainLock(t *testing.T) {
 	good := ts.tbuf
 	// A ring over no quarantine: its drain dereferences the nil quarantine.
 	ts.tbuf = quarantine.NewThreadBuffer(nil, 4)
-	ts.tbuf.Push(quarantine.Entry{Base: mem.HeapBase, Size: 16})
+	ts.tbuf.Push(quarantine.NewEntry(mem.HeapBase, 16))
 	func() {
 		defer func() {
 			if recover() == nil {

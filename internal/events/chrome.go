@@ -117,7 +117,7 @@ func WriteChromeTrace(w io.Writer, d *Dump) error {
 			case isEnd(e.Kind):
 				ce.Name, ce.Phase = spanName(e.Kind), "E"
 			default:
-				ce.Name, ce.Phase, ce.Scope = e.Kind.String(), "i", "t"
+				ce.Name, ce.Phase, ce.Scope = d.kindName(e.Kind), "i", "t"
 			}
 			out = append(out, ce)
 		}

@@ -49,11 +49,20 @@ func (d *Dump) WriteTo(w io.Writer) (int64, error) {
 	writeUvarint(bw, d.SinceNanos)
 	writeUvarint(bw, d.TakenNanos)
 
-	// Kind table.
-	writeUvarint(bw, uint64(kindCount))
-	for k := Kind(0); k < kindCount; k++ {
-		bw.WriteByte(byte(k))
-		writeString(bw, k.String())
+	// Kind table: a decoded dump's own, so re-encoding keeps its labels;
+	// this build's otherwise.
+	if d.Kinds != nil {
+		writeUvarint(bw, uint64(len(d.Kinds)))
+		for _, kn := range d.Kinds {
+			bw.WriteByte(byte(kn.Kind))
+			writeString(bw, kn.Name)
+		}
+	} else {
+		writeUvarint(bw, uint64(kindCount))
+		for k := Kind(0); k < kindCount; k++ {
+			bw.WriteByte(byte(k))
+			writeString(bw, k.String())
+		}
 	}
 
 	writeUvarint(bw, uint64(len(d.Threads)))
@@ -105,19 +114,19 @@ type KindName struct {
 	Name string
 }
 
-// ReadDump deserialises a dump written by WriteTo. The returned kind table
-// lets callers label kinds this build does not know.
-func ReadDump(r io.Reader) (*Dump, []KindName, error) {
+// ReadDump deserialises a dump written by WriteTo. The dump keeps its kind
+// table in Kinds, so the renderers label kinds this build does not know.
+func ReadDump(r io.Reader) (*Dump, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, 4+4+8)
 	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 	}
 	if string(head[:4]) != dumpMagic {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorruptDump)
+		return nil, fmt.Errorf("%w: bad magic", ErrCorruptDump)
 	}
 	if v := binary.LittleEndian.Uint16(head[4:6]); v != DumpVersion {
-		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptDump, v)
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptDump, v)
 	}
 	d := &Dump{
 		Cause: TripCause(head[6]),
@@ -125,41 +134,41 @@ func ReadDump(r io.Reader) (*Dump, []KindName, error) {
 	}
 	var err error
 	if d.SinceNanos, err = binary.ReadUvarint(br); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 	}
 	if d.TakenNanos, err = binary.ReadUvarint(br); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 	}
 
 	nkinds, err := binary.ReadUvarint(br)
 	if err != nil || nkinds > 256 {
-		return nil, nil, fmt.Errorf("%w: kind table", ErrCorruptDump)
+		return nil, fmt.Errorf("%w: kind table", ErrCorruptDump)
 	}
-	kinds := make([]KindName, 0, nkinds)
+	d.Kinds = make([]KindName, 0, nkinds)
 	for i := uint64(0); i < nkinds; i++ {
 		kv, err := br.ReadByte()
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
+			return nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 		}
 		name, err := readString(br)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		kinds = append(kinds, KindName{Kind: Kind(kv), Name: name})
+		d.Kinds = append(d.Kinds, KindName{Kind: Kind(kv), Name: name})
 	}
 
 	nrings, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 	}
 	for i := uint64(0); i < nrings; i++ {
 		name, err := readString(br)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		nev, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
+			return nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 		}
 		t := ThreadEvents{Name: name, Events: make([]Event, 0, min(nev, 1<<20))}
 		prevSeq, prevNanos := uint64(0), d.SinceNanos
@@ -167,26 +176,26 @@ func ReadDump(r io.Reader) (*Dump, []KindName, error) {
 			var e Event
 			ds, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
+				return nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 			}
 			dn, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
+				return nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 			}
 			kb, err := br.ReadByte()
 			if err != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
+				return nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 			}
 			if e.Arg0, err = binary.ReadUvarint(br); err != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
+				return nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 			}
 			if e.Arg1, err = binary.ReadUvarint(br); err != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
+				return nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 			}
 			e.Seq = prevSeq + ds
 			e.Nanos = prevNanos + dn
 			if e.Seq < prevSeq || e.Nanos < prevNanos {
-				return nil, nil, fmt.Errorf("%w: ring %q seq or time overflows", ErrCorruptDump, name)
+				return nil, fmt.Errorf("%w: ring %q seq or time overflows", ErrCorruptDump, name)
 			}
 			e.Kind = Kind(kb)
 			prevSeq, prevNanos = e.Seq, e.Nanos
@@ -194,7 +203,7 @@ func ReadDump(r io.Reader) (*Dump, []KindName, error) {
 		}
 		d.Threads = append(d.Threads, t)
 	}
-	return d, kinds, nil
+	return d, nil
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) {

@@ -286,8 +286,10 @@ const (
 	// TripBudgetRSS fires when resident memory exceeds the governed budget
 	// at a sweep boundary.
 	TripBudgetRSS
-	// Cause 4 (host-over-budget) is retired with the host simulation's
-	// kinds; a new cause takes 5 or later.
+	// tripHostOverBudget is retired with the host simulation's kinds and
+	// never fires; it keeps its name so dumps that carry it still render
+	// it. A new cause takes 5 or later.
+	tripHostOverBudget
 )
 
 // String returns the cause's name.
@@ -301,6 +303,8 @@ func (c TripCause) String() string {
 		return "governor-critical"
 	case TripBudgetRSS:
 		return "rss-over-budget"
+	case tripHostOverBudget:
+		return "host-over-budget"
 	default:
 		return fmt.Sprintf("TripCause(%d)", int(c))
 	}
@@ -452,6 +456,22 @@ type Dump struct {
 	SinceNanos uint64 `json:"since_ns"`
 	// Threads holds each ring's events, oldest first per ring.
 	Threads []ThreadEvents `json:"threads"`
+	// Kinds is the kind table of a dump ReadDump decoded: the names of the
+	// build that wrote it, so kinds a later build retired keep their names
+	// in WriteTimeline and WriteChromeTrace. Nil for a live capture, which
+	// this build names.
+	Kinds []KindName `json:"kinds,omitempty"`
+}
+
+// kindName returns k's name as the dump labels it: from its own kind table
+// when it has one, else this build's name.
+func (d *Dump) kindName(k Kind) string {
+	for _, kn := range d.Kinds {
+		if kn.Kind == k {
+			return kn.Name
+		}
+	}
+	return k.String()
 }
 
 // Len returns the total event count across rings.

@@ -125,7 +125,7 @@ func TestDumpRoundTrip(t *testing.T) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 
-	got, kinds, err := ReadDump(&buf)
+	got, err := ReadDump(&buf)
 	if err != nil {
 		t.Fatalf("ReadDump: %v", err)
 	}
@@ -135,8 +135,8 @@ func TestDumpRoundTrip(t *testing.T) {
 	if got.Epoch.UnixNano() != d.Epoch.UnixNano() {
 		t.Fatalf("epoch mismatch")
 	}
-	if len(kinds) != int(kindCount) {
-		t.Fatalf("kind table has %d entries, want %d", len(kinds), kindCount)
+	if len(got.Kinds) != int(kindCount) {
+		t.Fatalf("kind table has %d entries, want %d", len(got.Kinds), kindCount)
 	}
 	if len(got.Threads) != 2 {
 		t.Fatalf("got %d rings, want 2", len(got.Threads))
@@ -155,10 +155,10 @@ func TestDumpRoundTrip(t *testing.T) {
 }
 
 func TestDumpRejectsGarbage(t *testing.T) {
-	if _, _, err := ReadDump(strings.NewReader("not a dump at all")); err == nil {
+	if _, err := ReadDump(strings.NewReader("not a dump at all")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, _, err := ReadDump(strings.NewReader("MSEV")); err == nil {
+	if _, err := ReadDump(strings.NewReader("MSEV")); err == nil {
 		t.Fatal("truncated dump accepted")
 	}
 }
@@ -237,7 +237,7 @@ func TestServerStateAndEndpoints(t *testing.T) {
 	}
 
 	raw := mustGet(t, ts.URL+"/events/dump")
-	if d, _, err := ReadDump(bytes.NewReader(raw)); err != nil {
+	if d, err := ReadDump(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("served dump unreadable: %v", err)
 	} else if d.Len() != 6 {
 		t.Fatalf("served dump has %d events, want 6", d.Len())
@@ -311,11 +311,12 @@ func TestKindValuesAndNamesPinned(t *testing.T) {
 }
 
 // TestRetiredKindStillDecodes checks that dumps holding retired kinds read
-// back with their names in the dump's own kind table and render in both
-// exporters: an older build's KindZeroScrub, written here, and the retired
-// host simulation's four instants and trip cause, in a dump that build wrote
-// (testdata/host-kinds.msev: one "host-arbiter" ring, cause 4,
-// "host-over-budget").
+// back with their names in the dump's own kind table and render under those
+// names in both exporters: an older build's KindZeroScrub, written here, and
+// the retired host simulation's four instants and trip cause, in a dump that
+// build wrote (testdata/host-kinds.msev: one "host-arbiter" ring, cause 4,
+// "host-over-budget"). This build does not name kinds 22-25, so only the
+// dump's table can label them.
 func TestRetiredKindStillDecodes(t *testing.T) {
 	rec := NewRecorder(16, time.Minute)
 	rec.Ring("thread-0").EmitAt(100, KindZeroScrub, 3, 4096)
@@ -328,19 +329,20 @@ func TestRetiredKindStillDecodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name   string
-		dump   []byte
-		cause  TripCause
-		events int
-		kinds  map[Kind]string // retired value -> name in the dump's table
+		name      string
+		dump      []byte
+		cause     TripCause
+		causeName string
+		events    int
+		kinds     map[Kind]string // retired value -> name in the dump's table
 	}{
-		{"zero-scrub", zeroScrub.Bytes(), TripManual, 1, map[Kind]string{KindZeroScrub: "zero-scrub"}},
-		{"host-kinds", host, TripCause(4), 4, map[Kind]string{
+		{"zero-scrub", zeroScrub.Bytes(), TripManual, "manual", 1, map[Kind]string{KindZeroScrub: "zero-scrub"}},
+		{"host-kinds", host, TripCause(4), "host-over-budget", 4, map[Kind]string{
 			22: "tenant-throttle", 23: "rebalance", 24: "starve-avert", 25: "host-level",
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, kinds, err := ReadDump(bytes.NewReader(tc.dump))
+			d, err := ReadDump(bytes.NewReader(tc.dump))
 			if err != nil {
 				t.Fatalf("ReadDump (DumpVersion %d): %v", DumpVersion, err)
 			}
@@ -348,8 +350,8 @@ func TestRetiredKindStillDecodes(t *testing.T) {
 				t.Fatalf("cause %d with %d events, want %d with %d", d.Cause, d.Len(), tc.cause, tc.events)
 			}
 			for k, name := range tc.kinds {
-				if !slices.Contains(kinds, KindName{Kind: k, Name: name}) {
-					t.Errorf("kind table %v does not label value %d %q", kinds, k, name)
+				if !slices.Contains(d.Kinds, KindName{Kind: k, Name: name}) {
+					t.Errorf("kind table %v does not label value %d %q", d.Kinds, k, name)
 				}
 			}
 			var tl, ct bytes.Buffer
@@ -359,13 +361,19 @@ func TestRetiredKindStillDecodes(t *testing.T) {
 			if err := WriteChromeTrace(&ct, d); err != nil {
 				t.Fatal(err)
 			}
-			for k := range tc.kinds {
-				if !strings.Contains(tl.String(), k.String()) {
-					t.Errorf("timeline does not show %s:\n%s", k, tl.String())
+			for _, name := range tc.kinds {
+				if !strings.Contains(tl.String(), name) {
+					t.Errorf("timeline does not show %s:\n%s", name, tl.String())
 				}
-				if !strings.Contains(ct.String(), `"`+k.String()+`"`) {
-					t.Errorf("chrome trace does not show %s:\n%s", k, ct.String())
+				if !strings.Contains(ct.String(), `"`+name+`"`) {
+					t.Errorf("chrome trace does not show %s:\n%s", name, ct.String())
 				}
+			}
+			if want := "cause=" + tc.causeName; !strings.Contains(tl.String(), want) {
+				t.Errorf("timeline does not show %s:\n%s", want, tl.String())
+			}
+			if want := "(" + tc.causeName + ")"; !strings.Contains(ct.String(), want) {
+				t.Errorf("chrome trace does not show cause %s:\n%s", tc.causeName, ct.String())
 			}
 		})
 	}

@@ -45,7 +45,7 @@ func FuzzReadDump(f *testing.F) {
 	f.Add(append(ring(1<<63, 1, 1, 1<<63), byte(KindSweepBegin), 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, _, err := ReadDump(bytes.NewReader(data))
+		d, err := ReadDump(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrCorruptDump) {
 				t.Fatalf("rejection not reported as ErrCorruptDump: %v", err)
@@ -56,7 +56,7 @@ func FuzzReadDump(f *testing.F) {
 		if _, err := d.WriteTo(&out); err != nil {
 			t.Fatalf("accepted dump failed to encode: %v", err)
 		}
-		back, _, err := ReadDump(&out)
+		back, err := ReadDump(&out)
 		if err != nil {
 			t.Fatalf("re-encoded dump failed to decode: %v", err)
 		}

@@ -57,7 +57,7 @@ func TestConcurrentEmitVsDump(t *testing.T) {
 			if _, err := d.WriteTo(&buf); err != nil {
 				t.Fatalf("WriteTo under load: %v", err)
 			}
-			if _, _, err := ReadDump(&buf); err != nil {
+			if _, err := ReadDump(&buf); err != nil {
 				t.Fatalf("ReadDump under load: %v", err)
 			}
 		}

@@ -95,7 +95,7 @@ func WriteTimeline(w io.Writer, d *Dump) error {
 					nanos:  e.Nanos,
 					thread: t.Name,
 					depth:  len(stack),
-					name:   e.Kind.String(),
+					name:   d.kindName(e.Kind),
 					dur:    -1,
 					detail: detailFor(e),
 				})

@@ -30,6 +30,9 @@ type tcitem struct {
 	reg  int32
 }
 
+// A bin's stack is allocated at its capacity by its first push, so a
+// thread that never frees a class (a sweep worker's recycle thread frees
+// through FreeBatch, which bypasses the tcache) costs no stack for it.
 type tbin struct {
 	items []tcitem
 	max   int
@@ -51,8 +54,7 @@ func tcacheCap(class int) int {
 func newTcache() *tcache {
 	tc := &tcache{bins: make([]tbin, NumClasses())}
 	for c := range tc.bins {
-		m := tcacheCap(c)
-		tc.bins[c] = tbin{items: make([]tcitem, 0, m), max: m}
+		tc.bins[c].max = tcacheCap(c)
 	}
 	return tc
 }
@@ -78,6 +80,9 @@ func (tc *tcache) pop(class int) uint64 {
 func (tc *tcache) push(class int, addr uint64, e *Extent, reg int) bool {
 	e.cacheRegion(reg)
 	tb := &tc.bins[class]
+	if tb.items == nil {
+		tb.items = make([]tcitem, 0, tb.max)
+	}
 	tb.items = append(tb.items, tcitem{addr: addr, ext: e, reg: int32(reg)})
 	return len(tb.items) >= tb.max
 }

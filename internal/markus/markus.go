@@ -128,10 +128,10 @@ func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 	}
 	// A double free of a quarantined allocation decommits again, which is
 	// a no-op, and the drain rejects it.
-	e := quarantine.Entry{Base: a.Base, Size: a.Size}
+	e := quarantine.NewEntry(a.Base, a.Size)
 	if h.cfg.Unmapping && a.Large {
 		if err := h.je.DecommitExtent(a.Base); err == nil {
-			e.Unmapped = true
+			e.SetUnmapped()
 		}
 	}
 	h.admitMu.Lock()

@@ -338,13 +338,13 @@ func checkPendingSums(t *testing.T, h *Heap) {
 		if !h.q.Contains(e.Base) {
 			t.Errorf("pending entry %#x not quarantined", e.Base)
 		}
-		if e.Unmapped {
-			unmapped += e.Size
+		if e.Unmapped() {
+			unmapped += e.Size()
 		} else {
-			mapped += e.Size
+			mapped += e.Size()
 		}
-		if e.Failed {
-			failed += e.Size
+		if e.Failed() {
+			failed += e.Size()
 		}
 	})
 	if got := h.q.Entries(); got != uint64(len(seen)) {

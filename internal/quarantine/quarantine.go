@@ -28,30 +28,84 @@ package quarantine
 import (
 	"sync"
 	"sync/atomic"
+
+	"minesweeper/internal/mem"
 )
 
-// Entry describes one quarantined allocation: the paper's address and size
-// (§3) plus an epoch and two flags. It is a plain, pointer-free 32 B
-// value: the thread rings, the pending list, a sweep's locked-in slice and a
-// worker's release batch each hold their own copy, and the membership set
-// holds only the base. Nothing points at an entry, so nothing recycles one,
-// and the garbage collector never scans the slices that hold them. The
-// substrate finds the allocation again from Base when the sweep frees it.
+// Entry describes one quarantined allocation in two words: the paper's
+// address and size (§3). It is a plain, pointer-free 16 B value: the thread
+// rings, the pending list, a sweep's locked-in slice and a worker's release
+// batch each hold their own copy, and the membership set holds only the
+// base. Nothing points at an entry, so nothing recycles one, and the garbage
+// collector never scans the slices that hold them. The substrate finds the
+// allocation again from Base when the sweep frees it.
+//
+// No allocation is larger than the heap span (mem.HeapLimit - mem.HeapBase,
+// 1 TiB), so a size needs the low sizeBits bits of its word. The bits above
+// carry the rest of the entry's state: the epoch stamp, then the Unmapped
+// and Failed flags. Size masks them off.
 type Entry struct {
 	// Base is the allocation's base address.
 	Base uint64
-	// Size is the allocation's usable size in bytes.
-	Size uint64
-	// Epoch is the sweep epoch in which the entry joined the global pending
-	// list (stamped by Drain under the quarantine lock, so it is always
-	// consistent with the epoch advance in LockIn).
-	Epoch uint64
-	// Unmapped records that the allocation's physical pages were released
-	// while in quarantine (§4.2).
-	Unmapped bool
-	// Failed records that at least one sweep found a (possible) dangling
-	// pointer to this allocation.
-	Failed bool
+	// size is the usable size in bytes (low sizeBits bits), the epoch stamp
+	// and the two flags.
+	size uint64
+}
+
+// The layout of Entry's second word.
+const (
+	sizeBits = 41
+	sizeMask = 1<<sizeBits - 1
+
+	// The stamp is the low stampBits bits of the sweep epoch in which the
+	// entry joined the pending list (stamped by Drain under the quarantine
+	// lock, so it is always consistent with the epoch advance in LockIn). A
+	// failed entry keeps it across Requeue, so quarantine age is measured
+	// from when the allocation first went pending. Ages are taken modulo
+	// 2^stampBits (over two million sweeps).
+	stampShift = sizeBits
+	stampBits  = 62 - sizeBits
+	stampMask  = 1<<stampBits - 1
+
+	// unmappedBit records that the allocation's physical pages were
+	// released while in quarantine (§4.2).
+	unmappedBit = 1 << 62
+	// failedBit records that at least one sweep found a (possible) dangling
+	// pointer to the allocation.
+	failedBit = 1 << 63
+)
+
+// The largest allocation the heap span holds must fit in sizeBits bits: a
+// compile error here means the flags would overwrite a size.
+const _ = uint64(sizeMask - (mem.HeapLimit - mem.HeapBase))
+
+// NewEntry returns the entry for an allocation of size bytes at base, with
+// no flags set. The size is at most the heap span.
+func NewEntry(base, size uint64) Entry {
+	if size > sizeMask {
+		panic("quarantine: entry size exceeds the heap span")
+	}
+	return Entry{Base: base, size: size}
+}
+
+// Size returns the allocation's usable size in bytes.
+func (e Entry) Size() uint64 { return e.size & sizeMask }
+
+// Unmapped reports whether the allocation's physical pages were released
+// while in quarantine (§4.2).
+func (e Entry) Unmapped() bool { return e.size&unmappedBit != 0 }
+
+// SetUnmapped records that the allocation's pages were released.
+func (e *Entry) SetUnmapped() { e.size |= unmappedBit }
+
+// Failed reports whether at least one sweep found a (possible) dangling
+// pointer to the allocation.
+func (e Entry) Failed() bool { return e.size&failedBit != 0 }
+
+// epoch returns the epoch the entry's stamp names: the latest epoch no later
+// than now whose low stampBits bits equal the stamp.
+func (e Entry) epoch(now uint64) uint64 {
+	return now - (now-e.size>>stampShift)&stampMask
 }
 
 // set is the membership set: an open-addressing hash table with linear
@@ -160,7 +214,7 @@ type Quarantine struct {
 	// oldest is the epoch of the oldest pending entry (meaningful only
 	// while pending is non-empty). Drains stamp the current epoch, so
 	// they never lower it; Requeue can, since failed entries keep the
-	// epoch of their original drain.
+	// stamp of their original drain.
 	oldest uint64
 	// lockedSpare is a locked-in slice the sweep handed back (Reclaim);
 	// the next LockIn makes it the new pending list, so steady-state
@@ -231,9 +285,10 @@ func (q *Quarantine) Requeue(failed []Entry) {
 		return
 	}
 	q.mu.Lock()
+	now := q.epoch.Load()
 	for _, e := range failed {
-		if len(q.pending) == 0 || e.Epoch < q.oldest {
-			q.oldest = e.Epoch
+		if ep := e.epoch(now); len(q.pending) == 0 || ep < q.oldest {
+			q.oldest = ep
 		}
 	}
 	q.pending = append(q.pending, failed...)
@@ -244,11 +299,11 @@ func (q *Quarantine) Requeue(failed []Entry) {
 // subtracted from both sides of the trigger comparison). e is the sweep's
 // locked-in copy; the flag it sets travels with it to Requeue.
 func (q *Quarantine) NoteFailed(e *Entry) {
-	if e.Failed {
+	if e.Failed() {
 		return
 	}
-	e.Failed = true
-	q.failedBytes.Add(int64(e.Size))
+	e.size |= failedBit
+	q.failedBytes.Add(int64(e.Size()))
 }
 
 // Releaser batches one sweep worker's (or one MarkUs collection's)
@@ -273,15 +328,15 @@ func (r *Releaser) ReleaseBatch(entries []Entry) {
 	if len(entries) == 0 {
 		return
 	}
-	for i := range entries {
-		e := &entries[i]
-		if e.Unmapped {
-			r.unmappedBytes -= int64(e.Size)
+	for _, e := range entries {
+		size := int64(e.Size())
+		if e.Unmapped() {
+			r.unmappedBytes -= size
 		} else {
-			r.bytes -= int64(e.Size)
+			r.bytes -= size
 		}
-		if e.Failed {
-			r.failedBytes -= int64(e.Size)
+		if e.Failed() {
+			r.failedBytes -= size
 		}
 	}
 	r.n += int64(len(entries))
@@ -338,9 +393,9 @@ func (q *Quarantine) Epoch() uint64 { return q.epoch.Load() }
 func (q *Quarantine) OldestPendingEpoch() uint64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	// The tracked watermark, not pending[0].Epoch: Requeue appends failed
-	// entries (which keep old epochs) behind newer appends, so the list is
-	// not epoch-sorted.
+	// The tracked watermark, not pending[0]'s stamp: Requeue appends
+	// failed entries (which keep old stamps) behind newer appends, so the
+	// list is not epoch-sorted.
 	if len(q.pending) == 0 {
 		return q.epoch.Load()
 	}
@@ -360,9 +415,9 @@ func (q *Quarantine) ForEachPending(fn func(e Entry)) {
 
 // MetaBytes estimates the quarantine's metadata footprint.
 func (q *Quarantine) MetaBytes() uint64 {
-	// The 32 B Entry value on the pending list + its 8 B membership key at
+	// The 16 B Entry value on the pending list + its 8 B membership key at
 	// <=50% load, so 16 B amortised.
-	return clamp(q.entries.Load()) * (32 + 16)
+	return clamp(q.entries.Load()) * (16 + 16)
 }
 
 func clamp(v int64) uint64 {
@@ -462,17 +517,18 @@ func (b *ThreadBuffer) Drain() int {
 	if len(q.pending) == 0 {
 		q.oldest = ep
 	}
+	stamp := (ep & stampMask) << stampShift
 	for _, e := range b.ring {
 		if !q.members.insert(e.Base) {
 			dups++
 			continue
 		}
-		e.Epoch = ep
+		e.size = e.size&^(stampMask<<stampShift) | stamp
 		q.pending = append(q.pending, e)
-		if e.Unmapped {
-			unmapped += int64(e.Size)
+		if e.Unmapped() {
+			unmapped += int64(e.Size())
 		} else {
-			mapped += int64(e.Size)
+			mapped += int64(e.Size())
 		}
 	}
 	if mapped != 0 {

@@ -17,6 +17,14 @@ func admit(q *Quarantine, e Entry) bool {
 	return tb.Drain() == 0
 }
 
+// unmappedEntry returns the entry of an allocation whose pages were released
+// while in quarantine.
+func unmappedEntry(base, size uint64) Entry {
+	e := NewEntry(base, size)
+	e.SetUnmapped()
+	return e
+}
+
 // release takes e out of the quarantine the one way a sweep does: a
 // Releaser's batch, then its flush.
 func release(q *Quarantine, e Entry) {
@@ -27,7 +35,7 @@ func release(q *Quarantine, e Entry) {
 
 func TestInsertRelease(t *testing.T) {
 	q := New()
-	e := Entry{Base: 0x1000, Size: 64}
+	e := NewEntry(0x1000, 64)
 	if !admit(q, e) {
 		t.Fatal("admit returned false")
 	}
@@ -48,10 +56,10 @@ func TestInsertRelease(t *testing.T) {
 
 func TestDoubleFreeDeduplicated(t *testing.T) {
 	q := New()
-	if !admit(q, Entry{Base: 0x2000, Size: 32}) {
+	if !admit(q, NewEntry(0x2000, 32)) {
 		t.Fatal("first insert failed")
 	}
-	if admit(q, Entry{Base: 0x2000, Size: 32}) {
+	if admit(q, NewEntry(0x2000, 32)) {
 		t.Fatal("duplicate insert succeeded")
 	}
 	if q.DoubleFrees() != 1 {
@@ -64,7 +72,7 @@ func TestDoubleFreeDeduplicated(t *testing.T) {
 	// free is still a duplicate, and once the sweep releases the entry the
 	// base is accepted again.
 	locked := q.LockIn()
-	if admit(q, Entry{Base: 0x2000, Size: 32}) {
+	if admit(q, NewEntry(0x2000, 32)) {
 		t.Fatal("duplicate of a locked-in entry accepted before its release")
 	}
 	if q.DoubleFrees() != 2 {
@@ -73,7 +81,7 @@ func TestDoubleFreeDeduplicated(t *testing.T) {
 	rel := q.NewReleaser()
 	rel.ReleaseBatch(locked)
 	rel.Flush()
-	if !admit(q, Entry{Base: 0x2000, Size: 32}) {
+	if !admit(q, NewEntry(0x2000, 32)) {
 		t.Error("insert after the locked-in entry's release failed")
 	}
 }
@@ -84,8 +92,8 @@ func TestDoubleFreeDeduplicated(t *testing.T) {
 // slots apart.
 func TestAdjacentSmallBases(t *testing.T) {
 	q := New()
-	a := Entry{Base: mem.HeapBase + 0x10, Size: 8}
-	b := Entry{Base: mem.HeapBase + 0x18, Size: 8}
+	a := NewEntry(mem.HeapBase+0x10, 8)
+	b := NewEntry(mem.HeapBase+0x18, 8)
 	if !admit(q, a) || !admit(q, b) {
 		t.Fatal("adjacent 8 B bases not both admitted")
 	}
@@ -115,18 +123,18 @@ func TestReinsertAfterRelease(t *testing.T) {
 	// Once released (truly freed), the same base can be allocated and
 	// freed again — the quarantine must accept it.
 	q := New()
-	e := Entry{Base: 0x3000, Size: 16}
+	e := NewEntry(0x3000, 16)
 	admit(q, e)
 	release(q, e)
-	if !admit(q, Entry{Base: 0x3000, Size: 16}) {
+	if !admit(q, NewEntry(0x3000, 16)) {
 		t.Error("reinsert after release failed")
 	}
 }
 
 func TestLockInEpochs(t *testing.T) {
 	q := New()
-	a := Entry{Base: 0x1000, Size: 8}
-	b := Entry{Base: 0x2000, Size: 8}
+	a := NewEntry(0x1000, 8)
+	b := NewEntry(0x2000, 8)
 	tb := NewThreadBuffer(q, 2)
 	tb.Push(a)
 	tb.Push(b)
@@ -137,7 +145,7 @@ func TestLockInEpochs(t *testing.T) {
 		t.Fatalf("LockIn returned %d entries, want 2", len(locked))
 	}
 	// New frees during the sweep go to the next epoch.
-	c := Entry{Base: 0x3000, Size: 8}
+	c := NewEntry(0x3000, 8)
 	admit(q, c)
 	if got := q.LockIn(); len(got) != 1 || got[0].Base != c.Base {
 		t.Errorf("second LockIn = %v, want [c]", got)
@@ -149,7 +157,7 @@ func TestLockInEpochs(t *testing.T) {
 
 func TestFailedAccounting(t *testing.T) {
 	q := New()
-	e := Entry{Base: 0x1000, Size: 100}
+	e := NewEntry(0x1000, 100)
 	admit(q, e)
 	q.NoteFailed(&e)
 	q.NoteFailed(&e) // idempotent
@@ -167,7 +175,7 @@ func TestFailedAccounting(t *testing.T) {
 // only, on admission and on release.
 func TestUnmappedAccounting(t *testing.T) {
 	q := New()
-	e := Entry{Base: 0x1000, Size: 8192, Unmapped: true}
+	e := unmappedEntry(0x1000, 8192)
 	admit(q, e)
 	if q.Bytes() != 0 {
 		t.Errorf("Bytes = %d, want 0 (unmapped excluded)", q.Bytes())
@@ -185,7 +193,7 @@ func TestThreadBufferDrainPublishes(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 4)
 	for i := 0; i < 3; i++ {
-		if tb.Push(Entry{Base: uint64(0x1000 + i*16), Size: 16}) {
+		if tb.Push(NewEntry(uint64(0x1000+i*16), 16)) {
 			t.Fatalf("ring full after %d of 4 pushes", i+1)
 		}
 	}
@@ -199,7 +207,7 @@ func TestThreadBufferDrainPublishes(t *testing.T) {
 	if got := q.LockIn(); len(got) != 0 {
 		t.Fatalf("pending published early: %d entries", len(got))
 	}
-	if !tb.Push(Entry{Base: 0x9000, Size: 16}) {
+	if !tb.Push(NewEntry(0x9000, 16)) {
 		t.Fatal("Push at capacity did not report full")
 	}
 	tb.Drain()
@@ -217,7 +225,7 @@ func TestThreadBufferDrainPublishes(t *testing.T) {
 func TestThreadBufferExplicitDrain(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 0) // default cap
-	tb.Push(Entry{Base: 0x1000, Size: 16})
+	tb.Push(NewEntry(0x1000, 16))
 	tb.Drain()
 	tb.Drain() // empty drain is a no-op
 	if got := q.LockIn(); len(got) != 1 {
@@ -228,9 +236,9 @@ func TestThreadBufferExplicitDrain(t *testing.T) {
 func TestThreadBufferDrainDeduplicates(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 8)
-	tb.Push(Entry{Base: 0x1000, Size: 32})
-	tb.Push(Entry{Base: 0x1000, Size: 32}) // double free, both still ring-resident
-	tb.Push(Entry{Base: 0x2000, Size: 16})
+	tb.Push(NewEntry(0x1000, 32))
+	tb.Push(NewEntry(0x1000, 32)) // double free, both still ring-resident
+	tb.Push(NewEntry(0x2000, 16))
 	tb.Drain()
 	if q.DoubleFrees() != 1 {
 		t.Errorf("DoubleFrees = %d, want 1", q.DoubleFrees())
@@ -239,7 +247,7 @@ func TestThreadBufferDrainDeduplicates(t *testing.T) {
 		t.Errorf("Bytes/Entries = %d/%d, want 48/2", q.Bytes(), q.Entries())
 	}
 	// A duplicate against an already-drained entry is also caught.
-	tb.Push(Entry{Base: 0x2000, Size: 16})
+	tb.Push(NewEntry(0x2000, 16))
 	tb.Drain()
 	if q.DoubleFrees() != 2 {
 		t.Errorf("DoubleFrees = %d after second drain, want 2", q.DoubleFrees())
@@ -258,15 +266,15 @@ func TestDrainReturnsDuplicateCount(t *testing.T) {
 	if got := tb.Drain(); got != 0 {
 		t.Errorf("empty Drain = %d, want 0", got)
 	}
-	tb.Push(Entry{Base: 0x1000, Size: 32})
-	tb.Push(Entry{Base: 0x2000, Size: 32})
+	tb.Push(NewEntry(0x1000, 32))
+	tb.Push(NewEntry(0x2000, 32))
 	if got := tb.Drain(); got != 0 {
 		t.Errorf("Drain of fresh bases = %d, want 0", got)
 	}
-	tb.Push(Entry{Base: 0x1000, Size: 32}) // against a published entry
-	tb.Push(Entry{Base: 0x3000, Size: 32})
-	tb.Push(Entry{Base: 0x3000, Size: 32}) // within the ring
-	tb.Push(Entry{Base: 0x2000, Size: 32}) // against a published entry
+	tb.Push(NewEntry(0x1000, 32)) // against a published entry
+	tb.Push(NewEntry(0x3000, 32))
+	tb.Push(NewEntry(0x3000, 32)) // within the ring
+	tb.Push(NewEntry(0x2000, 32)) // against a published entry
 	if got := tb.Drain(); got != 3 {
 		t.Errorf("Drain = %d, want 3 duplicates", got)
 	}
@@ -275,7 +283,7 @@ func TestDrainReturnsDuplicateCount(t *testing.T) {
 	}
 	// A one-entry ring attributes the count to the one free it holds.
 	one := NewThreadBuffer(q, 1)
-	if !one.Push(Entry{Base: 0x3000, Size: 32}) {
+	if !one.Push(NewEntry(0x3000, 32)) {
 		t.Fatal("one-entry ring not full after one Push")
 	}
 	if got := one.Drain(); got != 1 {
@@ -286,9 +294,9 @@ func TestDrainReturnsDuplicateCount(t *testing.T) {
 func TestThreadBufferDrainUnmappedAccounting(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 4)
-	e := Entry{Base: 0x4000, Size: 8192, Unmapped: true} // flagged while ring-resident
+	e := unmappedEntry(0x4000, 8192) // flagged while ring-resident
 	tb.Push(e)
-	tb.Push(Entry{Base: 0x8000, Size: 64})
+	tb.Push(NewEntry(0x8000, 64))
 	tb.Drain()
 	if q.Bytes() != 64 {
 		t.Errorf("Bytes = %d, want 64 (unmapped excluded)", q.Bytes())
@@ -306,12 +314,12 @@ func TestThreadBufferWatermark(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 64)
 	for i := 0; i < 47; i++ {
-		tb.Push(Entry{Base: uint64(0x1000 + i*16), Size: 16})
+		tb.Push(NewEntry(uint64(0x1000+i*16), 16))
 	}
 	if tb.NeedsDrain() {
 		t.Error("NeedsDrain = true below watermark")
 	}
-	tb.Push(Entry{Base: 0x9000, Size: 16})
+	tb.Push(NewEntry(0x9000, 16))
 	if !tb.NeedsDrain() {
 		t.Error("NeedsDrain = false at watermark (48 of 64)")
 	}
@@ -345,7 +353,7 @@ func TestAppendEpochLockInRace(t *testing.T) {
 			defer wg.Done()
 			tb := NewThreadBuffer(q, 8)
 			for i := 0; i < perPusher; i++ {
-				if tb.Push(Entry{Base: uint64(g*perPusher+i+1) * 16, Size: 16}) {
+				if tb.Push(NewEntry(uint64(g*perPusher+i+1)*16, 16)) {
 					tb.Drain()
 				}
 			}
@@ -360,14 +368,14 @@ func TestAppendEpochLockInRace(t *testing.T) {
 			batch := q.LockIn()
 			epoch := q.Epoch() // > stamp of everything in batch
 			for _, e := range batch {
-				if e.Epoch >= epoch {
-					t.Errorf("locked-in entry stamped epoch %d, released at epoch %d (stranded past release)", e.Epoch, epoch)
+				if e.epoch(epoch) >= epoch {
+					t.Errorf("locked-in entry stamped epoch %d, released at epoch %d (stranded past release)", e.epoch(epoch), epoch)
 					return
 				}
 			}
 			for i := 1; i < len(batch); i++ {
-				if batch[i].Epoch < batch[i-1].Epoch {
-					t.Errorf("pending list epochs not monotonic: %d after %d", batch[i].Epoch, batch[i-1].Epoch)
+				if batch[i].epoch(epoch) < batch[i-1].epoch(epoch) {
+					t.Errorf("pending list epochs not monotonic: %d after %d", batch[i].epoch(epoch), batch[i-1].epoch(epoch))
 					return
 				}
 			}
@@ -391,11 +399,11 @@ func TestAppendEpochLockInRace(t *testing.T) {
 
 func TestRequeueLowersOldestPendingEpoch(t *testing.T) {
 	q := New()
-	a := Entry{Base: 0x1000, Size: 8}
+	a := NewEntry(0x1000, 8)
 	admit(q, a)
 	locked := q.LockIn() // epoch 0 -> 1; a carries epoch 0
 	// New free lands at epoch 1, then the failed entry is requeued behind it.
-	b := Entry{Base: 0x2000, Size: 8}
+	b := NewEntry(0x2000, 8)
 	admit(q, b)
 	q.Requeue(locked)
 	if got := q.OldestPendingEpoch(); got != 0 {
@@ -413,18 +421,18 @@ func TestRequeueLowersOldestPendingEpoch(t *testing.T) {
 // the current epoch.
 func TestRequeueKeepsOriginalEpoch(t *testing.T) {
 	q := New()
-	e := Entry{Base: 0x1000, Size: 64}
+	e := NewEntry(0x1000, 64)
 	admit(q, e)
 	locked := q.LockIn() // e carries epoch 0
 	// Age the world a few epochs, then fail the entry back in behind a
 	// fresh append.
 	q.LockIn()
 	q.LockIn()
-	f := Entry{Base: 0x2000, Size: 64}
+	f := NewEntry(0x2000, 64)
 	admit(q, f)
 	q.Requeue(locked)
-	if locked[0].Epoch != 0 {
-		t.Fatalf("requeued entry epoch = %d, want 0 (its original append)", e.Epoch)
+	if got := locked[0].epoch(q.Epoch()); got != 0 {
+		t.Fatalf("requeued entry epoch = %d, want 0 (its original append)", got)
 	}
 	if got := q.OldestPendingEpoch(); got != 0 {
 		t.Fatalf("OldestPendingEpoch = %d, want 0 (requeue preserves epoch)", got)
@@ -451,7 +459,7 @@ func TestConcurrentInsertRelease(t *testing.T) {
 			defer wg.Done()
 			tb := NewThreadBuffer(q, 16)
 			for i := 0; i < n; i++ {
-				if tb.Push(Entry{Base: uint64(g*n+i+1) * 16, Size: 16}) {
+				if tb.Push(NewEntry(uint64(g*n+i+1)*16, 16)) {
 					tb.Drain()
 				}
 			}
@@ -491,7 +499,10 @@ func TestQuickAccounting(t *testing.T) {
 		for _, op := range ops {
 			switch op % 4 {
 			case 0, 2: // admit a mapped (0) or an unmapped (2) entry
-				e := Entry{Base: next, Size: uint64(op)*8 + 8, Unmapped: op%4 == 2}
+				e := NewEntry(next, uint64(op)*8+8)
+				if op%4 == 2 {
+					e.SetUnmapped()
+				}
 				next += 1 << 12
 				if admit(q, e) {
 					live[e.Base] = e
@@ -511,9 +522,9 @@ func TestQuickAccounting(t *testing.T) {
 			}
 			var want, failed uint64
 			for _, e := range live {
-				want += e.Size
-				if e.Failed {
-					failed += e.Size
+				want += e.Size()
+				if e.Failed() {
+					failed += e.Size()
 				}
 			}
 			if q.Bytes()+q.UnmappedBytes() != want {
@@ -544,7 +555,7 @@ func BenchmarkInsertRelease(b *testing.B) {
 		rel := q.NewReleaser()
 		batch := make([]Entry, 1)
 		for i := 0; i < b.N; i++ {
-			e := Entry{Base: uint64(i+1) * 16, Size: 64}
+			e := NewEntry(uint64(i+1)*16, 64)
 			tb.Push(e)
 			tb.Drain()
 			batch[0] = e
@@ -557,7 +568,7 @@ func BenchmarkInsertRelease(b *testing.B) {
 		tb := NewThreadBuffer(q, DefaultBufferCap)
 		rel := q.NewReleaser()
 		for i := 0; i < b.N; i++ {
-			if tb.Push(Entry{Base: uint64(i+1) * 16, Size: 64}) {
+			if tb.Push(NewEntry(uint64(i+1)*16, 64)) {
 				tb.Drain()
 			}
 			if (i+1)%releaseBatch == 0 {
@@ -578,7 +589,7 @@ func BenchmarkInsertRelease(b *testing.B) {
 				defer wg.Done()
 				tb := NewThreadBuffer(q, DefaultBufferCap)
 				for i := g; i < b.N; i += drainers {
-					if tb.Push(Entry{Base: uint64(i+1) * 16, Size: 64}) {
+					if tb.Push(NewEntry(uint64(i+1)*16, 64)) {
 						tb.Drain()
 					}
 				}
