@@ -14,7 +14,7 @@ help:
 	@echo "  check      go vet + gofmt + go test (root and bench/) + race-hot + events-overhead + flightrec-smoke"
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
-	@echo "  race-hot   race detector on the facade (every scheme via NewProcess) and the sweep, quarantine, allocator (jemalloc, dlmalloc, Scudo), telemetry, UAF, scheme and MarkUs packages"
+	@echo "  race-hot   race detector on the facade (every scheme via NewProcess) and the sweep, quarantine, allocator (jemalloc, dlmalloc, Scudo), telemetry, UAF, scheme and comparator (MarkUs, pSweeper, FFMalloc, Oscar, CRCount, DangSan) packages"
 	@echo "  bench      sweep and page-state hot-path benchmarks (bulk scan, steady-state skip, markers, page scan, store with and without the clean->dirty step, page zeroing)"
 	@echo "  bench-free malloc/free, page-table Lookup and quarantine drain/release hot-path benchmarks (fixed-iteration protocol), plus heap construction (BenchmarkNewHeap)"
 	@echo "  bench-json bench-free + sweep-release runs -> BENCH_free.json, BENCH_sweep.json"
@@ -49,11 +49,13 @@ race:
 # (sweeper workers, shadow markers, page scanning, the core sweep loop), the
 # UAF comparators that pin the sweep's safety, the scheme factories that
 # build one heap per run, MarkUs, whose frees share one mutex-guarded
-# admission ring, and dlmalloc and Scudo, whose Free the parallel recycle
-# workers reach through FreeBatchSerial — much faster than a full
+# admission ring, dlmalloc and Scudo, whose Free the parallel recycle
+# workers reach through FreeBatchSerial, and the other comparators:
+# pSweeper, whose background sweeper runs on its own interval goroutine,
+# FFMalloc, Oscar, CRCount and DangSan — much faster than a full
 # `make race` and the first thing to run after touching the sweep path.
 race-hot:
-	$(GO) test -race . ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/ring ./internal/workload ./internal/uaf ./internal/schemes ./internal/markus ./internal/dlmalloc ./internal/scudo
+	$(GO) test -race . ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/ring ./internal/workload ./internal/uaf ./internal/schemes ./internal/markus ./internal/dlmalloc ./internal/scudo ./internal/psweeper ./internal/ffmalloc ./internal/oscar ./internal/crcount ./internal/dangsan
 
 # The pre-merge gate: static checks, a vet and test pass over the benchmark
 # (bench/ is its own module, so `./...` never compiles it, yet it builds

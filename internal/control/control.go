@@ -13,11 +13,13 @@
 //     fraction, unmapped factor, pause-brake strength, helper worker count),
 //     published through one atomic pointer so hot paths read them with a
 //     single load;
-//   - Rails: per-knob min/max bounds every policy decision is clamped to;
+//   - Rails: per-knob min/max bounds every policy decision is clamped to,
+//     derived from the base knobs;
 //   - Pressure: a hysteresis-banded evaluator folding RSS, live bytes,
 //     quarantine depth/age and the user's memory budget into one of three
 //     levels (Nominal, Elevated, Critical). Enter and exit thresholds
-//     differ, so a workload hovering at a band edge does not flap;
+//     differ, so a workload hovering at a band edge does not flap. Like the
+//     paper's own policy knobs, the bands are fixed offline;
 //   - Policy: the decision function. Static freezes the configured knobs
 //     (bit-for-bit the ungoverned behaviour); AIMD — the default governor —
 //     tightens multiplicatively under pressure and relaxes additively back
@@ -71,7 +73,8 @@ type Knobs struct {
 
 // Rails bound every knob. Decisions are clamped to the rails before
 // publication, so a runaway policy cannot push the system outside the
-// envelope the operator configured.
+// envelope the base knobs imply. A plane's rails are always
+// DefaultRails(base).
 type Rails struct {
 	SweepThresholdMin float64 `json:"sweep_threshold_min"`
 	SweepThresholdMax float64 `json:"sweep_threshold_max"`
@@ -239,58 +242,42 @@ func (in Inputs) Usage() float64 {
 	return float64(in.RSS) / float64(in.Budget)
 }
 
-// Bands parameterises the pressure evaluator. Enter thresholds sit above
+// The pressure evaluator's hysteresis bands. Enter thresholds sit above
 // exit thresholds so a workload oscillating around one boundary does not
-// flap between levels (classic hysteresis).
-type Bands struct {
-	// ElevatedEnter/ElevatedExit band the Nominal<->Elevated boundary as
-	// budget-usage ratios.
-	ElevatedEnter float64 `json:"elevated_enter"`
-	ElevatedExit  float64 `json:"elevated_exit"`
-	// CriticalEnter/CriticalExit band the Elevated<->Critical boundary.
-	CriticalEnter float64 `json:"critical_enter"`
-	CriticalExit  float64 `json:"critical_exit"`
-	// AgeElevated is the quarantine age, in sweep epochs, past which
+// flap between levels (classic hysteresis): Elevated at 80% of budget (back
+// to Nominal below 70%), Critical at 95% (back below 85%).
+const (
+	elevatedEnter = 0.80
+	elevatedExit  = 0.70
+	criticalEnter = 0.95
+	criticalExit  = 0.85
+	// ageElevated is the quarantine age, in sweep epochs, past which
 	// pressure is at least Elevated regardless of budget: the sweeper is
 	// provably not keeping up with the free rate.
-	AgeElevated uint64 `json:"age_elevated"`
-}
+	ageElevated = 8
+)
 
-// DefaultBands returns the standard hysteresis bands: Elevated at 80% of
-// budget (back to Nominal below 70%), Critical at 95% (back below 85%), and
-// the sweeper declared behind once the oldest pending free has waited 8
-// sweeps.
-func DefaultBands() Bands {
-	return Bands{
-		ElevatedEnter: 0.80,
-		ElevatedExit:  0.70,
-		CriticalEnter: 0.95,
-		CriticalExit:  0.85,
-		AgeElevated:   8,
-	}
-}
-
-// next folds one observation into the level state machine and returns the
-// new level. It is a pure function of its arguments.
-func (b Bands) next(cur Level, in Inputs) Level {
+// nextLevel folds one observation into the level state machine and returns
+// the new level. It is a pure function of its arguments.
+func nextLevel(cur Level, in Inputs) Level {
 	u := in.Usage()
 	lvl := cur
 	switch cur {
 	case Nominal:
-		if u >= b.CriticalEnter {
+		if u >= criticalEnter {
 			lvl = Critical
-		} else if u >= b.ElevatedEnter {
+		} else if u >= elevatedEnter {
 			lvl = Elevated
 		}
 	case Elevated:
-		if u >= b.CriticalEnter {
+		if u >= criticalEnter {
 			lvl = Critical
-		} else if u < b.ElevatedExit {
+		} else if u < elevatedExit {
 			lvl = Nominal
 		}
 	case Critical:
-		if u < b.CriticalExit {
-			if u >= b.ElevatedEnter {
+		if u < criticalExit {
+			if u >= elevatedEnter {
 				lvl = Elevated
 			} else {
 				lvl = Nominal
@@ -300,7 +287,7 @@ func (b Bands) next(cur Level, in Inputs) Level {
 	// Sweeper falling behind lifts pressure to at least Elevated even with
 	// no budget set: an ancient pending free means quarantine is growing
 	// faster than sweeps retire it.
-	if b.AgeElevated > 0 && in.AgeEpochs >= b.AgeElevated && lvl == Nominal {
+	if in.AgeEpochs >= ageElevated && lvl == Nominal {
 		lvl = Elevated
 	}
 	return lvl
@@ -308,18 +295,14 @@ func (b Bands) next(cur Level, in Inputs) Level {
 
 // Config configures a Plane.
 type Config struct {
-	// Base is the configured (relaxed) knob values.
+	// Base is the configured (relaxed) knob values; decisions are bounded
+	// by DefaultRails(Base).
 	Base Knobs
-	// Rails bound decisions; the zero value means DefaultRails(Base).
-	Rails Rails
 	// Budget is the memory budget in bytes (0 = unbounded; pressure then
 	// comes only from quarantine age).
 	Budget uint64
 	// Policy decides knob adjustments; nil means Static.
 	Policy Policy
-	// Bands parameterise the pressure evaluator; the zero value means
-	// DefaultBands.
-	Bands Bands
 	// RingCap is the decision ring capacity (ring.DefaultCap if <= 0).
 	RingCap int
 }
@@ -331,7 +314,6 @@ type Config struct {
 type Plane struct {
 	base   Knobs
 	policy Policy
-	bands  Bands
 	rails  Rails
 	budget uint64
 
@@ -346,17 +328,10 @@ func NewPlane(cfg Config) *Plane {
 	if cfg.Policy == nil {
 		cfg.Policy = Static{}
 	}
-	if cfg.Rails == (Rails{}) {
-		cfg.Rails = DefaultRails(cfg.Base)
-	}
-	if cfg.Bands == (Bands{}) {
-		cfg.Bands = DefaultBands()
-	}
 	p := &Plane{
 		base:   cfg.Base,
 		policy: cfg.Policy,
-		bands:  cfg.Bands,
-		rails:  cfg.Rails,
+		rails:  DefaultRails(cfg.Base),
 		budget: cfg.Budget,
 		ring:   ring.New(cfg.RingCap, func(d *Decision) *uint64 { return &d.Seq }),
 	}
@@ -402,7 +377,7 @@ func (p *Plane) Observe(in Inputs) (Decision, bool) {
 	p.observations.Add(1)
 	in.Budget = p.budget
 	prev := Level(p.level.Load())
-	lvl := p.bands.next(prev, in)
+	lvl := nextLevel(prev, in)
 	cur := *p.cur.Load()
 	next := p.rails.Clamp(p.policy.Decide(lvl, in, cur, p.base, p.rails))
 	if lvl == prev && next == cur {

@@ -18,24 +18,23 @@ func press(usage float64) Inputs {
 }
 
 func TestHysteresisBands(t *testing.T) {
-	b := DefaultBands()
 	steps := []struct {
 		usage float64
 		want  Level
 	}{
 		{0.50, Nominal},
-		{0.79, Nominal},  // below ElevatedEnter
+		{0.79, Nominal},  // below elevatedEnter
 		{0.81, Elevated}, // crossed enter
 		{0.75, Elevated}, // inside the hysteresis band: stays Elevated
-		{0.69, Nominal},  // below ElevatedExit: drops
+		{0.69, Nominal},  // below elevatedExit: drops
 		{0.96, Critical}, // straight to Critical from Nominal
-		{0.90, Critical}, // above CriticalExit: stays
-		{0.84, Elevated}, // below CriticalExit but above ElevatedEnter
+		{0.90, Critical}, // above criticalExit: stays
+		{0.84, Elevated}, // below criticalExit but above elevatedEnter
 		{0.10, Nominal},
 	}
 	lvl := Nominal
 	for i, s := range steps {
-		lvl = b.next(lvl, press(s.usage))
+		lvl = nextLevel(lvl, press(s.usage))
 		if lvl != s.want {
 			t.Fatalf("step %d (usage %.2f): level %v, want %v", i, s.usage, lvl, s.want)
 		}
@@ -43,17 +42,16 @@ func TestHysteresisBands(t *testing.T) {
 }
 
 func TestHysteresisAgeSignal(t *testing.T) {
-	b := DefaultBands()
 	// No budget at all: pressure comes only from quarantine age.
-	in := Inputs{AgeEpochs: b.AgeElevated}
-	if got := b.next(Nominal, in); got != Elevated {
+	in := Inputs{AgeEpochs: ageElevated}
+	if got := nextLevel(Nominal, in); got != Elevated {
 		t.Fatalf("age %d epochs: level %v, want Elevated", in.AgeEpochs, got)
 	}
 	// Age never downgrades an already-critical level.
-	if got := b.next(Critical, Inputs{AgeEpochs: 99, RSS: 1 << 30, Budget: 1 << 30}); got != Critical {
+	if got := nextLevel(Critical, Inputs{AgeEpochs: 99, RSS: 1 << 30, Budget: 1 << 30}); got != Critical {
 		t.Fatalf("critical with old quarantine: level %v, want Critical", got)
 	}
-	if got := b.next(Nominal, Inputs{AgeEpochs: b.AgeElevated - 1}); got != Nominal {
+	if got := nextLevel(Nominal, Inputs{AgeEpochs: ageElevated - 1}); got != Nominal {
 		t.Fatalf("age below the bar: level %v, want Nominal", got)
 	}
 }
@@ -247,5 +245,80 @@ func TestLevelJSON(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`"bogus"`), &l); err == nil {
 		t.Fatal("unmarshal bogus name succeeded")
+	}
+}
+
+// governorScript is a budget-usage ramp through both hysteresis bands and
+// back, then the quarantine-age signal with no budget pressure, then a calm
+// tail long enough for AIMD to relax all the way to base.
+func governorScript() []Inputs {
+	var s []Inputs
+	for _, u := range []float64{0.50, 0.75, 0.82, 0.90, 0.96, 1.00, 0.90, 0.84, 0.72, 0.60} {
+		s = append(s, press(u))
+	}
+	for _, age := range []uint64{7, 8, 9, 3} {
+		in := press(0.30)
+		in.AgeEpochs = age
+		s = append(s, in)
+	}
+	for i := 0; i < 12; i++ {
+		s = append(s, press(0.30))
+	}
+	return s
+}
+
+// TestGovernorDecisionScript pins every decision a NewAIMD plane makes on a
+// fixed script: which observations change something, and the level and the
+// knobs before and after each. The table was recorded when the rails,
+// bands and AIMD steps were still settable fields, so it holds the
+// constants to those fields' defaults exactly.
+func TestGovernorDecisionScript(t *testing.T) {
+	kn := func(sweep, unmapped, pause float64, helpers, rescan int) Knobs {
+		return Knobs{SweepThreshold: sweep, UnmappedFactor: unmapped, PauseThreshold: pause, Helpers: helpers, RescanBudgetPages: rescan}
+	}
+	want := []struct {
+		step          int
+		level         Level
+		before, after Knobs
+	}{
+		{2, Elevated, kn(0.15, 9, 3, 6, 512), kn(0.11249999999999999, 6.75, 2.25, 7, 384)},
+		{3, Elevated, kn(0.11249999999999999, 6.75, 2.25, 7, 384), kn(0.08437499999999999, 5.0625, 1.6875, 8, 288)},
+		{4, Critical, kn(0.08437499999999999, 5.0625, 1.6875, 8, 288), kn(0.042187499999999996, 2.53125, 0.84375, 10, 144)},
+		{5, Critical, kn(0.042187499999999996, 2.53125, 0.84375, 10, 144), kn(0.021093749999999998, 1.265625, 0.421875, 12, 72)},
+		{6, Critical, kn(0.021093749999999998, 1.265625, 0.421875, 12, 72), kn(0.010546874999999999, 1, 0.375, 14, 64)},
+		{7, Elevated, kn(0.010546874999999999, 1, 0.375, 14, 64), kn(0.009375, 1, 0.375, 14, 64)},
+		{9, Nominal, kn(0.009375, 1, 0.375, 14, 64), kn(0.028124999999999997, 2.125, 0.75, 13, 128)},
+		{10, Nominal, kn(0.028124999999999997, 2.125, 0.75, 13, 128), kn(0.046875, 3.25, 1.125, 12, 192)},
+		{11, Elevated, kn(0.046875, 3.25, 1.125, 12, 192), kn(0.03515625, 2.4375, 0.84375, 13, 144)},
+		{12, Elevated, kn(0.03515625, 2.4375, 0.84375, 13, 144), kn(0.0263671875, 1.828125, 0.6328125, 14, 108)},
+		{13, Nominal, kn(0.0263671875, 1.828125, 0.6328125, 14, 108), kn(0.0451171875, 2.953125, 1.0078125, 13, 172)},
+		{14, Nominal, kn(0.0451171875, 2.953125, 1.0078125, 13, 172), kn(0.0638671875, 4.078125, 1.3828125, 12, 236)},
+		{15, Nominal, kn(0.0638671875, 4.078125, 1.3828125, 12, 236), kn(0.08261718750000001, 5.203125, 1.7578125, 11, 300)},
+		{16, Nominal, kn(0.08261718750000001, 5.203125, 1.7578125, 11, 300), kn(0.10136718750000001, 6.328125, 2.1328125, 10, 364)},
+		{17, Nominal, kn(0.10136718750000001, 6.328125, 2.1328125, 10, 364), kn(0.12011718750000001, 7.453125, 2.5078125, 9, 428)},
+		{18, Nominal, kn(0.12011718750000001, 7.453125, 2.5078125, 9, 428), kn(0.13886718750000002, 8.578125, 2.8828125, 8, 492)},
+		{19, Nominal, kn(0.13886718750000002, 8.578125, 2.8828125, 8, 492), kn(0.15, 9, 3, 7, 512)},
+		{20, Nominal, kn(0.15, 9, 3, 7, 512), kn(0.15, 9, 3, 6, 512)},
+	}
+	base := Knobs{SweepThreshold: 0.15, UnmappedFactor: 9, PauseThreshold: 3, Helpers: 6, RescanBudgetPages: 512}
+	p := NewPlane(Config{Base: base, Budget: 1 << 30, Policy: NewAIMD()})
+	var i int
+	for step, in := range governorScript() {
+		d, changed := p.Observe(in)
+		if !changed {
+			continue
+		}
+		if i >= len(want) {
+			t.Fatalf("step %d: unexpected decision %+v", step, d)
+		}
+		w := want[i]
+		if step != w.step || d.Level != w.level || d.Before != w.before || d.After != w.after {
+			t.Fatalf("decision %d at step %d: %v %+v -> %+v, want step %d: %v %+v -> %+v",
+				i, step, d.Level, d.Before, d.After, w.step, w.level, w.before, w.after)
+		}
+		i++
+	}
+	if i != len(want) {
+		t.Fatalf("%d decisions, want %d", i, len(want))
 	}
 }

@@ -34,50 +34,40 @@ func (Static) Decide(_ Level, _ Inputs, _, base Knobs, _ Rails) Knobs { return b
 // SweepThreshold), release unmapped quarantine sooner (lower
 // UnmappedFactor), brake allocation earlier (lower PauseThreshold), and
 // sweep faster (more Helpers).
-type AIMD struct {
-	// TightenCritical and TightenElevated are the multiplicative factors
-	// applied to the threshold-like knobs per pressured decision.
-	TightenCritical float64
-	TightenElevated float64
-	// RelaxFrac is the additive step back toward base per calm decision,
-	// as a fraction of the base value.
-	RelaxFrac float64
-	// HelpersStepCritical and HelpersStepElevated are the worker-count
-	// increments per pressured decision.
-	HelpersStepCritical int
-	HelpersStepElevated int
-}
+type AIMD struct{}
 
-// NewAIMD returns the default-tuned AIMD governor: halve under Critical,
-// three-quarters under Elevated, relax by an eighth of base per calm sweep.
-func NewAIMD() *AIMD {
-	return &AIMD{
-		TightenCritical:     0.5,
-		TightenElevated:     0.75,
-		RelaxFrac:           0.125,
-		HelpersStepCritical: 2,
-		HelpersStepElevated: 1,
-	}
-}
+// AIMD's steps: halve the threshold-like knobs and add two helpers under
+// Critical, take three-quarters and add one under Elevated, and relax by an
+// eighth of base per calm decision.
+const (
+	tightenCritical     = 0.5
+	tightenElevated     = 0.75
+	relaxFrac           = 0.125
+	helpersStepCritical = 2
+	helpersStepElevated = 1
+)
+
+// NewAIMD returns the AIMD governor.
+func NewAIMD() *AIMD { return &AIMD{} }
 
 // Name implements Policy.
 func (*AIMD) Name() string { return "aimd" }
 
 // Decide implements Policy.
-func (a *AIMD) Decide(level Level, _ Inputs, cur, base Knobs, rails Rails) Knobs {
+func (*AIMD) Decide(level Level, _ Inputs, cur, base Knobs, rails Rails) Knobs {
 	next := cur
 	switch level {
 	case Critical:
-		next = tighten(cur, a.TightenCritical)
-		next.Helpers = cur.Helpers + a.HelpersStepCritical
+		next = tighten(cur, tightenCritical)
+		next.Helpers = cur.Helpers + helpersStepCritical
 	case Elevated:
-		next = tighten(cur, a.TightenElevated)
-		next.Helpers = cur.Helpers + a.HelpersStepElevated
+		next = tighten(cur, tightenElevated)
+		next.Helpers = cur.Helpers + helpersStepElevated
 	default: // Nominal: additive recovery toward base.
-		next.SweepThreshold = relax(cur.SweepThreshold, base.SweepThreshold, a.RelaxFrac)
-		next.UnmappedFactor = relax(cur.UnmappedFactor, base.UnmappedFactor, a.RelaxFrac)
-		next.PauseThreshold = relax(cur.PauseThreshold, base.PauseThreshold, a.RelaxFrac)
-		next.RescanBudgetPages = relaxInt(cur.RescanBudgetPages, base.RescanBudgetPages, a.RelaxFrac)
+		next.SweepThreshold = relax(cur.SweepThreshold, base.SweepThreshold)
+		next.UnmappedFactor = relax(cur.UnmappedFactor, base.UnmappedFactor)
+		next.PauseThreshold = relax(cur.PauseThreshold, base.PauseThreshold)
+		next.RescanBudgetPages = relaxInt(cur.RescanBudgetPages, base.RescanBudgetPages)
 		if cur.Helpers > base.Helpers {
 			next.Helpers = cur.Helpers - 1
 		}
@@ -99,12 +89,13 @@ func tighten(k Knobs, factor float64) Knobs {
 	return k
 }
 
-// relax steps cur additively toward base by frac*base without overshooting.
-func relax(cur, base, frac float64) float64 {
+// relax steps cur additively toward base by relaxFrac*base without
+// overshooting.
+func relax(cur, base float64) float64 {
 	if cur >= base {
 		return base
 	}
-	next := cur + base*frac
+	next := cur + base*relaxFrac
 	if next > base {
 		return base
 	}
@@ -112,11 +103,11 @@ func relax(cur, base, frac float64) float64 {
 }
 
 // relaxInt is relax for integer knobs, stepping by at least one.
-func relaxInt(cur, base int, frac float64) int {
+func relaxInt(cur, base int) int {
 	if cur >= base {
 		return base
 	}
-	step := int(float64(base) * frac)
+	step := int(float64(base) * relaxFrac)
 	if step < 1 {
 		step = 1
 	}

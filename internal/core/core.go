@@ -357,14 +357,10 @@ func newHeap(space *mem.AddressSpace, cfg Config) (*Heap, error) {
 	if cfg.ZeroMode != ZeroImmediate {
 		return nil, fmt.Errorf("core: ZeroMode %d unsupported: zero-on-free runs only inside free() (ZeroImmediate)", int(cfg.ZeroMode))
 	}
-	marks, err := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
-	if err != nil {
-		return nil, err
-	}
 	h := &Heap{
 		cfg:      cfg,
 		space:    space,
-		marks:    marks,
+		marks:    shadow.New(),
 		q:        quarantine.New(),
 		ctl:      cfg.Control,
 		sweepReq: make(chan struct{}, 1),

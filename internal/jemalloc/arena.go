@@ -30,21 +30,19 @@ type arena struct {
 	dirty      map[int][]*Extent
 	dirtyBytes uint64 // committed bytes on dirty lists
 
-	decayCycles uint64 // dirty extents older than this get purged on Tick
-	now         uint64 // last observed virtual time
+	now uint64 // last observed virtual time
 
 	nExtents int
 	nPages   int // pages of every extent ever mapped
 	purges   atomic.Uint64
 }
 
-func newArena(space *mem.AddressSpace, hooks ExtentHooks, shard int32, decayCycles uint64) *arena {
+func newArena(space *mem.AddressSpace, hooks ExtentHooks, shard int32) *arena {
 	return &arena{
-		space:       space,
-		hooks:       hooks,
-		shard:       shard,
-		dirty:       make(map[int][]*Extent),
-		decayCycles: decayCycles,
+		space: space,
+		hooks: hooks,
+		shard: shard,
+		dirty: make(map[int][]*Extent),
 	}
 }
 
@@ -175,12 +173,9 @@ func (a *arena) purgeExtents(batch []*Extent) {
 func (a *arena) Tick(now uint64) {
 	a.mu.Lock()
 	a.now = now
-	var batch []*Extent
-	if a.decayCycles != 0 {
-		batch = a.collectPurgeLocked(func(e *Extent) bool {
-			return now-e.dirtyStamp >= a.decayCycles
-		})
-	}
+	batch := a.collectPurgeLocked(func(e *Extent) bool {
+		return now-e.dirtyStamp >= decayCycles
+	})
 	a.mu.Unlock()
 	a.purgeExtents(batch)
 }

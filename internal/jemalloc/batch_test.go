@@ -330,7 +330,6 @@ func TestSlowDecommitDoesNotBlockTick(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Hooks = g
 	cfg.TcacheEnabled = false
-	cfg.DecayCycles = 10
 	cfg.Arenas = 1
 	h := New(mem.NewAddressSpace(), cfg)
 	tid := h.RegisterThread()
@@ -340,7 +339,7 @@ func TestSlowDecommitDoesNotBlockTick(t *testing.T) {
 	}
 	tickDone := make(chan struct{})
 	go func() {
-		h.Tick(1000) // past the decay deadline: purges the dirty extent
+		h.Tick(2 * decayCycles) // past the decay deadline: purges the dirty extent
 		close(tickDone)
 	}()
 	<-g.entered

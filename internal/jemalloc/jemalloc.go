@@ -14,13 +14,6 @@ import (
 type Config struct {
 	// Hooks manage physical memory for extents. Nil means DefaultHooks.
 	Hooks ExtentHooks
-	// PadEnd grows every request by one byte so that one-past-the-end
-	// pointers lie within the same allocation (the paper's jemalloc
-	// modification for C/C++ end() pointer compatibility).
-	PadEnd bool
-	// DecayCycles is the virtual-time age after which dirty extents are
-	// purged on Tick. Zero disables decay purging.
-	DecayCycles uint64
 	// TcacheEnabled enables per-thread caches.
 	TcacheEnabled bool
 	// Arenas is the number of arena/bin shards. Threads are spread over the
@@ -30,18 +23,19 @@ type Config struct {
 	Arenas int
 }
 
-// DefaultConfig mirrors stock jemalloc behaviour: tcache on, decay purging
-// of dirty extents (jemalloc's 10-second decay curve, expressed here in
-// virtual operation-count time at simulator scale), end-pointer pad on,
-// automatic arena count.
+// DefaultConfig mirrors stock jemalloc behaviour: tcache on, automatic
+// arena count.
 func DefaultConfig() Config {
 	return Config{
 		Hooks:         DefaultHooks{},
-		PadEnd:        true,
-		DecayCycles:   100_000,
 		TcacheEnabled: true,
 	}
 }
+
+// decayCycles is the virtual-time age after which dirty extents are purged on
+// Tick: jemalloc's 10-second decay curve, expressed in virtual
+// operation-count time at simulator scale.
+const decayCycles = 100_000
 
 // heapShard is one slice of the allocator's shared state: an arena (extent
 // lifecycle, dirty lists) plus a full bin set. Each shard has its own locks;
@@ -112,7 +106,7 @@ func New(space *mem.AddressSpace, cfg Config) *Heap {
 	}
 	for s := range h.shards {
 		sh := &h.shards[s]
-		sh.arena = newArena(space, cfg.Hooks, int32(s), cfg.DecayCycles)
+		sh.arena = newArena(space, cfg.Hooks, int32(s))
 		sh.bins = make([]bin, NumClasses())
 		for c := range sh.bins {
 			sh.bins[c].class = c
@@ -203,10 +197,10 @@ func (h *Heap) Malloc(tid alloc.ThreadID, size uint64) (uint64, error) {
 	if size == 0 {
 		size = 1
 	}
-	req := size
-	if h.cfg.PadEnd {
-		req++
-	}
+	// Every request grows by one byte so that one-past-the-end pointers lie
+	// within the same allocation: the paper's jemalloc modification for
+	// C/C++ end() pointer compatibility.
+	req := size + 1
 	var addr uint64
 	var usable uint64
 	if IsSmall(req) {

@@ -90,7 +90,7 @@ func TestMallocFreeSmall(t *testing.T) {
 	if !mem.IsHeapAddr(addr) {
 		t.Errorf("Malloc returned non-heap address %#x", addr)
 	}
-	// PadEnd: 100+1 -> class 112.
+	// End pad: 100+1 -> class 112.
 	if got := h.UsableSize(addr); got != 112 {
 		t.Errorf("UsableSize = %d, want 112", got)
 	}
@@ -138,7 +138,7 @@ func TestMallocLarge(t *testing.T) {
 }
 
 func TestPadEndKeepsEndPointerInAllocation(t *testing.T) {
-	// With PadEnd, a one-past-the-end pointer of the *requested* size must
+	// With the end pad, a one-past-the-end pointer of the *requested* size must
 	// still resolve to the same allocation.
 	h, tid := newHeap(t, DefaultConfig())
 	addr, err := h.Malloc(tid, 64) // becomes class 80
@@ -148,19 +148,6 @@ func TestPadEndKeepsEndPointerInAllocation(t *testing.T) {
 	a, ok := h.Lookup(addr + 64)
 	if !ok || a.Base != addr {
 		t.Errorf("end pointer resolves to (%#x, %v), want (%#x, true)", a.Base, ok, addr)
-	}
-}
-
-func TestPadEndDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PadEnd = false
-	h, tid := newHeap(t, cfg)
-	addr, err := h.Malloc(tid, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.UsableSize(addr); got != 64 {
-		t.Errorf("UsableSize = %d, want 64", got)
 	}
 }
 
@@ -300,7 +287,6 @@ func TestPurgeAllReducesRSS(t *testing.T) {
 func TestDecayPurging(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TcacheEnabled = false
-	cfg.DecayCycles = 100
 	h, tid := newHeap(t, cfg)
 	addr, _ := h.Malloc(tid, 1<<20)
 	if err := h.Free(tid, addr); err != nil {
@@ -310,11 +296,11 @@ func TestDecayPurging(t *testing.T) {
 	if dirtyBefore == 0 {
 		t.Fatal("no dirty bytes after large free")
 	}
-	h.Tick(50) // before deadline
+	h.Tick(decayCycles / 2) // before deadline
 	if d := h.arenaStats().dirtyBytes; d != dirtyBefore {
 		t.Error("decay purged too early")
 	}
-	h.Tick(200) // past deadline
+	h.Tick(2 * decayCycles) // past deadline
 	if d := h.arenaStats().dirtyBytes; d != 0 {
 		t.Errorf("dirty bytes after decay = %d, want 0", d)
 	}

@@ -7,8 +7,8 @@
 // intercepts for its unmapping and fragmentation management (§4.2, §4.5).
 //
 // The paper's minimally modified JeMalloc also grows every allocation by one
-// byte so C++ end() pointers stay inside the same allocation; the facade
-// reproduces that via Config.PadEnd.
+// byte so C++ end() pointers stay inside the same allocation, and so does
+// Heap.Malloc here.
 package jemalloc
 
 import (

@@ -40,8 +40,6 @@ type Config struct {
 	// SweepThreshold is the quarantine fraction that triggers a marking
 	// pass (0.25 in the MarkUs paper).
 	SweepThreshold float64
-	// Unmapping releases physical pages of large quarantined allocations.
-	Unmapping bool
 	// World stops mutators during marking. Nil skips stopping (tests).
 	World sweep.StopTheWorld
 	// Synchronous runs marking on the freeing thread instead of a
@@ -51,7 +49,7 @@ type Config struct {
 
 // DefaultConfig returns MarkUs defaults.
 func DefaultConfig() Config {
-	return Config{SweepThreshold: 0.25, Unmapping: true}
+	return Config{SweepThreshold: 0.25}
 }
 
 // Heap is the MarkUs-protected heap.
@@ -129,7 +127,7 @@ func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 	// A double free of a quarantined allocation decommits again, which is
 	// a no-op, and the drain rejects it.
 	e := quarantine.NewEntry(a.Base, a.Size)
-	if h.cfg.Unmapping && a.Large {
+	if a.Large {
 		if err := h.je.DecommitExtent(a.Base); err == nil {
 			e.SetUnmapped()
 		}
@@ -259,7 +257,7 @@ func (h *Heap) mark() map[uint64]struct{} {
 
 	// Root scan: stacks and globals.
 	var marked uint64
-	for _, r := range h.space.Regions() {
+	for _, r := range h.space.Regions(nil) {
 		if r.Kind() != mem.KindStack && r.Kind() != mem.KindGlobals {
 			continue
 		}

@@ -174,6 +174,8 @@ type Region struct {
 	// by SetOwner right after Map (jemalloc stores the extent here); nil
 	// for every other region.
 	owner atomic.Value
+
+	slot int // index in space.regions; guarded by space.mu
 }
 
 // IsAlias reports whether the region is a virtual alias of another region's

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -162,25 +163,126 @@ func TestRadixLookupManyRegions(t *testing.T) {
 	}
 }
 
-func TestRegionsSnapshotLazyRebuild(t *testing.T) {
+// TestRegionsListsLiveSet unmaps regions from the middle, the front and the
+// back of the region list, interleaved with new mappings, and requires
+// Regions to list exactly the live set after every step.
+func TestRegionsListsLiveSet(t *testing.T) {
 	as := NewAddressSpace()
-	a, _ := as.Map(KindHeap, PageSize, true)
-	s1 := as.Regions()
-	if len(s1) != 1 || s1[0] != a {
-		t.Fatalf("snapshot = %v", s1)
+	live := make(map[*Region]bool)
+	mapOne := func(kind Kind) *Region {
+		r, err := as.Map(kind, PageSize, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[r] = true
+		return r
 	}
-	b, _ := as.Map(KindStack, PageSize, true)
-	s2 := as.Regions()
-	if len(s2) != 2 {
-		t.Fatalf("snapshot after map = %d regions", len(s2))
+	check := func(step string) {
+		t.Helper()
+		got := as.Regions(nil)
+		if len(got) != len(live) || as.Stats().Regions != len(live) {
+			t.Fatalf("%s: Regions lists %d, Stats %d, want %d", step, len(got), as.Stats().Regions, len(live))
+		}
+		for _, r := range got {
+			if !live[r] {
+				t.Fatalf("%s: Regions lists %#x, which is not live", step, r.Base())
+			}
+		}
 	}
-	// Sorted by base.
-	if s2[0].Base() > s2[1].Base() {
-		t.Error("snapshot not sorted")
+	var regs []*Region
+	for i := 0; i < 10; i++ {
+		regs = append(regs, mapOne([]Kind{KindHeap, KindStack, KindGlobals}[i%3]))
 	}
-	_ = as.Unmap(b)
-	if got := as.Regions(); len(got) != 1 {
-		t.Errorf("snapshot after unmap = %d regions", len(got))
+	check("mapped")
+	for _, i := range []int{5, 0, 9, 4} {
+		if err := as.Unmap(regs[i]); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, regs[i])
+		check(fmt.Sprintf("unmapped %d", i))
+	}
+	if err := as.Unmap(regs[5]); err == nil {
+		t.Fatal("second Unmap of a region succeeded")
+	}
+	mapOne(KindHeap)
+	check("remapped")
+	for r := range live {
+		if err := as.Unmap(r); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, r)
+		check("drained")
+	}
+	// Regions overwrites dst in place when it has room.
+	dst := make([]*Region, 3, 8)
+	mapOne(KindHeap)
+	if got := as.Regions(dst); len(got) != 1 || &got[0] != &dst[0] {
+		t.Fatalf("Regions(dst) = %d regions, reused dst %v", len(got), len(got) > 0 && &got[0] == &dst[0])
+	}
+}
+
+// TestRegionsConcurrentMapUnmap maps and unmaps from several goroutines
+// while another lists the regions, as jemalloc grows and drops extents on
+// mutators while a sweep collects its chunks. Run under -race (make
+// race-hot). Every snapshot must hold only whole regions, and the list must
+// end holding exactly the regions left mapped.
+func TestRegionsConcurrentMapUnmap(t *testing.T) {
+	as := NewAddressSpace()
+	const workers, rounds = 4, 200
+	kept := make([][]*Region, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				r, err := as.Map(KindHeap, PageSize, false)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%3 == 0 {
+					kept[w] = append(kept[w], r)
+				} else if err := as.Unmap(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	var dst []*Region
+	for listing := true; listing; {
+		select {
+		case <-done:
+			listing = false
+		default:
+		}
+		dst = as.Regions(dst)
+		for _, r := range dst {
+			if r == nil || r.Size() != PageSize {
+				t.Fatalf("Regions listed %v", r)
+			}
+		}
+	}
+	want := make(map[*Region]bool)
+	for _, rs := range kept {
+		for _, r := range rs {
+			want[r] = true
+		}
+	}
+	got := as.Regions(nil)
+	if len(got) != len(want) {
+		t.Fatalf("Regions lists %d, want %d", len(got), len(want))
+	}
+	for _, r := range got {
+		if !want[r] {
+			t.Fatalf("Regions lists unmapped %#x", r.Base())
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -74,10 +73,11 @@ type (
 // changes take a mutex; address lookups are lock-free constant-time radix
 // walks, so mutator threads and sweeper threads scale without contending.
 type AddressSpace struct {
-	mu       sync.Mutex
-	set      map[uint64]*Region        // live regions by base
-	snapshot atomic.Pointer[[]*Region] // sorted by base; rebuilt lazily
-	stale    atomic.Bool               // snapshot needs rebuilding
+	mu sync.Mutex
+	// regions lists the live regions in no particular order; each region's
+	// slot is its index here, so Unmap swap-removes it in O(1). Guarded by
+	// mu.
+	regions  []*Region
 	radix    [radixTopSize]atomic.Pointer[radixMid]
 	nextHeap uint64
 	nextStk  uint64
@@ -156,37 +156,18 @@ func (as *AddressSpace) putBacking(s []uint64) {
 
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
-	as := &AddressSpace{
-		set:      make(map[uint64]*Region),
+	return &AddressSpace{
 		nextHeap: HeapBase,
 		nextStk:  StackBase,
 		nextGbl:  GlobalsBase,
 	}
-	empty := make([]*Region, 0)
-	as.snapshot.Store(&empty)
-	return as
 }
 
-// regions returns a sorted region snapshot, rebuilding it only when the
-// region set changed since the last call. Mapping and unmapping are O(pages)
-// — allocator-rate operations must not pay O(regions).
-func (as *AddressSpace) regions() []*Region {
-	if !as.stale.Load() {
-		return *as.snapshot.Load()
-	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	if !as.stale.Load() {
-		return *as.snapshot.Load()
-	}
-	nw := make([]*Region, 0, len(as.set))
-	for _, r := range as.set {
-		nw = append(nw, r)
-	}
-	sort.Slice(nw, func(i, j int) bool { return nw[i].base < nw[j].base })
-	as.snapshot.Store(&nw)
-	as.stale.Store(false)
-	return nw
+// addRegion lists r and points its pages at it. Caller holds as.mu.
+func (as *AddressSpace) addRegion(r *Region) {
+	r.slot = len(as.regions)
+	as.regions = append(as.regions, r)
+	as.radixInsert(r)
 }
 
 // Lookup returns the region containing addr, or nil.
@@ -302,10 +283,7 @@ func (as *AddressSpace) Map(kind Kind, size uint64, committed bool) (*Region, er
 		as.rss.Add(int64(size))
 	}
 	as.mapped.Add(int64(size))
-
-	as.set[base] = r
-	as.stale.Store(true)
-	as.radixInsert(r)
+	as.addRegion(r)
 	return r, nil
 }
 
@@ -315,7 +293,9 @@ func (as *AddressSpace) Unmap(r *Region) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 
-	if as.set[r.base] != r {
+	// Addresses are never reused, so an unmapped region's pages stay
+	// unmapped: the page table tells whether r is still live.
+	if as.Lookup(r.base) != r {
 		return fmt.Errorf("mem: Unmap: region %#x not mapped", r.base)
 	}
 	// Decommit every page so stale references to the region (e.g. a
@@ -327,8 +307,11 @@ func (as *AddressSpace) Unmap(r *Region) error {
 	}
 	as.mapped.Add(-int64(r.size))
 
-	delete(as.set, r.base)
-	as.stale.Store(true)
+	last := len(as.regions) - 1
+	as.regions[r.slot] = as.regions[last]
+	as.regions[r.slot].slot = r.slot
+	as.regions[last] = nil
+	as.regions = as.regions[:last]
 	as.radixRemove(r)
 	return nil
 }
@@ -430,9 +413,7 @@ func (as *AddressSpace) MapAlias(parent *Region, offset, size uint64) (*Region, 
 	}
 	r.resident.Store(int32(size / PageSize))
 	as.mapped.Add(int64(size))
-	as.set[base] = r
-	as.stale.Store(true)
-	as.radixInsert(r)
+	as.addRegion(r)
 	return r, nil
 }
 
@@ -539,19 +520,28 @@ func (as *AddressSpace) DirtyRegions(dst []*Region) []*Region {
 	return dst
 }
 
-// Regions returns the current region snapshot, sorted by base address. The
-// returned slice must not be modified.
-func (as *AddressSpace) Regions() []*Region { return as.regions() }
+// Regions overwrites dst with the live regions, in no particular order, and
+// returns it, growing it as needed. Like DirtyRegions it is a snapshot:
+// regions mapped or unmapped after it returns are not reflected in it.
+func (as *AddressSpace) Regions(dst []*Region) []*Region {
+	as.mu.Lock()
+	dst = append(dst[:0], as.regions...)
+	as.mu.Unlock()
+	return dst
+}
 
 // RSS returns resident (committed) bytes.
 func (as *AddressSpace) RSS() uint64 { return uint64(as.rss.Load()) }
 
 // Stats returns an accounting snapshot.
 func (as *AddressSpace) Stats() Stats {
+	as.mu.Lock()
+	n := len(as.regions)
+	as.mu.Unlock()
 	return Stats{
 		RSS:     uint64(as.rss.Load()),
 		Mapped:  uint64(as.mapped.Load()),
-		Regions: len(as.regions()),
+		Regions: n,
 		Faults:  as.faults.Load(),
 	}
 }

@@ -28,11 +28,12 @@ const Poison uint64 = 0xDEAD_5EE9_0000_0000
 
 const shards = 64
 
+// interval is the time between sweep rounds: the paper's 1 s, scaled to
+// simulator time.
+const interval = 25 * time.Millisecond
+
 // Config tunes the sweeper.
 type Config struct {
-	// Interval between sweep rounds (the paper's 1 s, scaled; default
-	// 25ms at simulator scale).
-	Interval time.Duration
 	// WakeThreshold wakes the sweeper early when deferred-free bytes
 	// exceed this fraction of the heap (default 0.25).
 	WakeThreshold float64
@@ -42,7 +43,7 @@ type Config struct {
 
 // DefaultConfig returns the pSweeper-1s analogue.
 func DefaultConfig() Config {
-	return Config{Interval: 25 * time.Millisecond, WakeThreshold: 0.25}
+	return Config{WakeThreshold: 0.25}
 }
 
 type tableShard struct {
@@ -84,9 +85,6 @@ var _ alloc.PointerObserver = (*Heap)(nil)
 
 // New builds a pSweeper heap over space.
 func New(space *mem.AddressSpace, cfg Config, jcfg jemalloc.Config) *Heap {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 25 * time.Millisecond
-	}
 	if cfg.WakeThreshold <= 0 {
 		cfg.WakeThreshold = 0.25
 	}
@@ -187,7 +185,7 @@ func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 
 func (h *Heap) sweeperLoop() {
 	defer h.wg.Done()
-	t := time.NewTicker(h.cfg.Interval)
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {

@@ -121,10 +121,8 @@ func TestInvalidFree(t *testing.T) {
 }
 
 func TestBackgroundSweeperRuns(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Interval = 1e6 // 1ms
 	space := mem.NewAddressSpace()
-	h := New(space, cfg, jemalloc.DefaultConfig())
+	h := New(space, DefaultConfig(), jemalloc.DefaultConfig())
 	defer h.Shutdown()
 	prog, _ := sim.NewProgram(space, h, nil)
 	th, _ := prog.NewThread(1)

@@ -1,8 +1,8 @@
 package quarantine
 
 import (
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -546,8 +546,11 @@ func TestQuickAccounting(t *testing.T) {
 //   - eager: a one-entry ring drained and released one entry at a time;
 //   - ring64: a default 64-entry ring, each lock-in released as one
 //     256-entry ReleaseBatch, as a sweep worker does;
-//   - par2: two goroutines draining 64-entry rings against one releaser
-//     that locks in and releases what they published.
+//   - par2: two goroutines draining 64-entry rings, each locking in and
+//     releasing whatever both have published after every releaseBatch of
+//     its own pushes, so the lock-in cadence is set by the operation count,
+//     not by when a releaser goroutine gets a P. It reports the run's
+//     lock-ins beside ns/op.
 func BenchmarkInsertRelease(b *testing.B) {
 	b.Run("eager", func(b *testing.B) {
 		q := New()
@@ -582,46 +585,38 @@ func BenchmarkInsertRelease(b *testing.B) {
 	b.Run("par2", func(b *testing.B) {
 		const drainers = 2
 		q := New()
+		var lockIns atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < drainers; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				tb := NewThreadBuffer(q, DefaultBufferCap)
+				rel := q.NewReleaser()
+				release := func() {
+					locked := q.LockIn()
+					for lo := 0; lo < len(locked); lo += releaseBatch {
+						rel.ReleaseBatch(locked[lo:min(lo+releaseBatch, len(locked))])
+					}
+					q.Reclaim(locked)
+					lockIns.Add(1)
+				}
+				pushes := 0
 				for i := g; i < b.N; i += drainers {
 					if tb.Push(NewEntry(uint64(i+1)*16, 64)) {
 						tb.Drain()
 					}
+					if pushes++; pushes%releaseBatch == 0 {
+						release()
+					}
 				}
 				tb.Drain()
+				release()
+				rel.Flush()
 			}(g)
 		}
-		done := make(chan struct{})
-		go func() {
-			wg.Wait()
-			close(done)
-		}()
-		rel := q.NewReleaser()
-		releaseAll := func() int {
-			locked := q.LockIn()
-			for lo := 0; lo < len(locked); lo += releaseBatch {
-				rel.ReleaseBatch(locked[lo:min(lo+releaseBatch, len(locked))])
-			}
-			q.Reclaim(locked)
-			return len(locked)
-		}
-		for {
-			select {
-			case <-done:
-				releaseAll()
-				rel.Flush()
-				return
-			default:
-			}
-			if releaseAll() == 0 {
-				runtime.Gosched()
-			}
-		}
+		wg.Wait()
+		b.ReportMetric(float64(lockIns.Load()), "lock-ins")
 	})
 }
 

@@ -187,9 +187,7 @@ func build(kind Kind, opts Options, space *mem.AddressSpace, world *sim.World) (
 		return core.New(space, opts.coreConfig(kind, world), jemalloc.DefaultConfig())
 	case Scudo:
 		cfg := opts.coreConfig(kind, world)
-		scfg := scudo.DefaultConfig()
-		scfg.Core = &cfg
-		return scudo.New(space, scfg)
+		return scudo.New(space, scudo.Config{Core: &cfg})
 	case MineSweeperDlmalloc:
 		return core.NewWithSubstrate(space, opts.coreConfig(kind, world), dlmalloc.New(space))
 	case MarkUs:

@@ -40,16 +40,11 @@ type Config struct {
 	// Core overrides the MineSweeper layer configuration (nil = default),
 	// its World included.
 	Core *core.Config
-	// Seed seeds the free-list randomisation.
-	Seed uint64
 }
-
-// DefaultConfig returns the standard pairing.
-func DefaultConfig() Config { return Config{Seed: 0x5C0D0} }
 
 // New builds a MineSweeper-protected Scudo heap.
 func New(space *mem.AddressSpace, cfg Config) (*core.Heap, error) {
-	sub := NewAllocator(space, cfg.Seed)
+	sub := NewAllocator(space)
 	ccfg := core.DefaultConfig()
 	if cfg.Core != nil {
 		ccfg = *cfg.Core
@@ -98,8 +93,11 @@ type Allocator struct {
 
 var _ alloc.Substrate = (*Allocator)(nil)
 
+// seed seeds the free-list randomisation.
+const seed = 0x5C0D0
+
 // NewAllocator returns the bare substrate (no quarantine layer).
-func NewAllocator(space *mem.AddressSpace, seed uint64) *Allocator {
+func NewAllocator(space *mem.AddressSpace) *Allocator {
 	a := &Allocator{
 		space:    space,
 		classes:  make([]classState, jemalloc.NumClasses()),

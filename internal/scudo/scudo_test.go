@@ -11,7 +11,7 @@ import (
 
 func newBare(t testing.TB) *Allocator {
 	t.Helper()
-	return NewAllocator(mem.NewAddressSpace(), 42)
+	return NewAllocator(mem.NewAddressSpace())
 }
 
 func TestPrimaryAllocFree(t *testing.T) {
@@ -115,14 +115,12 @@ func TestMineSweeperOverScudo(t *testing.T) {
 	// End-to-end: the quarantine layer's UAF guarantee holds over the
 	// Scudo substrate.
 	space := mem.NewAddressSpace()
-	cfg := DefaultConfig()
 	ccfg := core.DefaultConfig()
 	ccfg.Mode = core.Synchronous
 	ccfg.SweepThreshold = 1e18
 	ccfg.PauseThreshold = 0
 	ccfg.BufferCap = 1
-	cfg.Core = &ccfg
-	h, err := New(space, cfg)
+	h, err := New(space, Config{Core: &ccfg})
 	if err != nil {
 		t.Fatal(err)
 	}

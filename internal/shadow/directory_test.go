@@ -11,16 +11,16 @@ import (
 // of the range, ranges across a leaf boundary, ranges over an absent leaf,
 // and concurrent first marks racing to install one leaf.
 
-// leafCover returns the bytes of address space one directory leaf covers.
-func leafCover(b *Bitmap) uint64 { return chunkCover(b) << leafShift }
+// leafCover is the bytes of address space one directory leaf covers.
+const leafCover = chunkCover << leafShift
 
 // TestDirectoryEdges runs Mark, Test, AnyInRange and ClearRange on the first
 // granule of the range, the last granule below its limit, and the two
 // granules either side of a leaf boundary.
 func TestDirectoryEdges(t *testing.T) {
-	b := newTestBitmap(t)
-	g := b.GranuleSize()
-	boundary := mem.HeapBase + 3*leafCover(b)
+	b := New()
+	g := uint64(granuleSize)
+	boundary := mem.HeapBase + 3*leafCover
 	for _, tc := range []struct {
 		name string
 		addr uint64
@@ -60,9 +60,9 @@ func TestDirectoryEdges(t *testing.T) {
 // leaf boundary and clears a window across it: the bits on each side land in
 // different leaves, and both are installed.
 func TestDirectoryMarkAcrossLeafBoundary(t *testing.T) {
-	b := newTestBitmap(t)
-	g := b.GranuleSize()
-	boundary := mem.HeapBase + leafCover(b)
+	b := New()
+	g := uint64(granuleSize)
+	boundary := mem.HeapBase + leafCover
 	for a := boundary - 8*g; a < boundary+8*g; a += g {
 		b.Mark(a)
 	}
@@ -88,9 +88,9 @@ func TestDirectoryMarkAcrossLeafBoundary(t *testing.T) {
 // never installed: AnyInRange sees only the marks either side, ClearRange
 // clears them, and neither installs the absent leaf.
 func TestDirectoryRangeOverAbsentLeaf(t *testing.T) {
-	b := newTestBitmap(t)
-	g := b.GranuleSize()
-	lc := leafCover(b)
+	b := New()
+	g := uint64(granuleSize)
+	lc := uint64(leafCover)
 	lastOfLeaf0 := mem.HeapBase + lc - g
 	firstOfLeaf2 := mem.HeapBase + 2*lc
 	b.Mark(lastOfLeaf0)
@@ -115,8 +115,8 @@ func TestDirectoryRangeOverAbsentLeaf(t *testing.T) {
 // every installed leaf, so the footprint and the popcount are both 0, while
 // the leaves stay installed for the next sweep.
 func TestDirectoryClearAllKeepsLeaves(t *testing.T) {
-	b := newTestBitmap(t)
-	addrs := []uint64{mem.HeapBase, mem.HeapBase + 5*leafCover(b) + 12345, mem.HeapLimit - 1}
+	b := New()
+	addrs := []uint64{mem.HeapBase, mem.HeapBase + 5*leafCover + 12345, mem.HeapLimit - 1}
 	for _, a := range addrs {
 		b.Mark(a)
 	}
@@ -131,7 +131,7 @@ func TestDirectoryClearAllKeepsLeaves(t *testing.T) {
 		if b.Test(a) {
 			t.Errorf("%#x still marked after ClearAll", a)
 		}
-		ci := b.granule(a) >> bitsPerChunkShift
+		ci := granule(a) >> bitsPerChunkShift
 		if b.root[ci>>leafShift].Load() == nil {
 			t.Errorf("leaf of %#x dropped by ClearAll", a)
 		}
@@ -144,9 +144,9 @@ func TestDirectoryClearAllKeepsLeaves(t *testing.T) {
 // loser installed.
 func TestDirectoryConcurrentFirstMark(t *testing.T) {
 	for round := 0; round < 200; round++ {
-		b := newTestBitmap(t)
-		leafBase := mem.HeapBase + 7*leafCover(b)
-		addrs := [2]uint64{leafBase + 3*chunkCover(b), leafBase + 900*chunkCover(b) + 16}
+		b := New()
+		leafBase := mem.HeapBase + 7*leafCover
+		addrs := [2]uint64{leafBase + 3*chunkCover, leafBase + 900*chunkCover + 16}
 		var start, done sync.WaitGroup
 		start.Add(1)
 		for _, a := range addrs {

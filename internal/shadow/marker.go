@@ -24,13 +24,12 @@ type Marker struct {
 	b      *Bitmap
 	c      *chunk // chunk holding the pending word; &discard before first hit
 	wordLo uint64 // first byte whose granule maps into the pending word
-	shift  uint64 // granuleShift, cached
 	wi     uint64 // index of the pending word within c
 	acc    uint64 // pending bits for word wi
 }
 
 // discard absorbs marks accumulated before the first in-coverage Mark: the
-// sentinel window sits at [limit, limit+64<<shift), whose addresses are
+// sentinel window sits at [limit, limit+64 granules), whose addresses are
 // outside the bitmap and must be ignored — OR-ing their bits into this
 // never-read chunk ignores them without a coverage check on the fast path.
 // Shared across markers; writes are atomic and the contents are never read.
@@ -39,7 +38,7 @@ var discard chunk
 // NewMarker returns a write-combining marker over b for use by a single
 // goroutine.
 func (b *Bitmap) NewMarker() *Marker {
-	return &Marker{b: b, c: &discard, wordLo: b.limit, shift: uint64(b.granuleShift)}
+	return &Marker{b: b, c: &discard, wordLo: limit}
 }
 
 // Mark buffers the bit for the granule containing addr. Addresses outside
@@ -48,7 +47,7 @@ func (b *Bitmap) NewMarker() *Marker {
 // granules, so addr lands in the pending word exactly when the shifted
 // offset is below 64 — which keeps Mark under the inlining budget.
 func (m *Marker) Mark(addr uint64) {
-	if i := (addr - m.wordLo) >> m.shift; i < 64 {
+	if i := (addr - m.wordLo) >> granuleShift; i < 64 {
 		m.acc |= 1 << i
 		return
 	}
@@ -60,17 +59,16 @@ func (m *Marker) Mark(addr uint64) {
 // window is always either fully inside coverage or the sentinel, so the
 // inlined fast path never misdirects a covered mark.
 func (m *Marker) markSlow(addr uint64) {
-	b := m.b
-	if addr-b.base >= b.limit-b.base {
+	if addr-base >= limit-base {
 		return
 	}
 	m.Flush()
-	g := (addr - b.base) >> b.granuleShift
-	m.c = b.ensureChunk(g)
+	g := granule(addr)
+	m.c = m.b.ensureChunk(g)
 	i := g & (bitsPerChunk - 1)
 	m.wi = i >> 6
 	m.acc = 1 << (i & 63)
-	m.wordLo = b.base + (g&^63)<<m.shift
+	m.wordLo = base + (g&^63)<<granuleShift
 }
 
 // Flush publishes any pending bits to the bitmap. After Flush returns, every

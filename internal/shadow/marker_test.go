@@ -7,19 +7,13 @@ import (
 	"minesweeper/internal/mem"
 )
 
-// chunkCover returns the bytes of address space one chunk covers for b.
-func chunkCover(b *Bitmap) uint64 { return uint64(1) << (bitsPerChunkShift + b.granuleShift) }
-
 // requireIdentical fails unless a and b have bit-identical contents,
 // comparing raw chunk words over every chunk slot of the directory (an
 // absent chunk, or a chunk under an absent leaf, equals an all-zero one).
 func requireIdentical(t *testing.T, a, b *Bitmap) {
 	t.Helper()
-	if a.base != b.base || a.limit != b.limit || a.granuleShift != b.granuleShift {
-		t.Fatal("bitmaps have different geometry")
-	}
 	var zero chunk
-	for i := uint64(0); i < uint64(len(a.root))*leafChunks; i++ {
+	for i := uint64(0); i < rootLeaves*leafChunks; i++ {
 		g := i << bitsPerChunkShift
 		ca, cb := a.getChunk(g), b.getChunk(g)
 		if ca == nil && cb == nil {
@@ -46,8 +40,8 @@ func requireIdentical(t *testing.T, a, b *Bitmap) {
 // marks, out-of-range addresses, interleaved flushes — and requires the
 // resulting shadow maps to be bit-identical.
 func TestMarkerEquivalence(t *testing.T) {
-	plain := newTestBitmap(t)
-	buffered := newTestBitmap(t)
+	plain := New()
+	buffered := New()
 	mk := buffered.NewMarker()
 
 	rng := uint64(7)
@@ -69,7 +63,7 @@ func TestMarkerEquivalence(t *testing.T) {
 				addr = mem.HeapLimit // just outside
 			case 3: // last granule of a chunk, then the very next mark
 				// crosses into the neighbouring chunk
-				addr = mem.HeapBase + chunkCover(plain) - 1
+				addr = mem.HeapBase + chunkCover - 1
 			}
 		case 3: // mid-stream flush must not disturb equivalence
 			mk.Flush()
@@ -91,7 +85,7 @@ func TestMarkerEquivalence(t *testing.T) {
 // TestMarkerVisibilityAfterFlush checks buffered bits become visible exactly
 // at Flush.
 func TestMarkerVisibilityAfterFlush(t *testing.T) {
-	b := newTestBitmap(t)
+	b := New()
 	mk := b.NewMarker()
 	a1 := mem.HeapBase + 32
 	mk.Mark(a1)
@@ -106,7 +100,7 @@ func TestMarkerVisibilityAfterFlush(t *testing.T) {
 	// an explicit flush.
 	a2 := mem.HeapBase + 64*16*10 // a different shadow word
 	mk.Mark(a2)
-	a3 := mem.HeapBase + chunkCover(b) + 8 // a different chunk
+	a3 := mem.HeapBase + chunkCover + 8 // a different chunk
 	mk.Mark(a3)
 	if !b.Test(a2) {
 		t.Error("word displaced from the marker cache not published")
@@ -126,18 +120,18 @@ func TestMarkerVisibilityAfterFlush(t *testing.T) {
 // sweeper uses them) marking overlapping clustered ranges concurrently; the
 // result must equal the union computed with plain marks.
 func TestMarkerConcurrentWorkers(t *testing.T) {
-	concurrent := newTestBitmap(t)
-	reference := newTestBitmap(t)
+	concurrent := New()
+	reference := New()
 
 	const workers = 4
 	const n = 20000
 	addrsFor := func(w int) []uint64 {
 		rng := uint64(w)*2654435761 + 1
 		addrs := make([]uint64, n)
-		base := mem.HeapBase + uint64(w)*(chunkCover(reference)/2) // overlap neighbours
+		base := mem.HeapBase + uint64(w)*(chunkCover/2) // overlap neighbours
 		for i := range addrs {
 			rng = rng*6364136223846793005 + 1442695040888963407
-			addrs[i] = base + (rng>>8)%(2*chunkCover(reference))
+			addrs[i] = base + (rng>>8)%(2*chunkCover)
 		}
 		return addrs
 	}
@@ -166,13 +160,6 @@ func TestMarkerConcurrentWorkers(t *testing.T) {
 // BenchmarkShadowMarker measures a clustered mark stream — the sweep's
 // common case — through plain Bitmap.Mark vs a write-combining Marker.
 func BenchmarkShadowMarker(b *testing.B) {
-	mkBitmap := func(b *testing.B) *Bitmap {
-		bm, err := New(mem.HeapBase, mem.HeapLimit, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return bm
-	}
 	// A page-local pointer cluster: 512 targets walking forward in small
 	// strides, like one page of a live array-of-structs.
 	addrs := make([]uint64, 512)
@@ -184,7 +171,7 @@ func BenchmarkShadowMarker(b *testing.B) {
 		addrs[i] = addr
 	}
 	b.Run("mark", func(b *testing.B) {
-		bm := mkBitmap(b)
+		bm := New()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, a := range addrs {
@@ -193,7 +180,7 @@ func BenchmarkShadowMarker(b *testing.B) {
 		}
 	})
 	b.Run("marker", func(b *testing.B) {
-		bm := mkBitmap(b)
+		bm := New()
 		mk := bm.NewMarker()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -8,13 +8,13 @@ import (
 
 // Cross-chunk-boundary edge cases for AnyInRange and ClearRange: ranges that
 // straddle two chunks, ranges touching base/limit, and empty ranges. A chunk
-// covers chunkCover(b) bytes, so addresses just either side of that boundary
+// covers chunkCover bytes, so addresses just either side of that boundary
 // land in different lazily-allocated chunks.
 
 func TestAnyInRangeAcrossChunkBoundary(t *testing.T) {
-	b := newTestBitmap(t)
-	boundary := mem.HeapBase + chunkCover(b)
-	g := b.GranuleSize()
+	b := New()
+	boundary := mem.HeapBase + chunkCover
+	g := uint64(granuleSize)
 
 	// One mark on the last granule of chunk 0, one on the first of chunk 1.
 	lastC0 := boundary - g
@@ -33,7 +33,7 @@ func TestAnyInRangeAcrossChunkBoundary(t *testing.T) {
 		{"straddle between the marks only", lastC0 + 4, firstC1 + 4, true},
 		{"clean range inside chunk 0", boundary - 64*g, boundary - 2*g, false},
 		{"clean range inside chunk 1", boundary + 2*g, boundary + 64*g, false},
-		{"clean straddle of an untouched boundary", mem.HeapBase + 5*chunkCover(b) - g, mem.HeapBase + 5*chunkCover(b) + g, false},
+		{"clean straddle of an untouched boundary", mem.HeapBase + 5*chunkCover - g, mem.HeapBase + 5*chunkCover + g, false},
 		{"empty range (hi == lo)", boundary, boundary, false},
 		{"inverted range (hi < lo)", boundary + g, boundary - g, false},
 		{"clamped below base", mem.HeapBase - 100, mem.HeapBase + g, false},
@@ -49,8 +49,8 @@ func TestAnyInRangeAcrossChunkBoundary(t *testing.T) {
 }
 
 func TestAnyInRangeTouchingBaseAndLimit(t *testing.T) {
-	b := newTestBitmap(t)
-	g := b.GranuleSize()
+	b := New()
+	g := uint64(granuleSize)
 	b.Mark(mem.HeapBase)      // very first granule
 	b.Mark(mem.HeapLimit - g) // very last granule
 
@@ -72,9 +72,9 @@ func TestAnyInRangeTouchingBaseAndLimit(t *testing.T) {
 }
 
 func TestClearRangeAcrossChunkBoundary(t *testing.T) {
-	b := newTestBitmap(t)
-	boundary := mem.HeapBase + chunkCover(b)
-	g := b.GranuleSize()
+	b := New()
+	boundary := mem.HeapBase + chunkCover
+	g := uint64(granuleSize)
 
 	// Paint granules on both sides of the boundary plus sentinels outside
 	// the cleared window.
@@ -106,7 +106,7 @@ func TestClearRangeAcrossChunkBoundary(t *testing.T) {
 
 	// Clearing a straddle where one side's chunk was never allocated must
 	// not allocate it or touch the other side's surviving bits.
-	farBoundary := mem.HeapBase + 7*chunkCover(b)
+	farBoundary := mem.HeapBase + 7*chunkCover
 	b.Mark(farBoundary) // chunk 7 exists, chunk 6 untouched
 	alloc := b.allocated.Load()
 	b.ClearRange(farBoundary-2*g, farBoundary+g)
@@ -122,8 +122,8 @@ func TestClearRangeAcrossChunkBoundary(t *testing.T) {
 }
 
 func TestClearRangeClampsToBitmap(t *testing.T) {
-	b := newTestBitmap(t)
-	g := b.GranuleSize()
+	b := New()
+	g := uint64(granuleSize)
 	b.Mark(mem.HeapBase + 10*g)
 	// Ranges entirely outside are no-ops; over-wide ranges clamp and clear.
 	b.ClearRange(0, mem.HeapBase)

@@ -2,10 +2,12 @@
 //
 // The paper's shadow map is "conceptually, an array of bits, containing one
 // bit per granule of virtual memory", with one bit per 128 bits — the
-// smallest allocation granule. During the marking phase every word of program
-// memory is interpreted as a pointer and the bit for its target granule is
-// set; during the filtering phase each quarantined allocation's bit range is
-// tested, and any set bit keeps the allocation in quarantine.
+// smallest allocation granule. Here it covers exactly the heap area,
+// [mem.HeapBase, mem.HeapLimit), at that fixed 16-byte granule. During the
+// marking phase every word of program memory is interpreted as a pointer and
+// the bit for its target granule is set; during the filtering phase each
+// quarantined allocation's bit range is tested, and any set bit keeps the
+// allocation in quarantine.
 //
 // A flat bitmap over the full reservable heap area would be gigabytes, so the
 // map is chunked and chunks are allocated lazily on first mark. The chunk
@@ -20,26 +22,42 @@
 package shadow
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
+
+	"minesweeper/internal/mem"
+)
+
+// The shadowed range is the heap area, one bit per 16-byte granule.
+const (
+	base         = mem.HeapBase
+	limit        = mem.HeapLimit
+	granuleShift = 4
 )
 
 // bitsPerChunkShift fixes each chunk at 2^18 bits (32 KiB of backing), so a
-// chunk covers 2^(18+granuleShift) bytes of address space.
+// chunk covers 2^(18+granuleShift) bytes (4 MiB) of address space.
 const bitsPerChunkShift = 18
 
 const (
 	bitsPerChunk  = 1 << bitsPerChunkShift
 	wordsPerChunk = bitsPerChunk / 64
+	chunkCover    = 1 << (bitsPerChunkShift + granuleShift)
 )
 
-// leafShift fixes each directory leaf at 2^10 chunk pointers (8 KiB). At
-// MineSweeper's 16-byte granule a chunk covers 4 MiB and a leaf 4 GiB, so
-// the 1 TiB heap range needs a root of 256 leaf pointers (2 KiB).
+// leafShift fixes each directory leaf at 2^10 chunk pointers (8 KiB), so a
+// leaf covers 4 GiB and the 1 TiB heap range needs a root of 256 leaf
+// pointers (2 KiB).
 const leafShift = 10
 
-const leafChunks = 1 << leafShift
+const (
+	leafChunks = 1 << leafShift
+	rootLeaves = (limit - base) / chunkCover / leafChunks
+)
+
+// The range must start on a chunk boundary and span whole leaves: a compile
+// error here means it does not.
+const _ = -(base%chunkCover + (limit-base)%(chunkCover*leafChunks))
 
 type chunk [wordsPerChunk]uint64
 
@@ -47,40 +65,21 @@ type chunk [wordsPerChunk]uint64
 // chunks.
 type leaf [leafChunks]atomic.Pointer[chunk]
 
-// Bitmap is a sparse atomic bitmap over the address range [base, limit), with
-// one bit per 2^granuleShift bytes.
+// Bitmap is a sparse atomic bitmap over the heap area, with one bit per
+// 16-byte granule.
 type Bitmap struct {
-	base         uint64
-	limit        uint64
-	granuleShift uint
-	root         []atomic.Pointer[leaf] // leaf i holds chunks [i<<leafShift, (i+1)<<leafShift)
-	allocated    atomic.Int64           // number of live chunks, for overhead accounting
+	root      [rootLeaves]atomic.Pointer[leaf] // leaf i holds chunks [i<<leafShift, (i+1)<<leafShift)
+	allocated atomic.Int64                     // number of live chunks, for overhead accounting
 }
 
-// New returns a bitmap covering [base, limit) at one bit per 2^granuleShift
-// bytes. base and limit must be aligned to the chunk coverage.
-func New(base, limit uint64, granuleShift uint) (*Bitmap, error) {
-	if limit <= base {
-		return nil, fmt.Errorf("shadow: New: empty range [%#x, %#x)", base, limit)
-	}
-	cover := uint64(1) << (bitsPerChunkShift + granuleShift)
-	if base%cover != 0 || limit%cover != 0 {
-		return nil, fmt.Errorf("shadow: New: range [%#x, %#x) not aligned to chunk coverage %#x", base, limit, cover)
-	}
-	n := (limit - base) / cover
-	return &Bitmap{
-		base:         base,
-		limit:        limit,
-		granuleShift: granuleShift,
-		root:         make([]atomic.Pointer[leaf], (n+leafChunks-1)/leafChunks),
-	}, nil
-}
+// New returns an empty bitmap over the heap area.
+func New() *Bitmap { return new(Bitmap) }
 
-// Covers reports whether addr lies inside the bitmap's range.
-func (b *Bitmap) Covers(addr uint64) bool { return addr >= b.base && addr < b.limit }
+// covers reports whether addr lies inside the bitmap's range.
+func covers(addr uint64) bool { return addr >= base && addr < limit }
 
 // granule returns the global granule index of addr.
-func (b *Bitmap) granule(addr uint64) uint64 { return (addr - b.base) >> b.granuleShift }
+func granule(addr uint64) uint64 { return (addr - base) >> granuleShift }
 
 // getChunk returns the chunk holding granule g, or nil if never marked.
 func (b *Bitmap) getChunk(g uint64) *chunk {
@@ -121,10 +120,10 @@ func (b *Bitmap) ensureChunk(g uint64) *chunk {
 // covered range are ignored (they cannot be pointers into the shadowed area).
 // Mark is safe for concurrent use.
 func (b *Bitmap) Mark(addr uint64) {
-	if !b.Covers(addr) {
+	if !covers(addr) {
 		return
 	}
-	g := b.granule(addr)
+	g := granule(addr)
 	c := b.ensureChunk(g)
 	i := g & (bitsPerChunk - 1)
 	word, bit := i/64, i%64
@@ -136,10 +135,10 @@ func (b *Bitmap) Mark(addr uint64) {
 
 // Test reports whether the bit for the granule containing addr is set.
 func (b *Bitmap) Test(addr uint64) bool {
-	if !b.Covers(addr) {
+	if !covers(addr) {
 		return false
 	}
-	g := b.granule(addr)
+	g := granule(addr)
 	c := b.getChunk(g)
 	if c == nil {
 		return false
@@ -155,17 +154,17 @@ func (b *Bitmap) AnyInRange(lo, hi uint64) bool {
 	if hi <= lo {
 		return false
 	}
-	if lo < b.base {
-		lo = b.base
+	if lo < base {
+		lo = base
 	}
-	if hi > b.limit {
-		hi = b.limit
+	if hi > limit {
+		hi = limit
 	}
 	if hi <= lo {
 		return false
 	}
-	g := b.granule(lo)
-	gEnd := b.granule(hi-1) + 1
+	g := granule(lo)
+	gEnd := granule(hi-1) + 1
 	for g < gEnd {
 		c := b.getChunk(g)
 		if c == nil {
@@ -207,16 +206,16 @@ func (b *Bitmap) ClearRange(lo, hi uint64) {
 	if hi <= lo {
 		return
 	}
-	if lo < b.base {
-		lo = b.base
+	if lo < base {
+		lo = base
 	}
-	if hi > b.limit {
-		hi = b.limit
+	if hi > limit {
+		hi = limit
 	}
 	if hi <= lo {
 		return
 	}
-	for g, gEnd := b.granule(lo), b.granule(hi-1)+1; g < gEnd; {
+	for g, gEnd := granule(lo), granule(hi-1)+1; g < gEnd; {
 		c := b.getChunk(g)
 		chunkEnd := (g>>bitsPerChunkShift + 1) << bitsPerChunkShift
 		end := gEnd
@@ -282,6 +281,3 @@ func (b *Bitmap) PopCount() uint64 {
 func (b *Bitmap) FootprintBytes() uint64 {
 	return uint64(b.allocated.Load()) * wordsPerChunk * 8
 }
-
-// GranuleSize returns the bytes covered by one bit.
-func (b *Bitmap) GranuleSize() uint64 { return 1 << b.granuleShift }

@@ -8,29 +8,11 @@ import (
 	"minesweeper/internal/mem"
 )
 
-func newTestBitmap(t testing.TB) *Bitmap {
-	t.Helper()
-	b, err := New(mem.HeapBase, mem.HeapLimit, 4) // 1 bit / 16 B, like MineSweeper
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return b
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(16, 8, 4); err == nil {
-		t.Error("New with empty range succeeded")
-	}
-	if _, err := New(1, 1<<30, 4); err == nil {
-		t.Error("New with misaligned base succeeded")
-	}
-	if _, err := New(0, 1<<30, 4); err != nil {
-		t.Errorf("New aligned: %v", err)
-	}
-}
+// granuleSize is the bytes one bit covers.
+const granuleSize = 1 << granuleShift
 
 func TestMarkTest(t *testing.T) {
-	b := newTestBitmap(t)
+	b := New()
 	addr := mem.HeapBase + 0x1230
 	if b.Test(addr) {
 		t.Fatal("fresh bitmap has bit set")
@@ -59,7 +41,7 @@ func TestMarkTest(t *testing.T) {
 }
 
 func TestMarkOutsideRangeIgnored(t *testing.T) {
-	b := newTestBitmap(t)
+	b := New()
 	b.Mark(0x1000)              // below heap
 	b.Mark(mem.HeapLimit)       // at limit
 	b.Mark(mem.HeapLimit + 123) // above heap
@@ -72,7 +54,7 @@ func TestMarkOutsideRangeIgnored(t *testing.T) {
 }
 
 func TestAnyInRange(t *testing.T) {
-	b := newTestBitmap(t)
+	b := New()
 	base := mem.HeapBase + 1<<20
 	b.Mark(base + 160) // granule 10 of this block
 
@@ -97,7 +79,7 @@ func TestAnyInRange(t *testing.T) {
 }
 
 func TestAnyInRangeSkipsUnallocatedChunks(t *testing.T) {
-	b := newTestBitmap(t)
+	b := New()
 	// Range spanning many chunks with a single mark near the end.
 	lo := mem.HeapBase
 	hi := mem.HeapBase + 64<<20 // 64 MiB, 16 chunks at 4 MiB coverage
@@ -111,7 +93,7 @@ func TestAnyInRangeSkipsUnallocatedChunks(t *testing.T) {
 }
 
 func TestClearRange(t *testing.T) {
-	b := newTestBitmap(t)
+	b := New()
 	base := mem.HeapBase
 	for i := uint64(0); i < 64; i++ {
 		b.Mark(base + i*16)
@@ -126,7 +108,7 @@ func TestClearRange(t *testing.T) {
 }
 
 func TestClearAll(t *testing.T) {
-	b := newTestBitmap(t)
+	b := New()
 	for i := uint64(0); i < 1000; i++ {
 		b.Mark(mem.HeapBase + i*4096)
 	}
@@ -145,27 +127,8 @@ func TestClearAll(t *testing.T) {
 	}
 }
 
-func TestPageGranularity(t *testing.T) {
-	// One bit per page (shift 12): a chunk then covers 1 GiB and a leaf
-	// 1 TiB, so the whole heap range is a root of one leaf.
-	b, err := New(mem.HeapBase, mem.HeapLimit, 12)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if b.GranuleSize() != 4096 {
-		t.Fatalf("GranuleSize = %d, want 4096", b.GranuleSize())
-	}
-	b.Mark(mem.HeapBase + 4096)
-	if !b.Test(mem.HeapBase + 4096 + 4095) {
-		t.Error("page bit does not cover whole page")
-	}
-	if b.Test(mem.HeapBase) || b.Test(mem.HeapBase+8192) {
-		t.Error("adjacent pages set")
-	}
-}
-
 func TestConcurrentMark(t *testing.T) {
-	b := newTestBitmap(t)
+	b := New()
 	const goroutines = 8
 	const marks = 5000
 	var wg sync.WaitGroup
@@ -187,7 +150,7 @@ func TestConcurrentMark(t *testing.T) {
 // Property: after marking an arbitrary set of addresses, AnyInRange(lo, hi)
 // agrees with a naive per-granule Test scan.
 func TestQuickAnyInRangeMatchesNaive(t *testing.T) {
-	b := newTestBitmap(t)
+	b := New()
 	const window = 1 << 16
 	f := func(markOffs []uint16, lo, hi uint16) bool {
 		b.ClearRange(mem.HeapBase, mem.HeapBase+window)
@@ -213,14 +176,14 @@ func TestQuickAnyInRangeMatchesNaive(t *testing.T) {
 }
 
 func BenchmarkMark(b *testing.B) {
-	bm := newTestBitmap(b)
+	bm := New()
 	for i := 0; i < b.N; i++ {
 		bm.Mark(mem.HeapBase + uint64(i%(1<<20))*16)
 	}
 }
 
 func BenchmarkAnyInRangeMiss(b *testing.B) {
-	bm := newTestBitmap(b)
+	bm := New()
 	bm.Mark(mem.HeapBase + 1<<21)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -79,10 +79,7 @@ func newBenchSweeper(tb testing.TB, heapBytes uint64) (*Sweeper, *shadow.Bitmap)
 		tb.Fatal(err)
 	}
 	fillBenchHeap(tb, as, heap)
-	marks, err := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	marks := shadow.New()
 	return New(as, marks, 0), marks
 }
 
@@ -148,7 +145,7 @@ func TestWorkQueueReuse(t *testing.T) {
 	if err := as.Store64(heap.Base()+8, heap.Base()+0x100); err != nil {
 		t.Fatal(err)
 	}
-	marks, _ := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
+	marks := shadow.New()
 	s := New(as, marks, 2)
 
 	first := s.Mark(Full).BytesScanned
@@ -182,7 +179,7 @@ func TestStripedStealing(t *testing.T) {
 		}
 		want = append(want, tgt)
 	}
-	marks, _ := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
+	marks := shadow.New()
 	s := New(as, marks, 0)
 	s.helpers.Store(7)        // bypass the GOMAXPROCS clamp: stealing must still be correct
 	s.SetKnownZeroSkip(false) // this test asserts every byte is visited
@@ -248,10 +245,7 @@ func BenchmarkMarkAllSteady(b *testing.B) {
 				b.Fatal(err)
 			}
 			fillSteadyHeap(b, as, heap)
-			marks, err := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
+			marks := shadow.New()
 			s := New(as, marks, 0)
 			s.SetKnownZeroSkip(skip)
 			s.Mark(Full) // the previous sweep's pass

@@ -77,13 +77,13 @@ type Sweeper struct {
 	// between passes (SetHelpers); each pass reads it once at start.
 	helpers atomic.Int32
 
-	// runMu serialises marking passes so the chunk queue and the
-	// dirtied-region snapshot can be reused across sweeps without
-	// reallocation. Sweeps are already serialised by the core layer's sweep
-	// lock; this keeps the Sweeper safe on its own.
-	runMu     sync.Mutex
-	chunks    []chunk       // reusable work queue, valid only during a pass
-	dirtyRegs []*mem.Region // reusable dirtied-region snapshot (dirty passes)
+	// runMu serialises marking passes so the chunk queue and the region
+	// snapshot can be reused across sweeps without reallocation. Sweeps are
+	// already serialised by the core layer's sweep lock; this keeps the
+	// Sweeper safe on its own.
+	runMu  sync.Mutex
+	chunks []chunk       // reusable work queue, valid only during a pass
+	regs   []*mem.Region // reusable region snapshot (full or dirtied)
 
 	// kzSkipOff disables the known-zero and pointer-free page skips
 	// (ablation and A/B benchmarks); the zero value — skips enabled — is
@@ -218,23 +218,20 @@ type stripe struct {
 // collectChunks slices sweepable regions into page chunks, reusing the
 // queue's backing array from the previous pass. Full passes cover every
 // region. Dirty passes iterate just the space's dirtied-region list —
-// never the full region set, whose sorted snapshot can reach tens of
-// thousands of extent-granular entries and is rebuilt on demand, neither of
-// which belongs inside a stop-the-world window — and consult each region's
-// dirty summary bitmap to emit chunks only for page ranges with at least one
-// (possibly stale) summary bit set. This is what keeps the stop-the-world
+// never the full region set, which can reach tens of thousands of
+// extent-granular entries and does not belong inside a stop-the-world
+// window — and consult each region's dirty summary bitmap to emit chunks
+// only for page ranges with at least one (possibly stale) summary bit set. This is what keeps the stop-the-world
 // re-scan's cost proportional to the mutators' write rate rather than heap
 // size. Caller holds runMu.
 func (s *Sweeper) collectChunks(dirtyOnly bool) []chunk {
 	chunks := s.chunks[:0]
-	var regs []*mem.Region
 	if dirtyOnly {
-		s.dirtyRegs = s.space.DirtyRegions(s.dirtyRegs)
-		regs = s.dirtyRegs
+		s.regs = s.space.DirtyRegions(s.regs)
 	} else {
-		regs = s.space.Regions()
+		s.regs = s.space.Regions(s.regs)
 	}
-	for _, r := range regs {
+	for _, r := range s.regs {
 		switch r.Kind() {
 		case mem.KindHeap, mem.KindStack, mem.KindGlobals:
 		default:

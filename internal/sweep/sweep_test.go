@@ -10,10 +10,7 @@ import (
 func setup(t testing.TB, helpers int) (*mem.AddressSpace, *shadow.Bitmap, *Sweeper) {
 	t.Helper()
 	as := mem.NewAddressSpace()
-	marks, err := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	marks := shadow.New()
 	return as, marks, New(as, marks, helpers)
 }
 
@@ -176,11 +173,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 
 	asA, targetsA := build()
-	marksA, _ := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
+	marksA := shadow.New()
 	New(asA, marksA, 0).Mark(Full)
 
 	asB, _ := build()
-	marksB, _ := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
+	marksB := shadow.New()
 	New(asB, marksB, 7).Mark(Full)
 	_ = asB
 
@@ -231,7 +228,7 @@ func BenchmarkMarkAll64MiB(b *testing.B) {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		_ = as.Store64(heap.Base()+off, heap.Base()+rng%heap.Size())
 	}
-	marks, _ := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
+	marks := shadow.New()
 	s := New(as, marks, DefaultHelpers)
 	b.SetBytes(64 << 20)
 	b.ResetTimer()

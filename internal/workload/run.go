@@ -36,12 +36,13 @@ type Result struct {
 	UAFs uint64
 }
 
+// sampleEvery is the RSS sampling interval.
+const sampleEvery = 2 * time.Millisecond
+
 // Options tunes a run.
 type Options struct {
 	// ScaleDiv divides every profile's op budget (for quick runs).
 	ScaleDiv int
-	// SampleEvery is the RSS sampling interval (default 2ms).
-	SampleEvery time.Duration
 	// Seed offsets the workload PRNG streams.
 	Seed uint64
 	// Telemetry, when non-nil, is attached to the scheme's heap (if the
@@ -73,9 +74,6 @@ func Run(prof Profile, f schemes.Factory, opts Options) (Result, error) {
 	if opts.ScaleDiv > 1 {
 		prof = prof.scaled(opts.ScaleDiv)
 	}
-	if opts.SampleEvery == 0 {
-		opts.SampleEvery = 2 * time.Millisecond
-	}
 	if prof.Threads < 1 {
 		prof.Threads = 1
 	}
@@ -104,7 +102,7 @@ func Run(prof Profile, f schemes.Factory, opts Options) (Result, error) {
 
 	sampler := metrics.NewSampler(func() uint64 {
 		return space.RSS() + heap.Stats().MetaBytes
-	}, opts.SampleEvery)
+	}, sampleEvery)
 	sampler.Start()
 	start := time.Now()
 
